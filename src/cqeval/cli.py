@@ -340,7 +340,7 @@ def cmd_generate(args) -> int:
 
 def cmd_translate(args) -> int:
     ont = ontology.load_ontology(args.input)
-    out = tptp.write_axiom_file(ont, args.output)
+    out = tptp.write_axiom_file(tptp.render_axioms(ont), args.output)
     print(f"wrote {out} ({len(ont.axioms)} axioms)")
     return 0
 
@@ -348,20 +348,20 @@ def cmd_translate(args) -> int:
 def cmd_emit(args) -> int:
     cfg = Config.load(args.config)
     corpus = _load_corpus(cfg)
-    ont = _evaluated_ontology(cfg)
+    axioms = tptp.render_axioms(_evaluated_ontology(cfg))
     problems_dir = cfg.resolve(cfg.get("problems_dir", default="problems"))
     mode = args.mode or cfg.get("emit_mode", default="inline")
     axiom_file = None
     if mode == "include":
         axiom_file = problems_dir / "axioms.ax"
         problems_dir.mkdir(parents=True, exist_ok=True)
-        tptp.write_axiom_file(ont, axiom_file)
+        tptp.write_axiom_file(axioms, axiom_file)
         axiom_file = Path("axioms.ax")  # include paths are problem-relative
     count = 0
     for cq in corpus.questions:
         tptp.write_problem(
             cq,
-            ont,
+            axioms,
             problems_dir,
             mode=mode,
             axiom_file=axiom_file,
@@ -534,6 +534,7 @@ def main(argv=None) -> int:
         cqgen.CqGenError,
         report.ReportError,
         tptp.TptpError,
+        json.JSONDecodeError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from .ontology import OntologyIndex
 from .wordnet import MappingEntry, MappingRelation, SynsetId
 
-KINDS = ("class", "relation", "attribute", "instance")
-
 
 def downgrade(relation: MappingRelation, steps: int) -> MappingRelation:
     """Weaken a mapping relation after climbing ``steps`` taxonomy edges."""
@@ -50,64 +48,37 @@ class PropagationResult:
     warnings: list
 
 
-def _bfs_to_core(start: str, up: dict, vocabulary: frozenset):
-    """Nearest core ancestor strictly above ``start``: minimum depth,
-    lexicographic tie-break within a depth level."""
-    seen = {start}
-    frontier = [start]
-    depth = 0
-    while frontier:
-        depth += 1
-        layer: set = set()
-        for node in frontier:
-            for parent in up.get(node, ()):
-                if parent not in seen:
-                    layer.add(parent)
+def _bfs_to_core(parents, up: dict, vocabulary: frozenset):
+    """Nearest core term among ``parents`` or above them along ``up``:
+    minimum depth (``parents`` are depth one), lexicographic tie-break
+    within a depth level."""
+    layer, seen, depth = set(parents), set(), 1
+    while layer:
         hits = sorted(t for t in layer if t in vocabulary)
         if hits:
             return hits[0], depth
         seen |= layer
-        frontier = sorted(layer)
-    return None
-
-
-def _via_instance(start: str, idx: OntologyIndex):
-    """One instance edge, then the subclass chain."""
-    parents = idx.up_instance.get(start, ())
-    if not parents:
-        return None
-    hits = sorted(p for p in parents if p in idx.vocabulary)
-    if hits:
-        return hits[0], 1
-    seen = set(parents)
-    frontier = sorted(parents)
-    depth = 1
-    while frontier:
+        layer = {p for node in layer for p in up.get(node, ()) if p not in seen}
         depth += 1
-        layer: set = set()
-        for node in frontier:
-            for parent in idx.up_subclass.get(node, ()):
-                if parent not in seen:
-                    layer.add(parent)
-        hits = sorted(t for t in layer if t in idx.vocabulary)
-        if hits:
-            return hits[0], depth
-        seen |= layer
-        frontier = sorted(layer)
     return None
+
+
+# kind, the edge taken from the term, the relation climbed after it
+_CLIMBS = (
+    ("class", "subclass", "subclass"),
+    ("relation", "subrelation", "subrelation"),
+    ("attribute", "subAttribute", "subAttribute"),
+    ("instance", "instance", "subclass"),
+)
 
 
 def _candidates(term: str, idx: OntologyIndex):
     """(kind, core term, depth) for every kind that reaches core."""
     found = []
-    for kind, result in (
-        ("class", _bfs_to_core(term, idx.up_subclass, idx.vocabulary)),
-        ("relation", _bfs_to_core(term, idx.up_subrelation, idx.vocabulary)),
-        ("attribute", _bfs_to_core(term, idx.up_subattribute, idx.vocabulary)),
-        ("instance", _via_instance(term, idx)),
-    ):
+    for kind, first, climb in _CLIMBS:
+        result = _bfs_to_core(idx.up[first].get(term, ()), idx.up[climb], idx.vocabulary)
         if result is not None:
-            found.append((kind, result[0], result[1]))
+            found.append((kind, *result))
     return found
 
 

@@ -17,7 +17,7 @@ an annotated KIF file and keep whatever polarity they declare.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -400,7 +400,6 @@ def check_nontriviality(cq: CompetencyQuestion, prove=None) -> bool:
 class Corpus:
     questions: list
     skipped: dict  # reason -> count
-    warnings: list = field(default_factory=list)
 
     def by_id(self) -> dict:
         return {cq.id: cq for cq in self.questions}
@@ -422,12 +421,10 @@ def generate_corpus(
     core_entries,
     idx: OntologyIndex,
     creative_path=None,
-    nontriviality_prover=None,
 ) -> Corpus:
     """Run every generator, twin each truth question with its negation,
     and append the hand-written corpus verbatim."""
     skipped: dict = {}
-    warnings: list = []
     questions: list = []
 
     parts = [
@@ -445,11 +442,6 @@ def generate_corpus(
     if creative_path is not None:
         questions.extend(load_creative(creative_path))
 
-    if nontriviality_prover is not None:
-        for cq in questions:
-            if not check_nontriviality(cq, nontriviality_prover):
-                warnings.append(f"{cq.id}: conclusion follows from its own premises")
-
     seen: set = set()
     dupes: set = set()
     for cq in questions:
@@ -458,7 +450,7 @@ def generate_corpus(
         seen.add(cq.id)
     if dupes:
         raise CqGenError(f"duplicate question ids: {sorted(dupes)}")
-    return Corpus(questions, skipped, warnings)
+    return Corpus(questions, skipped)
 
 
 # --------------------------------------------------------------------------

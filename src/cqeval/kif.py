@@ -204,8 +204,10 @@ def _tokenize(source: str) -> list[_Tok]:
             col += 1
             i += 1
         elif ch == ";":
+            start = i
             while i < n and source[i] != "\n":
                 i += 1
+            toks.append(_Tok(source[start:i], line, col))
         elif ch in "()":
             toks.append(_Tok(ch, line, col))
             col += 1
@@ -225,11 +227,18 @@ def _tokenize(source: str) -> list[_Tok]:
 
 
 def _read_sexprs(toks: list[_Tok]):
-    """Group a token stream into nested lists; leaves stay _Tok."""
+    """Group a token stream into nested lists; leaves stay _Tok.
+
+    Comments inside a form are dropped; top-level comments stay in the
+    result as leaves, in source order between the forms.
+    """
     exprs = []
     stack: list[list] = []
     for t in toks:
-        if t.text == "(":
+        if t.text[0] == ";":
+            if not stack:
+                exprs.append(t)
+        elif t.text == "(":
             stack.append([t])  # keep the opener for positions
         elif t.text == ")":
             if not stack:
@@ -339,7 +348,7 @@ def _parse_formula(sx) -> Formula:
 
 def parse_kif(source: str) -> list[Formula]:
     """Parse SUO-KIF text into a list of formulas (one per top-level form)."""
-    return [_parse_formula(sx) for sx in _read_sexprs(_tokenize(source))]
+    return [_parse_formula(sx) for sx in _read_sexprs(_tokenize(source)) if isinstance(sx, list)]
 
 
 # --------------------------------------------------------------------------
@@ -356,50 +365,19 @@ class AnnotatedForm:
 def parse_annotated(source: str) -> list[AnnotatedForm]:
     """Parse a KIF file where ``;; key: value`` comments annotate the next form.
 
-    Plain comments are ignored.  Annotations accumulate until a top-level
-    form closes, then attach to it.
+    Only top-level comments count; plain comments are ignored.
+    Annotations accumulate until the next top-level form, then attach to it.
     """
     out: list[AnnotatedForm] = []
     pending: dict = {}
-    depth = 0
-    buf: list[str] = []
-    form_line = 0
-    for line_no, raw in enumerate(source.splitlines(), start=1):
-        stripped = raw.strip()
-        if depth == 0 and stripped.startswith(";;"):
-            body = stripped[2:].strip()
-            if ":" in body:
-                key, _, value = body.partition(":")
-                if key.strip():
-                    pending[key.strip()] = value.strip()
-            continue
-        i = 0
-        while i < len(raw):
-            ch = raw[i]
-            if ch == ";":
-                break
-            if ch == '"':
-                raise UnsupportedConstruct(line_no, "quoted term")
-            if ch == "(":
-                if depth == 0:
-                    form_line = line_no
-                    buf = []
-                depth += 1
-            buf_active = depth > 0
-            if buf_active:
-                buf.append(ch)
-            if ch == ")":
-                depth -= 1
-                if depth < 0:
-                    raise KifSyntaxError(line_no, i + 1, "unbalanced ')'")
-                if depth == 0:
-                    formulas = parse_kif("".join(buf))
-                    out.append(AnnotatedForm(formulas[0], pending, form_line))
-                    pending = {}
-                    buf = []
-            i += 1
-    if depth != 0:
-        raise KifSyntaxError(form_line, 1, "unclosed '('")
+    for sx in _read_sexprs(_tokenize(source)):
+        if isinstance(sx, list):
+            out.append(AnnotatedForm(_parse_formula(sx), pending, sx[0].line))
+            pending = {}
+        elif sx.text.startswith(";;"):
+            key, colon, value = sx.text[2:].partition(":")
+            if colon and key.strip():
+                pending[key.strip()] = value.strip()
     return out
 
 
@@ -486,10 +464,6 @@ def free_variables_ordered(f: Formula) -> tuple[str, ...]:
     acc: list = []
     _free_ordered(f, set(), acc)
     return tuple(acc)
-
-
-def free_variables(f: Formula) -> frozenset[str]:
-    return frozenset(free_variables_ordered(f))
 
 
 def universal_closure(f: Formula) -> Formula:

@@ -14,7 +14,7 @@ taxonomy acyclic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import kif, tptp
@@ -56,12 +56,6 @@ class Ontology:
     structural_facts: tuple[tuple[str, str, str], ...]
     vocabulary: frozenset[str]
     source_path: str | None = None
-
-    def axiom(self, label: str) -> OntologyAxiom:
-        for ax in self.axioms:
-            if ax.label == label:
-                return ax
-        raise KeyError(label)
 
     def without(self, *labels: str) -> "Ontology":
         """A copy with the named axioms removed; used for ablation runs."""
@@ -136,28 +130,15 @@ def load_tptp_ontology(path: str | Path, name: str | None = None) -> Ontology:
     """Load a TPTP axiom file.  Units the FOF parser cannot digest are kept
     opaque; a conjecture unit in an ontology file is an error."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     axioms: list[OntologyAxiom] = []
     seen: set[str] = set()
-    for kind, raw, line in tptp._split_units(text):
-        formula = None
-        label = None
-        if kind == "fof":
-            try:
-                unit_name, role, formula = tptp.parse_unit(raw, line)
-                label = tptp._unquote(unit_name)
-                if role == "conjecture":
-                    raise OntologyError(f"{path}:{line}: conjecture unit in an ontology file")
-            except tptp.TptpSyntaxError:
-                formula = None
-        if label is None:
-            # opaque unit: take the name token textually
-            m = raw.split("(", 1)[1].split(",", 1)[0].strip()
-            label = tptp._unquote(m)
-        if label in seen:
-            raise DuplicateLabel(label, str(path))
-        seen.add(label)
-        axioms.append(OntologyAxiom(label, formula, raw))
+    for unit in tptp.read_units(path):
+        if unit.role == "conjecture":
+            raise OntologyError(f"{unit.where}: conjecture unit in an ontology file")
+        if unit.name in seen:
+            raise DuplicateLabel(unit.name, str(path))
+        seen.add(unit.name)
+        axioms.append(OntologyAxiom(unit.name, unit.formula, unit.text))
     axioms = tuple(axioms)
     return Ontology(
         name=name or path.stem,
@@ -249,30 +230,16 @@ class OntologyIndex:
     """Merged structural view over a core ontology and its extensions.
 
     ``vocabulary`` holds the core's symbols only; extension symbols are
-    reachable through the edge sets but do not count as core terms.
+    reachable through the parent maps but do not count as core terms.
+    ``up`` maps each structural relation to its child -> parents map.
     """
 
     vocabulary: frozenset[str]
-    instance_edges: frozenset[tuple[str, str]]
-    subclass_edges: frozenset[tuple[str, str]]
-    subrelation_edges: frozenset[tuple[str, str]]
-    subattribute_edges: frozenset[tuple[str, str]]
-    up_instance: dict = field(compare=False)
-    up_subclass: dict = field(compare=False)
-    up_subrelation: dict = field(compare=False)
-    up_subattribute: dict = field(compare=False)
-
-    def up(self, relation: str) -> dict[str, tuple[str, ...]]:
-        return {
-            "instance": self.up_instance,
-            "subclass": self.up_subclass,
-            "subrelation": self.up_subrelation,
-            "subAttribute": self.up_subattribute,
-        }[relation]
+    up: dict[str, dict[str, tuple[str, ...]]]
 
     def closure(self, term: str, relation: str) -> frozenset[str]:
         """Reflexive-transitive ancestors of ``term`` along ``relation``."""
-        up = self.up(relation)
+        up = self.up[relation]
         seen = {term}
         frontier = [term]
         while frontier:
@@ -289,7 +256,7 @@ class OntologyIndex:
         """True when some subAttribute ancestor is an instance of a class
         under Attribute."""
         for anc in self.closure(term, "subAttribute"):
-            for cls in self.up_instance.get(anc, ()):
+            for cls in self.up["instance"].get(anc, ()):
                 if "Attribute" in self.closure(cls, "subclass"):
                     return True
         return False
@@ -307,14 +274,4 @@ def build_index(core: Ontology, extra_sources=()) -> OntologyIndex:
         cycle = _find_cycle(ups[rel])
         if cycle:
             raise CycleDetected(rel, cycle)
-    return OntologyIndex(
-        vocabulary=core.vocabulary,
-        instance_edges=frozenset(by_rel["instance"]),
-        subclass_edges=frozenset(by_rel["subclass"]),
-        subrelation_edges=frozenset(by_rel["subrelation"]),
-        subattribute_edges=frozenset(by_rel["subAttribute"]),
-        up_instance=ups["instance"],
-        up_subclass=ups["subclass"],
-        up_subrelation=ups["subrelation"],
-        up_subattribute=ups["subAttribute"],
-    )
+    return OntologyIndex(vocabulary=core.vocabulary, up=ups)

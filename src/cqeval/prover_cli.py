@@ -4,14 +4,48 @@ Runs the bundled prover over one TPTP problem file and prints SZS
 output, which makes it usable as an external prover command:
 
     python -m cqeval.prover_cli problem.p --timeout 600
+
+The campaign runner's builtin backend goes through :func:`prove_problem`
+too, so both write the same output.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
+from pathlib import Path
 
 from . import microprover, tptp
+from .tptp import ProverResult, SzsStatus
+
+
+def prove_problem(path, limit_seconds: float, max_literals: int,
+                  max_clauses: int) -> tuple[ProverResult, str]:
+    """Read a problem, prove it and render SZS output.
+
+    Returns the result (no output path set) and the output text.  Any
+    failure to read or prove becomes an Error result.
+    """
+    name = Path(path).name
+    start = time.monotonic()
+    try:
+        axioms, (_, conjecture) = tptp.read_problem(path)
+        inner = microprover.prove(
+            axioms,
+            conjecture,
+            limit_seconds=limit_seconds,
+            max_literals=max_literals,
+            max_clauses=max_clauses,
+        )
+    except Exception as e:
+        wall = time.monotonic() - start
+        return (ProverResult(SzsStatus.ERROR, wall),
+                f"% SZS status Error for {name}\n% {e}\n")
+    wall = time.monotonic() - start
+    text = (tptp.render_szs_output(inner.szs, inner.used_axioms, problem=name)
+            + f"% Time elapsed: {inner.wall_seconds:.3f} s\n")
+    return ProverResult(inner.szs, wall, inner.used_axioms, None, inner.wall_seconds), text
 
 
 def main(argv=None) -> int:
@@ -25,24 +59,10 @@ def main(argv=None) -> int:
     parser.add_argument("--max-literals", type=int, default=12,
                         help="discard derived clauses longer than this")
     args = parser.parse_args(argv)
-
-    try:
-        axioms, (_, conjecture) = tptp.read_problem(args.problem)
-        result = microprover.prove(
-            axioms,
-            conjecture,
-            limit_seconds=args.timeout,
-            max_literals=args.max_literals,
-            max_clauses=args.max_clauses,
-        )
-    except Exception as e:
-        print(f"% SZS status Error for {args.problem}")
-        print(f"% {e}")
-        return 1
-    sys.stdout.write(tptp.render_szs_output(result.szs, result.used_axioms,
-                                            problem=args.problem))
-    print(f"% Time elapsed: {result.wall_seconds:.3f} s")
-    return 0
+    result, text = prove_problem(args.problem, args.timeout, args.max_literals,
+                                 args.max_clauses)
+    sys.stdout.write(text)
+    return 1 if result.szs is SzsStatus.ERROR else 0
 
 
 if __name__ == "__main__":

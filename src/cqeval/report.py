@@ -31,20 +31,6 @@ class CorpusMismatch(ReportError):
     pass
 
 
-# Orientation figures from a full-scale lexicon-to-ontology campaign
-# (generated questions per family and polarity side).  Fixture-sized runs
-# produce far smaller tables; nothing asserts these numbers.
-REFERENCE_FULL_SCALE_COUNTS = {
-    "antonym": 64,
-    "relation": 1280,
-    "event1": 25,
-    "event2": 330,
-    "event3": 1857,
-    "generated_total_per_polarity": 3556,
-    "creative_truth": 50,
-    "creative_falsity": 14,
-}
-
 TOTAL_LABELS = {"truth": "truth-tests", "falsity": "falsity-tests"}
 
 FOOTNOTE = (

@@ -22,10 +22,10 @@ import subprocess
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import microprover, tptp
+from . import prover_cli, tptp
 from .tptp import ProblemFile, ProverResult, SzsStatus
 
 BUILTIN = "builtin"
@@ -89,12 +89,32 @@ def read_journal(path: str | Path) -> dict:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError:
+        except json.JSONDecodeError as e:
             if i == len(lines) - 1:
                 break
-            raise
+            raise json.JSONDecodeError(f"{path}: malformed journal line {i + 1}: {e.msg}",
+                                       e.doc, e.pos) from None
         out[rec["cq_id"]] = result_from_record(rec)
     return out
+
+
+def _end_journal_tail(path: Path) -> None:
+    """Make the journal end in a newline before the next append: a torn
+    last line (interrupted write) is cut, a whole one is terminated."""
+    if not path.exists():
+        return
+    data = path.read_bytes()
+    if not data or data.endswith(b"\n"):
+        return
+    cut = data.rfind(b"\n") + 1
+    try:
+        json.loads(data[cut:])
+    except ValueError:
+        with open(path, "r+b") as fh:
+            fh.truncate(cut)
+    else:
+        with open(path, "ab") as fh:
+            fh.write(b"\n")
 
 
 # --------------------------------------------------------------------------
@@ -146,25 +166,13 @@ def _run_external(problem: ProblemFile, cfg: RunnerConfig) -> ProverResult:
 
 
 def _run_builtin(problem: ProblemFile, cfg: RunnerConfig) -> ProverResult:
-    start = time.monotonic()
-    try:
-        axioms, (_, conjecture) = tptp.read_problem(problem.path)
-        inner = microprover.prove(
-            axioms,
-            conjecture,
-            limit_seconds=cfg.timeout_seconds,
-            max_literals=cfg.builtin_max_literals,
-            max_clauses=cfg.builtin_max_clauses,
-        )
-        status, used = inner.szs, inner.used_axioms
-        reported = inner.wall_seconds
-        text = tptp.render_szs_output(status, used, problem=Path(problem.path).name)
-    except Exception as e:
-        status, used, reported = SzsStatus.ERROR, (), None
-        text = f"% SZS status Error for {Path(problem.path).name}\n% {e}\n"
-    wall = time.monotonic() - start
-    out_path = _archive(cfg, problem.cq_id, text)
-    return ProverResult(status, wall, used, out_path, reported)
+    result, text = prover_cli.prove_problem(
+        problem.path,
+        cfg.timeout_seconds,
+        cfg.builtin_max_literals,
+        cfg.builtin_max_clauses,
+    )
+    return replace(result, raw_output_path=_archive(cfg, problem.cq_id, text))
 
 
 def run_one(problem: ProblemFile, cfg: RunnerConfig) -> ProverResult:
@@ -186,6 +194,7 @@ def run_corpus(problems, cfg: RunnerConfig):
 
     lock = threading.Lock()
     cfg.journal_path.parent.mkdir(parents=True, exist_ok=True)
+    _end_journal_tail(cfg.journal_path)
     results: dict = {cq_id: r for cq_id, r in done.items() if cq_id in known_ids}
 
     def work(problem: ProblemFile):

@@ -4,16 +4,17 @@ Handles three jobs around external refutation provers:
 
 * render formulas to TPTP first-order form, mangling symbols so that
   ontology names survive TPTP's lexical rules;
-* read TPTP problem files back (enough of the FOF grammar for our own
-  output plus include directives), so the bundled prover can consume
-  the same files external provers do;
+* read TPTP files back with one scanner: unit boundaries, include
+  directives and comments for every unit, and enough of the FOF grammar
+  for our own output, so the bundled prover can consume the same files
+  external provers do;
 * scan prover output for SZS status and used-axiom lines.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -145,74 +146,83 @@ class ProblemFile:
     conjecture_name: str
 
 
-def write_axiom_file(ontology: "Ontology", path: str | Path) -> Path:
-    """Write every ontology axiom as fof(label, axiom, ...) units."""
-    path = Path(path)
+@dataclass(frozen=True)
+class RenderedAxioms:
+    """An ontology's axioms as TPTP units, rendered once for every problem."""
+
+    name: str
+    units: tuple[str, ...]
+    labels: frozenset[str]
+    table: dict  # mangled name -> source symbol, over every axiom
+
+
+def render_axioms(ontology: "Ontology") -> RenderedAxioms:
+    """Render every axiom as a fof(label, axiom, ...) unit; opaque units
+    are kept verbatim."""
     table: dict = {}
-    lines = [f"% axioms: {ontology.name}"]
-    for ax in ontology.axioms:
-        if ax.formula is None:
-            lines.append(ax.text)  # opaque unit kept verbatim
-        else:
-            lines.append(render_fof(ax.label, "axiom", ax.formula, table))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    units = tuple(
+        ax.text if ax.formula is None else render_fof(ax.label, "axiom", ax.formula, table)
+        for ax in ontology.axioms
+    )
+    return RenderedAxioms(ontology.name, units, frozenset(ax.label for ax in ontology.axioms),
+                          table)
+
+
+def write_axiom_file(axioms: RenderedAxioms, path: str | Path) -> Path:
+    """Write the rendered axioms as a TPTP axiom file."""
+    path = Path(path)
+    path.write_text("\n".join((f"% axioms: {axioms.name}", *axioms.units)) + "\n",
+                    encoding="utf-8")
     return path
 
 
 def write_problem(
     cq,
-    ontology: "Ontology",
+    axioms: RenderedAxioms,
     out_dir: str | Path,
     mode: str = "inline",
     axiom_file: str | Path | None = None,
     warn=None,
 ) -> ProblemFile:
-    """Write ``<cq.id>.p`` containing the ontology and one conjecture.
+    """Write ``<cq.id>.p`` containing the axioms and one conjecture.
 
     ``mode`` is ``inline`` (axioms copied into the problem) or ``include``
-    (a TPTP include directive pointing at ``axiom_file``).  If an axiom
-    label collides with the conjecture name the conjecture is renamed and
-    ``warn`` is called with a message.
+    (a TPTP include directive pointing at ``axiom_file``).  Either way the
+    conjecture's symbols are checked against the axioms' mangle table.  If
+    an axiom label collides with the conjecture name the conjecture is
+    renamed and ``warn`` is called with a message.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{cq.id}.p"
-    table: dict = {}
     lines = [
         f"% cq: {cq.id}",
         f"% pattern: {cq.pattern.value}",
         f"% polarity: {cq.polarity.value}",
     ]
-    axiom_names = set()
     if mode == "include":
         if axiom_file is None:
             raise ValueError("include mode needs an axiom_file")
         lines.append(f"include('{Path(axiom_file)}').")
-        axiom_names.update(ax.label for ax in ontology.axioms)
     elif mode == "inline":
-        for ax in ontology.axioms:
-            axiom_names.add(ax.label)
-            if ax.formula is None:
-                lines.append(ax.text)
-            else:
-                lines.append(render_fof(ax.label, "axiom", ax.formula, table))
+        lines.extend(axioms.units)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     conj_name = cq.id
-    if conj_name in axiom_names:
+    if conj_name in axioms.labels:
         renamed = conj_name + "_conj"
-        while renamed in axiom_names:
+        while renamed in axioms.labels:
             renamed += "_"
         if warn is not None:
             warn(f"conjecture name {conj_name!r} collides with an axiom, renamed to {renamed!r}")
         conj_name = renamed
-    lines.append(render_fof(conj_name, "conjecture", cq.formula, table))
+    lines.append(render_fof(conj_name, "conjecture", cq.formula, dict(axioms.table)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return ProblemFile(path=path, cq_id=cq.id, conjecture_name=conj_name)
 
 
 # --------------------------------------------------------------------------
-# FOF parsing (own output + include resolution)
+# reading TPTP files
 
 
 class TptpSyntaxError(TptpError):
@@ -222,61 +232,47 @@ class TptpSyntaxError(TptpError):
         super().__init__(f"line {line}: {reason}")
 
 
-_MULTI = ("<~>", "<=>", "=>", "!=", "<=")
+# Comments follow the TPTP grammar: % to the end of the line and /* ... */
+# blocks.  Single-quoted names and double-quoted distinct objects are one
+# token each, quotes kept.  Any other character is a one-character token,
+# so units outside the FOF subset still scan and can be kept verbatim.
+_FOF_TOKEN = re.compile(
+    r"(?P<skip>\s+|%[^\n]*|/\*.*?\*/)"
+    r"|'[^']*'|\"[^\"]*\""
+    r"|(?P<open>['\"]|/\*)"
+    r"|\w+|<=>|=>|!=|\S",
+    re.DOTALL,
+)
 
 
-def _tok_fof(text: str):
+def _tok_fof(text: str) -> list[tuple[str, int, int]]:
+    """(text, line, offset) tokens of a TPTP file; comments are skipped."""
     toks = []
-    i, n, line = 0, len(text), 1
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-        elif ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch == "'":
-            j = text.find("'", i + 1)
-            if j < 0:
-                raise TptpSyntaxError(line, "unterminated quoted name")
-            toks.append((text[i + 1 : j], line, True))
-            i = j + 1
+    line = 1
+    for m in _FOF_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
+            line += m.group().count("\n")
+        elif kind == "open":
+            what = "comment" if m.group() == "/*" else "quoted name"
+            raise TptpSyntaxError(line, f"unterminated {what}")
         else:
-            matched = False
-            for op in _MULTI:
-                if text.startswith(op, i):
-                    toks.append((op, line, False))
-                    i += len(op)
-                    matched = True
-                    break
-            if matched:
-                continue
-            if ch in "()[]:,.~&|!?=":
-                toks.append((ch, line, False))
-                i += 1
-            elif ch.isalnum() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                toks.append((text[i:j], line, False))
-                i = j
-            else:
-                raise TptpSyntaxError(line, f"unexpected character {ch!r}")
+            toks.append((m.group(), line, m.start()))
+            if m.group()[0] in "'\"":
+                line += m.group().count("\n")
     return toks
 
 
 class _FofParser:
     """Recursive-descent parser for the FOF subset this package emits."""
 
-    def __init__(self, toks):
+    def __init__(self, toks, end_line: int):
         self.toks = toks
         self.i = 0
+        self.end = (None, end_line, -1)
 
     def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, -1, False)
+        return self.toks[self.i] if self.i < len(self.toks) else self.end
 
     def next(self):
         t = self.peek()
@@ -299,20 +295,22 @@ class _FofParser:
                 parts.append(self.unitary())
             if self.peek()[0] in ("&", "|"):
                 raise TptpSyntaxError(self.peek()[1], "mixed & and | need parentheses")
-            combined = And(tuple(parts)) if join == "&" else Or(tuple(parts))
-            return combined
+            return And(tuple(parts)) if join == "&" else Or(tuple(parts))
         if op == "=>":
             self.next()
-            return Implies(left, self.unitary_or_binary())
+            return Implies(left, self.unitary())
         if op == "<=>":
             self.next()
-            return Iff(left, self.unitary_or_binary())
+            return Iff(left, self.unitary())
         return left
 
-    def unitary_or_binary(self) -> Formula:
-        # right side of => / <=> in our emission is always unitary,
-        # but accept a full formula for robustness
-        return self.formula()
+    def body(self) -> Formula:
+        """A unit's formula; annotations after a ',' are not read."""
+        f = self.formula()
+        t, line, _ = self.peek()
+        if t not in (None, ","):
+            raise TptpSyntaxError(line, f"expected ',' or ')', found {t!r}")
+        return f
 
     def unitary(self) -> Formula:
         t, line, _ = self.peek()
@@ -360,14 +358,14 @@ class _FofParser:
         raise TptpSyntaxError(self.peek()[1], "a variable is not a formula")
 
     def term(self) -> Term:
-        t, line, quoted = self.next()
+        t, line, _ = self.next()
         if t is None:
             raise TptpSyntaxError(line, "unexpected end of input")
-        if not quoted and t and t[0].isupper():
+        if t[0].isupper():
             return Variable(demangle_variable(t))
-        if not (quoted or t[0].isalnum() or t[0] == "_"):
+        if not (t[0] == "'" or t[0].isalnum() or t[0] == "_"):
             raise TptpSyntaxError(line, f"expected a term, found {t!r}")
-        name = demangle_symbol(t)
+        name = demangle_symbol(_unquote(t))
         if self.peek()[0] == "(":
             self.next()
             args = [self.term()]
@@ -379,105 +377,102 @@ class _FofParser:
         return Constant(name)
 
 
-_UNIT_RE = re.compile(r"\b(fof|cnf|tff)\s*\(", re.MULTILINE)
+@dataclass(frozen=True)
+class Unit:
+    """One annotated formula of a TPTP file."""
+
+    kind: str  # fof, cnf, tff, ...
+    name: str
+    role: str
+    formula: Formula | None  # None when the unit is outside the FOF subset
+    error: str  # why ``formula`` is None, with file and line
+    text: str  # the unit verbatim, closing '.' included
+    where: str  # file:line
 
 
-def _split_units(text: str):
-    """Yield (kind, name, role, body_tokens_text, raw) for each annotated unit."""
-    i = 0
-    n = len(text)
-    line = 1
-    while i < n:
-        m = _UNIT_RE.search(text, i)
-        if not m:
-            break
-        line += text.count("\n", i, m.start())
-        # walk to the matching close paren, respecting quotes and comments
-        depth = 0
-        j = m.end() - 1
-        while j < n:
-            ch = text[j]
-            if ch == "%":
-                j = text.find("\n", j)
-                if j < 0:
-                    j = n
-                continue
-            if ch == "'":
-                j = text.find("'", j + 1)
-                if j < 0:
-                    raise TptpSyntaxError(line, "unterminated quoted name")
-            elif ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            j += 1
-        if depth != 0:
-            raise TptpSyntaxError(line, "unclosed unit")
-        raw = text[m.start() : j + 1]
-        yield m.group(1), raw, line
-        i = j + 1
+def _unit_end(toks, i: int) -> int:
+    """Index of the '.' closing the unit that starts at ``toks[i]``."""
+    word, line, _ = toks[i]
+    if not (word[0].isalpha() and i + 1 < len(toks) and toks[i + 1][0] == "("):
+        raise TptpSyntaxError(line, f"expected a unit, found {word!r}")
+    depth = 0
+    for j in range(i + 1, len(toks)):
+        t = toks[j][0]
+        if t == "(":
+            depth += 1
+        elif t == ")":
+            depth -= 1
+            if depth == 0:
+                if j + 1 < len(toks) and toks[j + 1][0] == ".":
+                    return j + 1
+                raise TptpSyntaxError(toks[j][1], "expected '.' after the unit")
+    raise TptpSyntaxError(line, "unclosed unit")
 
 
-def parse_unit(raw: str, line: int = 1):
-    """Parse one fof(...) unit into (name, role, Formula)."""
-    toks = _tok_fof(raw)
-    p = _FofParser(toks)
-    kw, kline, _ = p.next()
-    if kw != "fof":
-        raise TptpSyntaxError(kline, f"only fof units are parsed, found {kw!r}")
-    p.expect("(")
-    name, _, _ = p.next()
-    p.expect(",")
-    role, _, _ = p.next()
-    p.expect(",")
-    f = p.formula()
-    # optional annotations: skip everything up to the matching close
-    while p.peek()[0] not in (")", None):
-        p.next()
-    p.expect(")")
-    return name, role, f
+def read_units(path: str | Path):
+    """Yield every unit of a TPTP file in order.
 
+    Include directives are resolved in place, relative to the including
+    file.  fof units are parsed; other units and fof units outside the
+    subset this package reads come back with ``formula`` None.
+    """
 
-_INCLUDE_RE = re.compile(r"^\s*include\('([^']+)'\)\s*\.", re.MULTILINE)
+    def units(p: Path, depth: int):
+        if depth > 8:
+            raise TptpError(f"include chain too deep at {p}")
+        text = p.read_text(encoding="utf-8")
+        try:
+            toks = _tok_fof(text)
+            i = 0
+            while i < len(toks):
+                j = _unit_end(toks, i)
+                unit = toks[i : j + 1]
+                kind, line, start = unit[0]
+                if kind == "include":
+                    if len(unit) != 5 or unit[2][0][0] != "'":
+                        raise TptpSyntaxError(line, "expected include('file').")
+                    inc = Path(_unquote(unit[2][0]))
+                    yield from units(inc if inc.is_absolute() else p.parent / inc, depth + 1)
+                else:
+                    if len(unit) < 8 or unit[3][0] != "," or unit[5][0] != ",":
+                        raise TptpSyntaxError(line, f"expected {kind}(name, role, formula)")
+                    formula, error = None, f"{p}:{line}: cannot parse {kind} units"
+                    if kind == "fof":
+                        try:
+                            formula, error = _FofParser(unit[6:-2], unit[-2][1]).body(), ""
+                        except TptpSyntaxError as e:
+                            error = f"{p}:{e.line}: {e.reason}"
+                        except ValueError as e:  # a name the AST rejects
+                            error = f"{p}:{line}: {e}"
+                    yield Unit(kind, _unquote(unit[2][0]), unit[4][0], formula, error,
+                               text[start : unit[-1][2] + 1], f"{p}:{line}")
+                i = j + 1
+        except TptpSyntaxError as e:
+            raise TptpError(f"{p}:{e.line}: {e.reason}") from None
+
+    yield from units(Path(path), 0)
 
 
 def read_problem(path: str | Path):
     """Read a problem file: ([(name, formula), ...] axioms, (name, formula) conjecture).
 
-    Includes are resolved relative to the file's directory.  cnf and tff
-    units are rejected; ontology text passed through verbatim stays fof in
-    this package's pipelines.
+    Includes are resolved relative to the including file.  Units outside
+    the FOF subset are rejected; ontology text passed through verbatim
+    stays fof in this package's pipelines.
     """
-    path = Path(path)
     axioms: list[tuple[str, Formula]] = []
     conjecture: tuple[str, Formula] | None = None
-
-    def load(p: Path, depth: int = 0):
-        nonlocal conjecture
-        if depth > 8:
-            raise TptpError(f"include chain too deep at {p}")
-        text = p.read_text(encoding="utf-8")
-        for inc in _INCLUDE_RE.finditer(text):
-            inc_path = Path(inc.group(1))
-            if not inc_path.is_absolute():
-                inc_path = p.parent / inc_path
-            load(inc_path, depth + 1)
-        for kind, raw, line in _split_units(text):
-            if kind != "fof":
-                raise TptpError(f"{p}:{line}: cannot parse {kind} units")
-            name, role, f = parse_unit(raw, line)
-            if role == "conjecture":
-                if conjecture is not None:
-                    raise TptpError(f"{p}:{line}: second conjecture {name!r}")
-                conjecture = (name, f)
-            elif role in ("axiom", "hypothesis", "definition", "lemma"):
-                axioms.append((name, f))
-            else:
-                raise TptpError(f"{p}:{line}: unsupported role {role!r}")
-
-    load(path)
+    for unit in read_units(path):
+        if unit.formula is None:
+            raise TptpError(unit.error)
+        if unit.role == "conjecture":
+            if conjecture is not None:
+                raise TptpError(f"{unit.where}: second conjecture {unit.name!r}")
+            conjecture = (unit.name, unit.formula)
+        elif unit.role in ("axiom", "hypothesis", "definition", "lemma"):
+            axioms.append((unit.name, unit.formula))
+        else:
+            raise TptpError(f"{unit.where}: unsupported role {unit.role!r}")
     if conjecture is None:
         raise TptpError(f"{path}: no conjecture unit")
     return axioms, conjecture
@@ -556,20 +551,10 @@ def parse_szs(output: str) -> tuple[SzsStatus, tuple[str, ...]]:
 
 def render_szs_output(status: SzsStatus, used_axioms=(), problem: str = "") -> str:
     """Dual of parse_szs: a minimal output document for archived runs."""
-    word = {
-        SzsStatus.THEOREM: "Theorem",
-        SzsStatus.COUNTER_SATISFIABLE: "CounterSatisfiable",
-        SzsStatus.SATISFIABLE: "Satisfiable",
-        SzsStatus.TIMEOUT: "Timeout",
-        SzsStatus.GAVE_UP: "GaveUp",
-        SzsStatus.RESOURCE_OUT: "ResourceOut",
-        SzsStatus.ERROR: "Error",
-        SzsStatus.NO_STATUS: None,
-    }[status]
-    if word is None:
+    if status is SzsStatus.NO_STATUS:
         return ""
     suffix = f" for {problem}" if problem else ""
-    lines = [f"% SZS status {word}{suffix}"]
+    lines = [f"% SZS status {status.value}{suffix}"]
     if status is SzsStatus.THEOREM and used_axioms:
         lines.append(f"% SZS output start Proof{suffix}")
         for name in used_axioms:

@@ -77,27 +77,3 @@ def classify_all(corpus, results) -> list:
             raise KeyError(f"result for unknown question {cq_id!r}")
         out.append(classify(cq.polarity, result, cq_id))
     return out
-
-
-def verdict_to_record(v: Verdict) -> dict:
-    return {
-        "cq_id": v.cq_id,
-        "classification": v.classification.value,
-        "effective": v.effective.value,
-        "szs": v.szs.value,
-        "wall_seconds": v.wall_seconds,
-        "used_axioms": list(v.used_axioms),
-        "flagged": v.flagged,
-    }
-
-
-def verdict_from_record(rec: dict) -> Verdict:
-    return Verdict(
-        cq_id=rec["cq_id"],
-        classification=Classification(rec["classification"]),
-        effective=Classification(rec["effective"]),
-        szs=SzsStatus(rec["szs"]),
-        wall_seconds=float(rec["wall_seconds"]),
-        used_axioms=tuple(rec.get("used_axioms", ())),
-        flagged=bool(rec.get("flagged", False)),
-    )

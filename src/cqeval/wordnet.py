@@ -279,9 +279,6 @@ KNOWN_MORPH_RELATIONS = frozenset({
     "state", "undergoer", "uses", "vehicle",
 })
 
-SELECTED_MORPH_RELATIONS = frozenset({"agent", "result", "instrument", "event"})
-
-
 @dataclass(frozen=True)
 class MorphLink:
     verb: SynsetId
@@ -317,7 +314,3 @@ def parse_morphosemantic(text: str, sense_index: dict) -> list:
                 raise UnresolvedSenseKey(f"line {line_no}: {key!r} not in the sense index")
         links.append(MorphLink(sense_index[verb_key], relation, sense_index[noun_key]))
     return links
-
-
-def select_links(links, relations: frozenset = SELECTED_MORPH_RELATIONS) -> list:
-    return [ln for ln in links if ln.relation in relations]

@@ -185,7 +185,7 @@ WORKED_EXAMPLES = [
 ]
 
 
-def test_criterion_2_worked_examples(corpus, capsys):
+def test_criterion_2_worked_examples(corpus, capsys, tmp_path):
     with _criterion(2, capsys) as info:
         by_id = corpus.by_id()
         for cq_id, expected_text in WORKED_EXAMPLES:
@@ -193,11 +193,11 @@ def test_criterion_2_worked_examples(corpus, capsys):
             (expected,) = kif.parse_kif(expected_text)
             assert kif.alpha_equal(cq.formula, expected), cq_id
             # and the formula must survive its trip through problem syntax
-            name, role, back = tptp.parse_unit(
-                tptp.render_fof(cq.id, "conjecture", cq.formula)
-            )
+            problem = tmp_path / f"{cq_id}.p"
+            problem.write_text(tptp.render_fof(cq.id, "conjecture", cq.formula) + "\n")
+            axioms, (name, back) = tptp.read_problem(problem)
+            assert axioms == []
             assert name == cq.id
-            assert role == "conjecture"
             assert kif.alpha_equal(back, kif.universal_closure(expected)), cq_id
         info["detail"] = (
             f"{len(WORKED_EXAMPLES)} pinned formulas match and survive "

@@ -331,3 +331,9 @@ def test_emit_before_generate(tmp_path):
 def test_run_without_problems(tmp_path):
     config = write_config(tmp_path)
     _expect_error(["run", "--config", str(config)], "no problem files in")
+
+
+def test_run_with_malformed_journal(mini_campaign):
+    root, config = mini_campaign
+    (root / "journal.ldjson").write_text('not json\n{"cq_id": "cq_x"}\n', encoding="utf-8")
+    _expect_error(["run", "--config", str(config)], "malformed journal line 1")

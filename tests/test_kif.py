@@ -117,6 +117,23 @@ def test_syntax_error_carries_position():
     assert e.value.line == 1
 
 
+FAULTY = "(p a)\n(q b)\n;; label: ax_r\n(r c)\n\n(s d\n  (not (p a) (q b)))\n"
+
+
+@pytest.mark.parametrize("parse", [parse_kif, parse_annotated])
+def test_syntax_error_position_is_absolute(parse):
+    with pytest.raises(KifSyntaxError) as e:
+        parse(FAULTY)
+    assert (e.value.line, e.value.col) == (7, 4)
+
+
+@pytest.mark.parametrize("parse", [parse_kif, parse_annotated])
+def test_stray_top_level_token_rejected(parse):
+    with pytest.raises(KifSyntaxError, match="expected '\\(' at top level") as e:
+        parse("(p a)\nstray\n(q b)\n")
+    assert (e.value.line, e.value.col) == (2, 1)
+
+
 # --------------------------------------------------------------------------
 # printing
 
@@ -242,6 +259,21 @@ ANNOTATED = """\
 ;; label: ax_last
 (r c)
 """
+
+
+def test_parse_annotated_keeps_line_breaks_between_tokens():
+    src = ";; label: ax_human\n(subclass\nHuman\tAnimal)\n(=> (p ?X)\n    (q ?X))\n"
+    forms = parse_annotated(src)
+    assert [af.formula for af in forms] == parse_kif(src)
+    assert print_kif(forms[0].formula) == "(subclass Human Animal)"
+    assert [af.line for af in forms] == [2, 4]
+    assert forms[0].annotations == {"label": "ax_human"}
+
+
+def test_parse_annotated_ignores_comments_inside_forms():
+    src = "(and (p a)\n;; label: inner\n  (q b))\n;; label: outer\n(r c)\n"
+    forms = parse_annotated(src)
+    assert [af.annotations for af in forms] == [{}, {"label": "outer"}]
 
 
 def test_parse_annotated_attaches_pending_keys():

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import ONT
-from cqeval import kif, ontology
+from cqeval import kif, ontology, tptp
 from cqeval.ontology import (
     CycleDetected,
     DuplicateLabel,
@@ -20,7 +20,7 @@ def test_load_kif_fixture_core():
     core = load_kif_ontology(ONT / "core.kif")
     assert core.name == "core"
     assert core.source_format == "kif"
-    ax = core.axiom("ax_subclass_instances")
+    (ax,) = [ax for ax in core.axioms if ax.label == "ax_subclass_instances"]
     assert kif.print_kif(ax.formula) == (
         "(=> (and (subclass ?SUB ?SUPER) (instance ?X ?SUB)) (instance ?X ?SUPER))"
     )
@@ -55,6 +55,22 @@ def test_load_tptp_axiom_file(tmp_path):
     assert ont.source_format == "tptp"
 
 
+def test_load_tptp_keeps_opaque_units_verbatim(tmp_path):
+    p = tmp_path / "mixed.ax"
+    p.write_text(
+        "% retired: fof(ax_old, axiom, s__p(s__a)).\n"
+        "cnf(ax_cnf, axiom, ~ s__p(X) | s__q(X)).\n"
+        "fof('ax quoted', axiom,\n    s__p(\"a distinct object\")).\n"
+        "fof(ax_fof, axiom, s__p(s__a)).\n"
+    )
+    ont = load_tptp_ontology(p)
+    assert [ax.label for ax in ont.axioms] == ["ax_cnf", "ax quoted", "ax_fof"]
+    assert [ax.formula is None for ax in ont.axioms] == [True, True, False]
+    assert ont.axioms[0].text == "cnf(ax_cnf, axiom, ~ s__p(X) | s__q(X))."
+    assert ont.axioms[1].text == "fof('ax quoted', axiom,\n    s__p(\"a distinct object\"))."
+    assert tptp.render_axioms(ont).units[:2] == (ont.axioms[0].text, ont.axioms[1].text)
+
+
 def test_load_tptp_rejects_conjecture(tmp_path):
     p = tmp_path / "bad.ax"
     p.write_text("fof(c, conjecture, s__p(s__a)).\n")
@@ -75,14 +91,13 @@ def test_without_removes_axiom_and_refreshes_facts():
     dead = load_kif_ontology(ONT / "deadliving.kif")
     ablated = dead.without("ax_dead_unconscious")
     assert len(ablated.axioms) == len(dead.axioms) - 1
-    with pytest.raises(KeyError):
-        ablated.axiom("ax_dead_unconscious")
+    assert "ax_dead_unconscious" not in {ax.label for ax in ablated.axioms}
     assert ("subAttribute", "Dead", "Unconscious") in dead.structural_facts
     assert ("subAttribute", "Dead", "Unconscious") not in ablated.structural_facts
     with pytest.raises(KeyError):
         dead.without("ax_not_there")
     # the original is untouched
-    assert dead.axiom("ax_dead_unconscious")
+    assert "ax_dead_unconscious" in {ax.label for ax in dead.axioms}
 
 
 def test_merge_ontologies_unions_vocabulary():
@@ -104,7 +119,7 @@ def test_build_index_vocabulary_is_core_only(core_index):
     # Frying appears only in the extension, so it contributes an edge but
     # is not itself a core term
     assert "Frying" not in core_index.vocabulary
-    assert ("Frying", "Cooking") in core_index.subclass_edges
+    assert "Cooking" in core_index.up["subclass"]["Frying"]
 
 
 def test_index_closure_is_reflexive_transitive(core_index):
@@ -114,10 +129,10 @@ def test_index_closure_is_reflexive_transitive(core_index):
 
 
 def test_index_up_accessor(core_index):
-    assert core_index.up("subclass")["Speaking"] == ("Vocalizing",)
-    assert core_index.up("instance")["Awake"] == ("ConsciousnessAttribute",)
+    assert core_index.up["subclass"]["Speaking"] == ("Vocalizing",)
+    assert core_index.up["instance"]["Awake"] == ("ConsciousnessAttribute",)
     with pytest.raises(KeyError):
-        core_index.up("sibling")
+        core_index.up["sibling"]
 
 
 def test_is_attribute(core_index):
@@ -141,4 +156,4 @@ def test_build_index_allows_instance_edges_without_cycle_check(tmp_path):
     p = tmp_path / "inst.kif"
     p.write_text("(instance a b)\n(instance b a)\n")
     idx = build_index(load_kif_ontology(p))
-    assert ("a", "b") in idx.instance_edges
+    assert idx.up["instance"] == {"a": ("b",), "b": ("a",)}

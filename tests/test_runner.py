@@ -224,6 +224,32 @@ def test_run_corpus_skips_journaled_ids(tmp_path):
     assert len(read_journal(cfg.journal_path)) == 3
 
 
+def test_run_corpus_survives_two_restarts_after_torn_tail(tmp_path):
+    problems = [_problem(tmp_path, cq_id) for cq_id in ("cq_a", "cq_b", "cq_c")]
+    cfg = _cfg(tmp_path)
+    seeded = json.dumps(journal_record("cq_a", ProverResult(SzsStatus.GAVE_UP, 5.0, ())))
+    cfg.journal_path.write_text(seeded + "\n" + '{"cq_id": "cq_b", "szs"', encoding="utf-8")
+
+    first = run_corpus(problems, cfg)
+    assert [cq_id for cq_id, _ in first] == ["cq_a", "cq_b", "cq_c"]
+    assert dict(first)["cq_a"].wall_seconds == 5.0
+
+    second = run_corpus(problems, cfg)
+    assert second == first
+    lines = cfg.journal_path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["cq_id"] for line in lines] == ["cq_a", "cq_b", "cq_c"]
+
+
+def test_run_corpus_terminates_whole_last_line(tmp_path):
+    problems = [_problem(tmp_path, cq_id) for cq_id in ("cq_a", "cq_b")]
+    cfg = _cfg(tmp_path)
+    seeded = json.dumps(journal_record("cq_a", ProverResult(SzsStatus.GAVE_UP, 5.0, ())))
+    cfg.journal_path.write_text(seeded, encoding="utf-8")  # no final newline
+    run_corpus(problems, cfg)
+    assert set(read_journal(cfg.journal_path)) == {"cq_a", "cq_b"}
+    assert read_journal(cfg.journal_path)["cq_a"].wall_seconds == 5.0
+
+
 def test_run_corpus_ignores_journal_entries_for_unknown_ids(tmp_path):
     problems = [_problem(tmp_path, "cq_a")]
     cfg = _cfg(tmp_path)

@@ -1,5 +1,6 @@
 """TPTP rendering, problem files and SZS output handling."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,8 @@ from cqeval.tptp import (
     mangle_variable,
     parse_reported_seconds,
     parse_szs,
-    parse_unit,
     read_problem,
+    read_units,
     render_fof,
     render_szs_output,
     render_unit,
@@ -76,12 +77,15 @@ def test_render_fof_quotes_awkward_names():
     assert render_fof("9lives", "axiom", f).startswith("fof('9lives', axiom,")
 
 
-def test_unit_round_trip_random():
-    for i, f in enumerate(genformulas.formulas(200, seed=31)):
-        rendered = render_fof(f"u{i}", "axiom", f)
-        name, role, g = parse_unit(rendered, 1)
-        assert (name, role) == (f"u{i}", "axiom")
-        assert kif.alpha_equal(g, kif.universal_closure(f))
+def test_unit_round_trip_random(tmp_path):
+    formulas = genformulas.formulas(200, seed=31)
+    path = tmp_path / "units.ax"
+    path.write_text("\n".join(render_fof(f"u{i}", "axiom", f) for i, f in enumerate(formulas)))
+    units = list(read_units(path))
+    assert len(units) == len(formulas)
+    for i, (unit, f) in enumerate(zip(units, formulas)):
+        assert (unit.kind, unit.name, unit.role) == ("fof", f"u{i}", "axiom")
+        assert kif.alpha_equal(unit.formula, kif.universal_closure(f))
 
 
 def _mini_ontology():
@@ -99,6 +103,10 @@ def _mini_ontology():
     )
 
 
+def _mini_axioms():
+    return tptp.render_axioms(_mini_ontology())
+
+
 def _cq(cq_id="cq_sample_one", formula="(q a)"):
     return CompetencyQuestion(
         id=cq_id,
@@ -109,7 +117,7 @@ def _cq(cq_id="cq_sample_one", formula="(q a)"):
 
 
 def test_write_problem_inline(tmp_path):
-    pf = write_problem(_cq(), _mini_ontology(), tmp_path)
+    pf = write_problem(_cq(), _mini_axioms(), tmp_path)
     text = pf.path.read_text()
     assert pf.path.name == "cq_sample_one.p"
     assert text.splitlines()[:3] == [
@@ -125,8 +133,8 @@ def test_write_problem_inline(tmp_path):
 
 def test_write_problem_include_mode(tmp_path):
     ax_path = tmp_path / "axioms.ax"
-    tptp.write_axiom_file(_mini_ontology(), ax_path)
-    pf = write_problem(_cq(), _mini_ontology(), tmp_path, mode="include",
+    tptp.write_axiom_file(_mini_axioms(), ax_path)
+    pf = write_problem(_cq(), _mini_axioms(), tmp_path, mode="include",
                        axiom_file=Path("axioms.ax"))
     assert "include('axioms.ax')." in pf.path.read_text()
     axioms, (conj_name, _) = read_problem(pf.path)
@@ -134,9 +142,21 @@ def test_write_problem_include_mode(tmp_path):
     assert conj_name == "cq_sample_one"
 
 
+@pytest.mark.parametrize("mode", ["inline", "include"])
+def test_write_problem_checks_conjecture_against_axiom_symbols(tmp_path, mode):
+    # the axioms use the symbol "a"; "a" and "a-" never collide, but the
+    # conjecture symbol "a_" mangles onto the axiom symbol "a-"
+    onto = _mini_ontology()
+    clash = ontology.OntologyAxiom("ax_c", kif.parse_kif("(p a-)")[0], "(p a-)")
+    axioms = tptp.render_axioms(dataclasses.replace(onto, axioms=onto.axioms + (clash,)))
+    with pytest.raises(MangleCollision):
+        write_problem(_cq(formula="(q a_)"), axioms, tmp_path, mode=mode,
+                      axiom_file=Path("axioms.ax"))
+
+
 def test_write_problem_renames_colliding_conjecture(tmp_path):
     warnings = []
-    pf = write_problem(_cq(cq_id="ax_a"), _mini_ontology(), tmp_path,
+    pf = write_problem(_cq(cq_id="ax_a"), _mini_axioms(), tmp_path,
                        warn=warnings.append)
     assert pf.conjecture_name == "ax_a_conj"
     assert warnings and "collides" in warnings[0]
@@ -166,6 +186,63 @@ def test_read_problem_rejects_second_conjecture(tmp_path):
     )
     with pytest.raises(TptpError, match="second conjecture"):
         read_problem(p)
+
+
+def test_read_problem_skips_commented_out_units(tmp_path):
+    p = tmp_path / "retired.p"
+    p.write_text(
+        "% retired: fof(old_ax, axiom, s__p).\n"
+        "/* fof(older_ax, axiom, s__q).\n   % nested line comment */\n"
+        "fof(ax_live, axiom, s__r). % trailing fof(tail_ax, axiom, s__s).\n"
+        "fof(c, conjecture, s__p).\n"
+    )
+    axioms, (conj_name, _) = read_problem(p)
+    assert [n for n, _ in axioms] == ["ax_live"]
+    assert conj_name == "c"
+
+
+def test_read_problem_resolves_includes_in_order(tmp_path):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "more.ax").write_text("fof(ax_b, axiom, s__q).\n")
+    (tmp_path / "base.ax").write_text("fof(ax_a, axiom, s__p).\ninclude('sub/more.ax').\n")
+    p = tmp_path / "prob.p"
+    p.write_text("include('base.ax').\nfof(ax_c, axiom, s__r).\nfof(c, conjecture, s__p).\n")
+    axioms, _ = read_problem(p)
+    assert [n for n, _ in axioms] == ["ax_a", "ax_b", "ax_c"]
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        "s__p <= s__q",  # reverse implication is outside the subset
+        "s__p <~> s__q",
+        "s__p => s__q => s__r",  # binary operands must be unitary
+        "s__p s__q",
+        "$true",
+    ],
+)
+def test_read_problem_rejects_unread_fof(tmp_path, formula):
+    p = tmp_path / "bad.p"
+    p.write_text(f"fof(ax_a, axiom, {formula}).\nfof(c, conjecture, s__p).\n")
+    with pytest.raises(TptpError, match="bad.p:1"):
+        read_problem(p)
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("fof(a, axiom, s__p)", "expected '.'"),
+        ("fof(a, axiom, s__p.\n", "unclosed unit"),
+        ("fof(a, axiom, s__p). /* open\n", "unterminated comment"),
+        ("fof('a, axiom, s__p).\n", "unterminated quoted name"),
+        ("stray fof(a, axiom, s__p).\n", "expected a unit"),
+    ],
+)
+def test_read_units_rejects_malformed_files(tmp_path, text, reason):
+    p = tmp_path / "bad.ax"
+    p.write_text(text)
+    with pytest.raises(TptpError, match=reason):
+        list(read_units(p))
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,6 @@
 """Status-to-verdict mapping.  The full polarity x status table is pinned
 here; everything downstream (reports, acceptance) leans on it."""
 
-import json
-
 import pytest
 
 from cqeval.cqgen import Polarity
@@ -12,8 +10,6 @@ from cqeval.verdict import (
     Verdict,
     classify,
     classify_all,
-    verdict_from_record,
-    verdict_to_record,
 )
 
 P = Classification.PASSING
@@ -96,13 +92,3 @@ def test_classify_all_rejects_unknown_question(pipeline, corpus):
     verdicts = classify_all(corpus, sorted(results.items()))
     assert len(verdicts) == len(results)
     assert {v.cq_id for v in verdicts} == set(results)
-
-
-def test_record_round_trip():
-    v = classify(Polarity.FALSITY, _result(SzsStatus.ERROR), "cq_y_falsity")
-    rec = verdict_to_record(v)
-    assert rec["flagged"] is True
-    back = verdict_from_record(json.loads(json.dumps(rec)))
-    assert back == v
-    thm = classify(Polarity.TRUTH, _result(SzsStatus.THEOREM, ("ax_a", "ax_b")), "cq_z")
-    assert verdict_from_record(verdict_to_record(thm)) == thm

@@ -19,7 +19,6 @@ from cqeval.wordnet import (
     parse_morphosemantic,
     parse_sense_index,
     parse_wn_data,
-    select_links,
 )
 
 
@@ -211,12 +210,3 @@ def test_parse_morphosemantic_comma_separated():
 def test_morph_link_checks_parts_of_speech():
     with pytest.raises(ValueError):
         MorphLink(SynsetId(Pos.NOUN, "00000001"), "agent", SynsetId(Pos.NOUN, "00000002"))
-
-
-def test_select_links_keeps_generator_relations():
-    index = parse_sense_index((WN / "index.sense").read_text())
-    links = parse_morphosemantic((WN / "morphosemantic.tsv").read_text(), index)
-    kept = select_links(links)
-    assert sorted(ln.relation for ln in kept) == [
-        "agent", "event", "event", "event", "instrument", "result",
-    ]
