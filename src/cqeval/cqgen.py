@@ -24,7 +24,7 @@ from pathlib import Path
 from . import kif
 from .kif import And, Atom, Constant, Equal, Exists, Forall, Formula, Implies, Not, Or, Variable
 from .ontology import OntologyIndex
-from .wordnet import MappingRelation, SynsetId
+from .wordnet import MappingRelation
 
 
 class CqGenError(Exception):

@@ -6,8 +6,26 @@ distribution.  Equality is handled by axiomatization: reflexivity,
 symmetry, transitivity plus congruence clauses for every function and
 predicate symbol that occurs alongside ``=``.
 
-The prover is deliberately modest.  Clause length and clause count are
-capped, so a run that exhausts its queue reports GaveUp rather than
+The search is a given-clause loop.  Clauses wait in a queue ordered by
+length, then by age.  The given clause joins the processed set and is
+resolved with every processed clause that has a literal of the same
+predicate and the opposite sign, found through an index keyed by
+(predicate, sign) and met in processing order; a pair whose arguments
+clash on their top symbols is dropped before unification.  Then the
+given clause is factored.  Resolvents that are tautologies, longer than
+the literal cap or renamings of a clause already seen are dropped.
+
+Terms are interned: ``prove`` converts the clausified input once into
+ints over a per-run table, so comparing and hashing terms is O(1), and
+every walk over a term keeps its own stack, so deep terms cannot exhaust
+the interpreter's recursion limit.  A waiting clause shares its terms
+with its dedup key.  When it is given it gets variables of its own, once,
+so a resolution step renames nothing; only a given clause resolving with
+itself takes a copy.
+
+The prover is deliberately modest.  Clause length is capped, and so is
+the number of derived clauses kept (input clauses do not count), so a
+run that exhausts its queue reports GaveUp rather than
 CounterSatisfiable; it never claims a conjecture disprovable.  What it
 does guarantee: an empty clause is a genuine refutation (soundness),
 and the used-axiom list names exactly the input axioms reachable from
@@ -16,6 +34,7 @@ the empty clause's derivation tree.
 
 from __future__ import annotations
 
+import itertools
 import re
 import time
 from dataclasses import dataclass
@@ -23,8 +42,8 @@ from heapq import heappop, heappush
 
 from . import kif
 from .kif import (
-    And, Atom, Constant, Equal, Exists, Forall, Formula, Function, Iff,
-    Implies, Not, Or, Term, Variable,
+    And, Atom, Constant, Equal, Exists, Forall, Formula, Function, Not, Or,
+    Term, Variable,
 )
 from .tptp import ProverResult, SzsStatus
 
@@ -37,9 +56,6 @@ class Literal:
     positive: bool
     predicate: str  # "=" for equality
     args: tuple[Term, ...]
-
-    def negated(self) -> "Literal":
-        return Literal(not self.positive, self.predicate, self.args)
 
     def __str__(self):
         if self.predicate == "=" and len(self.args) == 2:
@@ -60,15 +76,17 @@ def _term_str(t: Term) -> str:
 
 
 class Clause:
-    """Identity-based clause node; parents link the derivation tree."""
+    """Identity-based clause node; parents link the derivation tree.
 
-    __slots__ = ("literals", "origin", "parents", "seq")
+    ``clausify`` gives ``Literal`` objects; inside ``prove`` the literals
+    are interned ints (see ``_Terms``)."""
 
-    def __init__(self, literals, origin=None, parents=(), seq=0):
+    __slots__ = ("literals", "origin", "parents")
+
+    def __init__(self, literals, origin=None, parents=()):
         self.literals = tuple(literals)
         self.origin = origin
         self.parents = tuple(parents)
-        self.seq = seq
 
     def __str__(self):
         return " | ".join(str(l) for l in self.literals) if self.literals else "<empty>"
@@ -200,118 +218,223 @@ def clausify(f: Formula, origin, fresh: _Fresh) -> list:
 
 
 # --------------------------------------------------------------------------
-# unification
+# interned terms
+#
+# Inside ``prove`` a term is an int.  A variable is negative: the even
+# ones (-2, -4, ...) belong to processed clauses, a fresh set per clause,
+# and the odd ones (-1, -3, ...) number the variables of a clause that is
+# being built or keyed or that waits in the queue.  Any other term is an
+# index into the table of one ``_Terms``, which holds each distinct
+# (functor, child ids) once, so two terms are equal exactly when their ids
+# are.  A literal is the int ``2 * atom + positive``, where the atom is a
+# term whose functor is the predicate.  Every walk below keeps its own
+# stack, so term depth is bounded by memory, not by the interpreter's
+# recursion limit.
 
 
-def _walk(t: Term, subst: dict) -> Term:
-    while isinstance(t, Variable) and t.name in subst:
-        t = subst[t.name]
-    return t
+def _numbering():
+    """Variable supply for a clause being built or keyed: -1, -3, -5, ..."""
+    count = itertools.count()
+    return lambda: -2 * next(count) - 1
 
 
-def _occurs(name: str, t: Term, subst: dict) -> bool:
-    t = _walk(t, subst)
-    if isinstance(t, Variable):
-        return t.name == name
-    if isinstance(t, Function):
-        return any(_occurs(name, a, subst) for a in t.args)
-    return False
+def _wildcard():
+    return -1
 
 
-def unify(a: Term, b: Term, subst: dict | None = None):
-    """Most general unifier as a dict, or None; occurs check included."""
-    if subst is None:
-        subst = {}
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        x, y = _walk(x, subst), _walk(y, subst)
-        if x == y:
-            continue
-        if isinstance(x, Variable):
-            if _occurs(x.name, y, subst):
-                return None
-            subst[x.name] = y
-        elif isinstance(y, Variable):
-            if _occurs(y.name, x, subst):
-                return None
-            subst[y.name] = x
-        elif isinstance(x, Constant) and isinstance(y, Constant):
-            return None  # distinct constants
-        elif isinstance(x, Function) and isinstance(y, Function):
-            if x.name != y.name or len(x.args) != len(y.args):
-                return None
-            stack.extend(zip(x.args, y.args))
-        else:
-            return None
-    return subst
+class _Terms:
+    """Hash-consed term table of one proof attempt."""
 
+    def __init__(self):
+        self.symbols: dict = {}  # (name, arity, or None for a constant) -> functor
+        self.ids: dict = {}  # (functor, child ids) -> term
+        self.functor: list = []
+        self.args: list = []
+        self.ground: list = []
+        self.shapes: dict = {}  # term -> the term with every variable as -1
+        self.nvars = 0
 
-def _apply(t: Term, subst: dict) -> Term:
-    t = _walk(t, subst)
-    if isinstance(t, Function):
-        return Function(t.name, tuple(_apply(a, subst) for a in t.args))
-    return t
+    def var(self) -> int:
+        self.nvars += 1
+        return -2 * self.nvars
 
-
-def _apply_lit(l: Literal, subst: dict) -> Literal:
-    return Literal(l.positive, l.predicate, tuple(_apply(a, subst) for a in l.args))
-
-
-def _rename_lits(lits, prefix: str):
-    """Rewrite every variable into a reserved namespace by first occurrence.
-
-    Stored clauses use the ``A`` namespace; a resolution partner is recast
-    into ``B`` so the two sides can never share a variable, whatever the
-    source formulas called theirs.
-    """
-    cache: dict = {}
-
-    def rt(t: Term) -> Term:
-        if isinstance(t, Variable):
-            if t.name not in cache:
-                cache[t.name] = Variable(f"{prefix}{len(cache)}")
-            return cache[t.name]
-        if isinstance(t, Function):
-            return Function(t.name, tuple(rt(a) for a in t.args))
+    def make(self, functor: int, args: tuple) -> int:
+        key = (functor, args)
+        t = self.ids.get(key)
+        if t is None:
+            ground = self.ground
+            t = self.ids[key] = len(ground)
+            self.functor.append(functor)
+            self.args.append(args)
+            ground.append(all(a >= 0 and ground[a] for a in args))
         return t
 
-    return tuple(Literal(l.positive, l.predicate, tuple(rt(a) for a in l.args)) for l in lits)
+    def symbol(self, name: str, arity) -> int:
+        return self.symbols.setdefault((name, arity), len(self.symbols))
 
+    def from_kif(self, t: Term, names: dict, fresh) -> int:
+        """Intern a kif term; ``names`` maps variable names to variables
+        and takes ``fresh()`` for each name it has not seen."""
+        done: list = []
+        stack = [(t, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if isinstance(node, Variable):
+                if node.name not in names:
+                    names[node.name] = fresh()
+                done.append(names[node.name])
+            elif isinstance(node, Constant):
+                done.append(self.make(self.symbol(node.name, None), ()))
+            elif expanded:
+                n = len(node.args)
+                kids = tuple(done[len(done) - n:])
+                del done[len(done) - n:]
+                done.append(self.make(self.symbol(node.name, n), kids))
+            else:
+                stack.append((node, True))
+                stack.extend((a, False) for a in reversed(node.args))
+        return done[0]
 
-# --------------------------------------------------------------------------
-# canonical clause keys (dedup)
+    def literal(self, lit: Literal, names: dict, fresh) -> int:
+        args = tuple(self.from_kif(a, names, fresh) for a in lit.args)
+        return 2 * self.make(self.symbol(lit.predicate, len(args)), args) + lit.positive
 
+    def _occurs(self, v: int, t: int, subst: dict) -> bool:
+        args, ground = self.args, self.ground
+        stack, seen = [t], set()
+        while stack:
+            u = stack.pop()
+            while u < 0 and u in subst:
+                u = subst[u]
+            if u < 0:
+                if u == v:
+                    return True
+            elif not ground[u] and u not in seen:
+                seen.add(u)
+                stack.extend(args[u])
+        return False
 
-def _shape_key(t: Term):
-    if isinstance(t, Variable):
-        return ("v",)
-    if isinstance(t, Constant):
-        return ("c", t.name)
-    return ("f", t.name) + tuple(_shape_key(a) for a in t.args)
+    def unify(self, a: int, b: int):
+        """Most general unifier as a dict from variable to term, or None;
+        occurs check included."""
+        functor, args, ground = self.functor, self.args, self.ground
+        subst: dict = {}
+        stack = [(a, b)]
+        while stack:
+            x, y = stack.pop()
+            while x < 0 and x in subst:
+                x = subst[x]
+            while y < 0 and y in subst:
+                y = subst[y]
+            if x == y:
+                continue
+            if x < 0:
+                if y >= 0 and not ground[y] and self._occurs(x, y, subst):
+                    return None
+                subst[x] = y
+            elif y < 0:
+                if not ground[x] and self._occurs(y, x, subst):
+                    return None
+                subst[y] = x
+            elif functor[x] != functor[y] or (ground[x] and ground[y]):
+                return None  # distinct symbols, or distinct ground terms
+            else:
+                stack.extend(zip(args[x], args[y]))
+        return subst
 
+    def apply(self, t: int, subst: dict, memo: dict, fresh) -> int:
+        """``t`` with ``subst`` applied throughout and each variable it
+        leaves unbound replaced by ``fresh()``.  ``memo`` maps finished
+        input terms to their images; calls that share it share one
+        variable map."""
+        functor, args, ground = self.functor, self.args, self.ground
+        if t >= 0 and ground[t]:
+            return t
+        stack = [t]
+        while stack:
+            u = stack[-1]
+            if u in memo:
+                stack.pop()
+            elif u < 0:
+                v = subst.get(u)
+                if v is None:
+                    memo[u] = fresh()
+                elif v >= 0 and ground[v]:
+                    memo[u] = v
+                elif v in memo:
+                    memo[u] = memo[v]
+                else:
+                    stack.append(v)
+                    continue
+                stack.pop()
+            else:
+                todo = [a for a in args[u] if (a < 0 or not ground[a]) and a not in memo]
+                if todo:
+                    stack.extend(todo)
+                    continue
+                kids = tuple(a if a >= 0 and ground[a] else memo[a] for a in args[u])
+                memo[u] = self.make(functor[u], kids)
+                stack.pop()
+        return memo[t]
 
-def _lit_sort_key(l: Literal):
-    return (l.predicate, not l.positive, tuple(_shape_key(a) for a in l.args))
+    def apply_lit(self, lit: int, subst: dict, memo: dict, fresh) -> int:
+        return 2 * self.apply(lit >> 1, subst, memo, fresh) + (lit & 1)
 
+    def instance(self, lits, subst: dict) -> list:
+        """The literals under ``subst``, duplicates dropped, with their
+        remaining variables numbered."""
+        memo: dict = {}
+        fresh = _numbering()
+        return list(dict.fromkeys(self.apply_lit(l, subst, memo, fresh) for l in lits))
 
-def clause_key(lits) -> tuple:
-    """Hashable key stable under variable renaming (best effort: clauses
-    differing only in bound names usually collide, which is all dedup
-    needs; a miss just keeps a redundant clause)."""
-    ordered = sorted(lits, key=_lit_sort_key)
-    names: dict = {}
+    def clash(self, a: int, b: int) -> bool:
+        """Whether two atoms of one predicate have an argument pair that
+        cannot unify on its face: distinct top symbols, or distinct ground
+        terms."""
+        functor, ground = self.functor, self.ground
+        for x, y in zip(self.args[a], self.args[b]):
+            if x != y and x >= 0 and y >= 0 and (
+                functor[x] != functor[y] or (ground[x] and ground[y])
+            ):
+                return True
+        return False
 
-    def rn(t: Term):
-        if isinstance(t, Variable):
-            if t.name not in names:
-                names[t.name] = len(names)
-            return ("V", names[t.name])
-        if isinstance(t, Constant):
-            return ("C", t.name)
-        return ("F", t.name) + tuple(rn(a) for a in t.args)
+    def pred_sign(self, lit: int) -> int:
+        """``2 * predicate + positive``; its complement is ``^ 1``."""
+        return 2 * self.functor[lit >> 1] + (lit & 1)
 
-    return tuple((l.positive, l.predicate) + tuple(rn(a) for a in l.args) for l in ordered)
+    def rename(self, lits) -> tuple:
+        """The clause over variables of its own, fresh from this table."""
+        memo: dict = {}
+        return tuple(self.apply_lit(l, {}, memo, self.var) for l in lits)
+
+    def tautology(self, lits) -> bool:
+        present = set(lits)
+        eq = self.symbols.get(("=", 2))
+        for l in lits:
+            if l & 1:
+                atom = l >> 1
+                if self.functor[atom] == eq and self.args[atom][0] == self.args[atom][1]:
+                    return True
+            elif l + 1 in present:
+                return True
+        return False
+
+    def canonical(self, lits) -> tuple:
+        """(key, clause): the dedup key, and the clause in its own literal
+        order over the key's variables, so the two share their terms.  Keys
+        are equal exactly when one clause is a renaming of the other with
+        the same literal order among literals of equal shape (sign,
+        predicate and arguments with variables blurred)."""
+        ground = self.ground
+        if all(ground[l >> 1] for l in lits):
+            return tuple(sorted(lits)), tuple(lits)
+        shapes = self.shapes
+        order = sorted(lits, key=lambda l: (self.apply(l >> 1, {}, shapes, _wildcard), l & 1))
+        memo: dict = {}
+        fresh = _numbering()
+        key = tuple(self.apply_lit(l, {}, memo, fresh) for l in order)
+        return key, tuple(self.apply_lit(l, {}, memo, fresh) for l in lits)
 
 
 # --------------------------------------------------------------------------
@@ -386,49 +509,6 @@ def equality_clauses(clauses) -> list:
 # saturation
 
 
-def _resolvents(given: Clause, partner: Clause):
-    """Binary resolvents between the given clause and a renamed partner."""
-    plits = _rename_lits(partner.literals, "B")
-    for i, li in enumerate(given.literals):
-        for j, lj in enumerate(plits):
-            if li.predicate != lj.predicate or li.positive == lj.positive:
-                continue
-            if len(li.args) != len(lj.args):
-                continue
-            subst: dict | None = {}
-            for x, y in zip(li.args, lj.args):
-                subst = unify(x, y, subst)
-                if subst is None:
-                    break
-            if subst is None:
-                continue
-            rest = [
-                _apply_lit(l, subst)
-                for k, l in enumerate(given.literals)
-                if k != i
-            ] + [_apply_lit(l, subst) for k, l in enumerate(plits) if k != j]
-            yield list(dict.fromkeys(rest))
-
-
-def _factors(given: Clause):
-    lits = given.literals
-    for i in range(len(lits)):
-        for j in range(i + 1, len(lits)):
-            a, b = lits[i], lits[j]
-            if a.positive != b.positive or a.predicate != b.predicate:
-                continue
-            if len(a.args) != len(b.args):
-                continue
-            subst: dict | None = {}
-            for x, y in zip(a.args, b.args):
-                subst = unify(x, y, subst)
-                if subst is None:
-                    break
-            if subst is None:
-                continue
-            yield list(dict.fromkeys(_apply_lit(l, subst) for l in lits if l is not b))
-
-
 def _used_axioms(empty: Clause) -> tuple:
     labels: set = set()
     stack = [empty]
@@ -456,7 +536,8 @@ def prove(
 
     ``axioms`` is an iterable of (label, formula).  Returns Theorem with
     the axiom labels used, Timeout past ``limit_seconds``, or GaveUp when
-    the clause queue empties or a cap trips.
+    the clause queue empties or more than ``max_clauses`` derived clauses
+    have been kept.
     """
     start = time.monotonic()
     deadline = start + limit_seconds
@@ -474,54 +555,87 @@ def prove(
             used = _used_axioms(empty)
         return ProverResult(szs=status, wall_seconds=wall, used_axioms=used)
 
+    terms = _Terms()
     seq = 0
     heap: list = []
     known: set = set()
     for c in initial:
         if not c.literals:
             return finish(SzsStatus.THEOREM, empty=c)
-        c.literals = _rename_lits(c.literals, "A")
-        key = clause_key(c.literals)
+        names: dict = {}
+        var = _numbering()
+        key, lits = terms.canonical([terms.literal(l, names, var) for l in c.literals])
         if key in known:
             continue
         known.add(key)
-        c.seq = seq
-        heappush(heap, (len(c.literals), seq, c))
+        heappush(heap, (len(lits), seq, Clause(lits, origin=c.origin)))
         seq += 1
 
+    # Processed clauses in processing order, and their literals as
+    # (position, literal index) pairs by predicate and sign.
     processed: list = []
+    index: dict = {}
+    derived = 0
 
     while heap:
         if time.monotonic() > deadline:
             return finish(SzsStatus.TIMEOUT)
         _, _, given = heappop(heap)
+        given.literals = glits = terms.rename(given.literals)
+        here = len(processed)
         processed.append(given)
+        for j, l in enumerate(glits):
+            index.setdefault(terms.pred_sign(l), []).append((here, j))
 
+        # Partners by processing order, then given literal, then partner
+        # literal: the order in which pairing every processed clause would
+        # meet them.
+        pairs = [
+            (p, i, j)
+            for i, l in enumerate(glits)
+            for p, j in index.get(terms.pred_sign(l) ^ 1, ())
+        ]
+        if len(glits) > 1:
+            pairs.sort()
+        copy = None
         new_lits: list = []
-        for partner in processed:
-            for lits in _resolvents(given, partner):
-                new_lits.append((lits, (given, partner)))
+        for p, i, j in pairs:
             if time.monotonic() > deadline:
                 return finish(SzsStatus.TIMEOUT)
-        for lits in _factors(given):
-            new_lits.append((lits, (given,)))
+            partner = processed[p]
+            plits = partner.literals
+            if partner is given:
+                if copy is None:
+                    copy = terms.rename(glits)
+                plits = copy
+            a, b = glits[i] >> 1, plits[j] >> 1
+            subst = None if terms.clash(a, b) else terms.unify(a, b)
+            if subst is not None:
+                rest = glits[:i] + glits[i + 1:] + plits[:j] + plits[j + 1:]
+                new_lits.append((terms.instance(rest, subst), (given, partner)))
+        for i, a in enumerate(glits):
+            for j in range(i + 1, len(glits)):
+                b = glits[j]
+                if terms.pred_sign(a) != terms.pred_sign(b):
+                    continue
+                subst = terms.unify(a >> 1, b >> 1)
+                if subst is not None:
+                    rest = glits[:j] + glits[j + 1:]
+                    new_lits.append((terms.instance(rest, subst), (given,)))
 
         for lits, parents in new_lits:
-            if _is_tautology(lits):
+            if len(lits) > max_literals or terms.tautology(lits):
                 continue
-            if len(lits) > max_literals:
-                continue
-            lits = list(_rename_lits(lits, "A"))
-            key = clause_key(lits)
+            key, lits = terms.canonical(lits)
             if key in known:
                 continue
             known.add(key)
-            child = Clause(lits, parents=parents, seq=seq)
             if not lits:
-                return finish(SzsStatus.THEOREM, empty=child)
-            heappush(heap, (len(lits), seq, child))
+                return finish(SzsStatus.THEOREM, empty=Clause((), parents=parents))
+            heappush(heap, (len(lits), seq, Clause(lits, parents=parents)))
             seq += 1
-            if seq > max_clauses:
+            derived += 1
+            if derived > max_clauses:
                 return finish(SzsStatus.GAVE_UP)
 
     return finish(SzsStatus.GAVE_UP)

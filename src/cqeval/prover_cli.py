@@ -55,7 +55,8 @@ def main(argv=None) -> int:
     parser.add_argument("--timeout", type=float, default=600.0,
                         help="wall-clock limit in seconds (default 600)")
     parser.add_argument("--max-clauses", type=int, default=50000,
-                        help="give up after keeping this many clauses")
+                        help="give up after keeping more than this many derived "
+                             "clauses; input clauses do not count")
     parser.add_argument("--max-literals", type=int, default=12,
                         help="discard derived clauses longer than this")
     args = parser.parse_args(argv)

@@ -128,9 +128,14 @@ def render_unit(f: Formula, table: dict | None = None) -> str:
 _NAME_OK = re.compile(r"^[a-z][A-Za-z0-9_]*$")
 
 
+def _quote(name: str) -> str:
+    """A single-quoted TPTP name, with its backslashes and quotes escaped."""
+    return "'" + name.replace("\\", "\\\\").replace("'", "\\'") + "'"
+
+
 def render_fof(name: str, role: str, f: Formula, table: dict | None = None) -> str:
     """One complete fof unit; free variables are closed universally first."""
-    unit_name = name if _NAME_OK.match(name) else f"'{name}'"
+    unit_name = name if _NAME_OK.match(name) else _quote(name)
     closed = kif.universal_closure(f)
     return f"fof({unit_name}, {role}, {render_unit(closed, table)})."
 
@@ -234,11 +239,12 @@ class TptpSyntaxError(TptpError):
 
 # Comments follow the TPTP grammar: % to the end of the line and /* ... */
 # blocks.  Single-quoted names and double-quoted distinct objects are one
-# token each, quotes kept.  Any other character is a one-character token,
-# so units outside the FOF subset still scan and can be kept verbatim.
+# token each, quotes and backslash escapes kept.  Any other character is a
+# one-character token, so units outside the FOF subset still scan and can
+# be kept verbatim.
 _FOF_TOKEN = re.compile(
     r"(?P<skip>\s+|%[^\n]*|/\*.*?\*/)"
-    r"|'[^']*'|\"[^\"]*\""
+    r"|'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\""
     r"|(?P<open>['\"]|/\*)"
     r"|\w+|<=>|=>|!=|\S",
     re.DOTALL,
@@ -513,13 +519,19 @@ _STATUS_RE = re.compile(r"SZS status\s+(\S+)")
 _OUTPUT_START_RE = re.compile(r"SZS output start")
 _OUTPUT_END_RE = re.compile(r"SZS output end")
 _PROOF_AXIOM_RE = re.compile(
-    r"\b(?:fof|cnf|tff)\s*\(\s*([A-Za-z0-9_]+|'[^']*')\s*,\s*axiom\b"
+    r"\b(?:fof|cnf|tff)\s*\(\s*([A-Za-z0-9_]+|'(?:[^'\\]|\\.)*')\s*,\s*axiom\b"
 )
-_FILE_REF_RE = re.compile(r"\bfile\s*\(\s*[^,()]+,\s*([A-Za-z0-9_]+|'[^']*')\s*\)")
+_FILE_REF_RE = re.compile(r"\bfile\s*\(\s*[^,()]+,\s*([A-Za-z0-9_]+|'(?:[^'\\]|\\.)*')\s*\)")
+
+
+_ESCAPE_RE = re.compile(r"\\([\\'])")
 
 
 def _unquote(name: str) -> str:
-    return name[1:-1] if name.startswith("'") and name.endswith("'") else name
+    """Dual of ``_quote``; a bare name comes back unchanged."""
+    if name.startswith("'") and name.endswith("'"):
+        return _ESCAPE_RE.sub(r"\1", name[1:-1])
+    return name
 
 
 def parse_szs(output: str) -> tuple[SzsStatus, tuple[str, ...]]:
@@ -558,7 +570,8 @@ def render_szs_output(status: SzsStatus, used_axioms=(), problem: str = "") -> s
     if status is SzsStatus.THEOREM and used_axioms:
         lines.append(f"% SZS output start Proof{suffix}")
         for name in used_axioms:
-            lines.append(f"fof({name}, axiom, $true).")
+            unit_name = name if _NAME_OK.match(name) else _quote(name)
+            lines.append(f"fof({unit_name}, axiom, $true).")
         lines.append(f"% SZS output end Proof{suffix}")
     return "\n".join(lines) + "\n"
 

@@ -72,7 +72,7 @@ def test_emit_output(pipeline):
 def test_run_output(pipeline):
     journal = pipeline.root / "journal.ldjson"
     assert pipeline.steps["run"].out == (
-        "GaveUp=16 Theorem=3 Timeout=2\n"
+        "GaveUp=17 Theorem=3 Timeout=1\n"
         f"journal: {journal} (21 results)\n"
     )
 

@@ -2,6 +2,8 @@
 oracle on problems small enough to decide exactly."""
 
 import random
+import sys
+import time
 
 import pytest
 
@@ -9,7 +11,7 @@ import genformulas
 import oracles
 from cqeval import kif
 from cqeval.kif import And, Atom, Constant, Iff, Implies, Not, Or, Variable
-from cqeval.microprover import clausify, equality_clauses, prove, skolem_floor, unify, _Fresh
+from cqeval.microprover import clausify, equality_clauses, prove, skolem_floor, _Fresh, _Terms
 from cqeval.tptp import SzsStatus
 
 
@@ -21,25 +23,39 @@ def _parse(src):
 # unification
 
 
+def _interned(*kif_terms):
+    terms = _Terms()
+    names: dict = {}
+    return terms, names, [terms.from_kif(t, names, terms.var) for t in kif_terms]
+
+
 def test_unify_binds_variables():
-    a = kif.Function("f", (Variable("X"), Constant("c")))
-    b = kif.Function("f", (Constant("d"), Variable("Y")))
-    subst = unify(a, b)
+    terms, names, (a, b, c, d) = _interned(
+        kif.Function("f", (Variable("X"), Constant("c"))),
+        kif.Function("f", (Constant("d"), Variable("Y"))),
+        Constant("c"),
+        Constant("d"),
+    )
+    subst = terms.unify(a, b)
     assert subst is not None
-    assert subst["X"] == Constant("d")
-    assert subst["Y"] == Constant("c")
+    assert subst[names["X"]] == d
+    assert subst[names["Y"]] == c
 
 
 def test_unify_occurs_check():
-    x = Variable("X")
-    fx = kif.Function("f", (x,))
-    assert unify(x, fx) is None
+    terms, _, (x, fx) = _interned(Variable("X"), kif.Function("f", (Variable("X"),)))
+    assert terms.unify(x, fx) is None
 
 
 def test_unify_clash():
-    assert unify(Constant("a"), Constant("b")) is None
-    assert unify(kif.Function("f", (Constant("a"),)),
-                 kif.Function("g", (Constant("a"),))) is None
+    terms, _, (a, b, fa, ga) = _interned(
+        Constant("a"),
+        Constant("b"),
+        kif.Function("f", (Constant("a"),)),
+        kif.Function("g", (Constant("a"),)),
+    )
+    assert terms.unify(a, b) is None
+    assert terms.unify(fa, ga) is None
 
 
 # --------------------------------------------------------------------------
@@ -148,6 +164,30 @@ def test_prove_clause_cap_means_gave_up():
     assert result.szs is SzsStatus.GAVE_UP
 
 
+def test_prove_clause_cap_counts_derived_clauses_only():
+    # 32 input clauses against a cap of 2: the search keeps q(a) and ~p(a)
+    # and then refutes ~q(a) with q(a), so only derived clauses may count
+    axioms = [(f"ax_fill{i}", _parse(f"(s c{i})")) for i in range(30)]
+    axioms += [
+        ("ax_fact", _parse("(p a)")),
+        ("ax_pq", _parse("(forall (?X) (=> (p ?X) (q ?X)))")),
+    ]
+    result = prove(axioms, _parse("(q a)"), max_clauses=2)
+    assert result.szs is SzsStatus.THEOREM
+    assert result.used_axioms == ("ax_fact", "ax_pq")
+
+
+def test_prove_deep_terms_give_up_without_recursion():
+    # each kept clause is p(f(...f(a)...)) one f deeper: 2,000 derived
+    # clauses nest terms past the interpreter's default recursion limit
+    limit = sys.getrecursionlimit()
+    start = time.monotonic()
+    result = prove(_growth_axioms(), _parse("(q b)"), limit_seconds=120, max_clauses=2000)
+    assert result.szs is SzsStatus.GAVE_UP
+    assert time.monotonic() - start < 5
+    assert sys.getrecursionlimit() == limit
+
+
 def test_prove_tautologies_from_no_axioms():
     # equality is excluded: congruence over nested function terms can send
     # the saturation off into term-growing territory, which is not what
@@ -228,3 +268,72 @@ def test_ground_problems_match_oracle():
             assert not entailed, f"case {i}: missed an entailment"
     assert theorems >= 5
     assert gaveups >= 5
+
+
+def test_ground_problems_at_scale_match_oracle():
+    # more cases than above, including ones whose axioms alone are
+    # inconsistent: their entailments need no help from the goal, so a
+    # search confined to descendants of the negated conjecture would miss
+    # them
+    rng = random.Random(11)
+    universe = [Constant(c) for c in SMALL_CONSTANTS]
+    theorems = inconsistent = 0
+    for i in range(200):
+        axioms, conjecture = _ground_case(rng, i)
+        result = prove(axioms, conjecture, limit_seconds=60,
+                       max_literals=100, max_clauses=100000)
+        entailed = oracles.ground_unsat(
+            [f for _, f in axioms] + [Not(conjecture)], universe
+        )
+        assert result.szs in (SzsStatus.THEOREM, SzsStatus.GAVE_UP)
+        assert (result.szs is SzsStatus.THEOREM) == entailed, f"case {i}"
+        if entailed:
+            theorems += 1
+            _assert_used_axioms_suffice(axioms, conjecture, result, limit_seconds=60,
+                                        max_literals=100, max_clauses=100000)
+        if oracles.ground_unsat([f for _, f in axioms], universe):
+            inconsistent += 1
+            assert result.szs is SzsStatus.THEOREM, f"case {i}"
+    assert theorems >= 50
+    assert inconsistent >= 10
+
+
+# --------------------------------------------------------------------------
+# properties of the search
+
+
+def _assert_used_axioms_suffice(axioms, conjecture, result, **caps):
+    used = [(label, f) for label, f in axioms if label in result.used_axioms]
+    assert sorted(label for label, _ in used) == list(result.used_axioms)
+    again = prove(used, conjecture, **caps)
+    assert again.szs is SzsStatus.THEOREM, result.used_axioms
+
+
+def test_used_axioms_suffice_on_fixture_entailments(nulllist_ontology, deadliving_ontology):
+    cases = [
+        (nulllist_ontology, "(not (exists (?ITEM) (inList ?ITEM NullList)))"),
+        (deadliving_ontology,
+         "(not (exists (?X) (and (instance ?X Organism) (attribute ?X Dead))))"),
+    ]
+    for ont, goal in cases:
+        axioms = [(ax.label, ax.formula) for ax in ont.axioms]
+        conjecture = _parse(goal)
+        result = prove(axioms, conjecture)
+        assert result.szs is SzsStatus.THEOREM
+        _assert_used_axioms_suffice(axioms, conjecture, result)
+
+
+def test_fixture_campaign_verdicts_are_pinned(journal):
+    theorems = {
+        cq_id: result.used_axioms
+        for cq_id, result in journal.items()
+        if result.szs is SzsStatus.THEOREM
+    }
+    assert theorems == {
+        "cq_antattr_asleep_awake": ("ax_awake_asleep_contrary",),
+        "cq_antclass_freezing_melting": ("ax_melting_freezing_disjoint",),
+        "cq_creative_boys_domestic": (
+            "ax_boy_man", "ax_humans_not_domestic", "ax_man_human", "ax_subclass_instances",
+        ),
+    }
+    assert all(result.szs is not SzsStatus.ERROR for result in journal.values())

@@ -77,6 +77,26 @@ def test_render_fof_quotes_awkward_names():
     assert render_fof("9lives", "axiom", f).startswith("fof('9lives', axiom,")
 
 
+AWKWARD_LABELS = ("ax_o'brien", "ax\\back", "ax_\\'both'")
+
+
+@pytest.mark.parametrize("mode", ["inline", "include"])
+def test_quoted_labels_round_trip_through_problem_files(tmp_path, mode):
+    axioms = tuple(
+        ontology.OntologyAxiom(label, kif.parse_kif(f"(p a{i})")[0], f"(p a{i})")
+        for i, label in enumerate(AWKWARD_LABELS)
+    )
+    ont = dataclasses.replace(_mini_ontology(), axioms=axioms,
+                              vocabulary=frozenset({"p", "a0", "a1", "a2"}))
+    rendered = tptp.render_axioms(ont)
+    assert "fof('ax_o\\'brien', axiom," in "\n".join(rendered.units)
+    tptp.write_axiom_file(rendered, tmp_path / "axioms.ax")
+    pf = write_problem(_cq(formula="(p a0)"), rendered, tmp_path, mode=mode,
+                       axiom_file=Path("axioms.ax"))
+    read_axioms, _ = read_problem(pf.path)
+    assert tuple(name for name, _ in read_axioms) == AWKWARD_LABELS
+
+
 def test_unit_round_trip_random(tmp_path):
     formulas = genformulas.formulas(200, seed=31)
     path = tmp_path / "units.ax"
@@ -294,6 +314,13 @@ def test_szs_render_parse_round_trip():
         back, back_used = parse_szs(text)
         assert back is status
         assert back_used == used
+
+
+def test_szs_round_trip_quoted_names():
+    used = AWKWARD_LABELS + ("ax_plain", "Capital")
+    text = render_szs_output(SzsStatus.THEOREM, used)
+    assert "fof('ax_o\\'brien', axiom, $true)." in text
+    assert parse_szs(text) == (SzsStatus.THEOREM, used)
 
 
 def test_parse_reported_seconds():
