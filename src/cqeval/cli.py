@@ -23,6 +23,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import coremap, cqgen, ontology, report, runner, store, tptp, wordnet
@@ -283,8 +284,12 @@ def cmd_propagate(args) -> int:
     )
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    for entry, reason in result.dropped:
-        print(f"dropped: {entry.synset.key} {entry.term} ({reason})", file=sys.stderr)
+    # one count per reason; the entries dropped are the mapping store's
+    # records that the core_mapping store lacks
+    reasons = Counter(reason for _, reason in result.dropped)
+    if reasons:
+        counts = " ".join(f"{r}={n}" for r, n in sorted(reasons.items()))
+        print(f"dropped: {counts}", file=sys.stderr)
     print(f"input={len(entries)} core={len(result.entries)} dropped={len(result.dropped)}")
     return 0
 

@@ -8,12 +8,18 @@ predicate symbol that occurs alongside ``=``.
 
 The search is a given-clause loop.  Clauses wait in a queue ordered by
 length, then by age.  The given clause joins the processed set and is
-resolved with every processed clause that has a literal of the same
-predicate and the opposite sign, found through an index keyed by
-(predicate, sign) and met in processing order; a pair whose arguments
-clash on their top symbols is dropped before unification.  Then the
-given clause is factored.  Resolvents that are tautologies, longer than
-the literal cap or renamings of a clause already seen are dropped.
+resolved with the processed clauses that have a literal of the same
+predicate and the opposite sign.  An index files processed literals by
+predicate and sign and, for each argument position, by the top symbol
+there or as a variable.  Each literal of the given clause looks up its
+partners at the argument position where they are fewest: those with the
+same top symbol there, and those with a variable there.  Partners are
+met in processing order; a pair whose other arguments clash on their top
+symbols, or are distinct ground terms, is dropped before unification.
+Then the given clause is factored.  Resolvents that are tautologies,
+longer than the literal cap or renamings of a clause already seen are
+dropped.  The result counts the work: given clauses, partner pairs,
+unifications, derived clauses kept and duplicates dropped.
 
 Terms are interned: ``prove`` converts the clausified input once into
 ints over a per-run table, so comparing and hashing terms is O(1), and
@@ -45,7 +51,7 @@ from .kif import (
     And, Atom, Constant, Equal, Exists, Forall, Formula, Function, Not, Or,
     Term, Variable,
 )
-from .tptp import ProverResult, SzsStatus
+from .tptp import ProverResult, SearchCounts, SzsStatus
 
 NEGATED_CONJECTURE = "negated_conjecture"
 EQUALITY_ORIGIN = "eq"
@@ -437,6 +443,56 @@ class _Terms:
         return key, tuple(self.apply_lit(l, {}, memo, fresh) for l in lits)
 
 
+_VARIABLE = -1  # the top-symbol key of a variable argument; functors are >= 0
+
+
+class _LiteralIndex:
+    """Processed literals by predicate and sign and, for each argument
+    position, by the top symbol there (top-symbol indexing, McCune 1992).
+
+    Each literal is an int entry chosen by the caller; every bucket lists
+    its entries in the order they were added."""
+
+    def __init__(self, terms: _Terms):
+        self.terms = terms
+        self.buckets: dict = {}  # pred_sign -> (entries, [{symbol: entries} per position])
+
+    def add(self, lit: int, entry: int) -> None:
+        terms = self.terms
+        key = terms.pred_sign(lit)
+        args = terms.args[lit >> 1]
+        bucket = self.buckets.get(key)
+        if bucket is None:
+            bucket = self.buckets[key] = ([], [{} for _ in args])
+        bucket[0].append(entry)
+        functor = terms.functor
+        for by_symbol, a in zip(bucket[1], args):
+            by_symbol.setdefault(functor[a] if a >= 0 else _VARIABLE, []).append(entry)
+
+    def partners(self, lit: int):
+        """Entries, in order, of the literals of opposite sign whose atoms
+        may unify with ``lit``'s.  Of ``lit``'s non-variable arguments, the
+        one with the fewest partners (same top symbol or a variable there)
+        decides; a literal with none takes every literal of its predicate."""
+        terms = self.terms
+        bucket = self.buckets.get(terms.pred_sign(lit) ^ 1)
+        if bucket is None:
+            return ()
+        everything, positions = bucket
+        best, fewest = None, len(everything)
+        functor = terms.functor
+        for by_symbol, a in zip(positions, terms.args[lit >> 1]):
+            if a >= 0:
+                same = by_symbol.get(functor[a], ())
+                var = by_symbol.get(_VARIABLE, ())
+                if len(same) + len(var) < fewest:
+                    best, fewest = (same, var), len(same) + len(var)
+        if best is None:
+            return everything
+        same, var = best
+        return sorted(same + var) if same and var else same or var
+
+
 # --------------------------------------------------------------------------
 # equality axioms
 
@@ -537,7 +593,7 @@ def prove(
     ``axioms`` is an iterable of (label, formula).  Returns Theorem with
     the axiom labels used, Timeout past ``limit_seconds``, or GaveUp when
     the clause queue empties or more than ``max_clauses`` derived clauses
-    have been kept.
+    have been kept.  The result carries the search counts.
     """
     start = time.monotonic()
     deadline = start + limit_seconds
@@ -549,16 +605,17 @@ def prove(
     initial.extend(clausify(Not(kif.universal_closure(conjecture)), NEGATED_CONJECTURE, fresh))
     initial.extend(equality_clauses(initial))
 
-    def finish(status, used=(), empty=None):
-        wall = time.monotonic() - start
-        if empty is not None:
-            used = _used_axioms(empty)
-        return ProverResult(szs=status, wall_seconds=wall, used_axioms=used)
-
     terms = _Terms()
-    seq = 0
+    seq = given_count = pair_count = unifications = derived = dedup_hits = 0
     heap: list = []
     known: set = set()
+
+    def finish(status, empty=None):
+        search = SearchCounts(given_count, pair_count, unifications, derived, dedup_hits)
+        used = () if empty is None else _used_axioms(empty)
+        return ProverResult(szs=status, wall_seconds=time.monotonic() - start,
+                            used_axioms=used, search=search)
+
     for c in initial:
         if not c.literals:
             return finish(SzsStatus.THEOREM, empty=c)
@@ -566,37 +623,40 @@ def prove(
         var = _numbering()
         key, lits = terms.canonical([terms.literal(l, names, var) for l in c.literals])
         if key in known:
+            dedup_hits += 1
             continue
         known.add(key)
         heappush(heap, (len(lits), seq, Clause(lits, origin=c.origin)))
         seq += 1
 
-    # Processed clauses in processing order, and their literals as
-    # (position, literal index) pairs by predicate and sign.
+    # Processed clauses in processing order; the index files each of their
+    # literals as ``processing position * width + literal index``.
     processed: list = []
-    index: dict = {}
-    derived = 0
+    width = max([max_literals] + [len(c.literals) for c in initial])
+    index = _LiteralIndex(terms)
 
     while heap:
         if time.monotonic() > deadline:
             return finish(SzsStatus.TIMEOUT)
         _, _, given = heappop(heap)
+        given_count += 1
         given.literals = glits = terms.rename(given.literals)
         here = len(processed)
         processed.append(given)
         for j, l in enumerate(glits):
-            index.setdefault(terms.pred_sign(l), []).append((here, j))
+            index.add(l, here * width + j)
 
         # Partners by processing order, then given literal, then partner
         # literal: the order in which pairing every processed clause would
         # meet them.
         pairs = [
-            (p, i, j)
+            (e // width, i, e % width)
             for i, l in enumerate(glits)
-            for p, j in index.get(terms.pred_sign(l) ^ 1, ())
+            for e in index.partners(l)
         ]
         if len(glits) > 1:
             pairs.sort()
+        pair_count += len(pairs)
         copy = None
         new_lits: list = []
         for p, i, j in pairs:
@@ -611,6 +671,7 @@ def prove(
             a, b = glits[i] >> 1, plits[j] >> 1
             subst = None if terms.clash(a, b) else terms.unify(a, b)
             if subst is not None:
+                unifications += 1
                 rest = glits[:i] + glits[i + 1:] + plits[:j] + plits[j + 1:]
                 new_lits.append((terms.instance(rest, subst), (given, partner)))
         for i, a in enumerate(glits):
@@ -628,6 +689,7 @@ def prove(
                 continue
             key, lits = terms.canonical(lits)
             if key in known:
+                dedup_hits += 1
                 continue
             known.add(key)
             if not lits:

@@ -24,7 +24,9 @@ def prove_problem(path, limit_seconds: float, max_literals: int,
                   max_clauses: int) -> tuple[ProverResult, str]:
     """Read a problem, prove it and render SZS output.
 
-    Returns the result (no output path set) and the output text.  Any
+    Returns the result (no output path set, and no search counts, which
+    journal records do not carry) and the output text: the SZS lines, the
+    prover's own time and a ``% Search:`` line with its counters.  Any
     failure to read or prove becomes an Error result.
     """
     name = Path(path).name
@@ -43,8 +45,11 @@ def prove_problem(path, limit_seconds: float, max_literals: int,
         return (ProverResult(SzsStatus.ERROR, wall),
                 f"% SZS status Error for {name}\n% {e}\n")
     wall = time.monotonic() - start
+    n = inner.search
     text = (tptp.render_szs_output(inner.szs, inner.used_axioms, problem=name)
-            + f"% Time elapsed: {inner.wall_seconds:.3f} s\n")
+            + f"% Time elapsed: {inner.wall_seconds:.3f} s\n"
+            + f"% Search: given={n.given} pairs={n.pairs} unifications={n.unifications}"
+            f" kept={n.kept} dedup_hits={n.dedup_hits}\n")
     return ProverResult(inner.szs, wall, inner.used_axioms, None, inner.wall_seconds), text
 
 

@@ -594,12 +594,24 @@ def parse_reported_seconds(output: str) -> float | None:
 
 
 @dataclass(frozen=True)
+class SearchCounts:
+    """Work done by one run of the bundled prover."""
+
+    given: int  # clauses taken from the queue
+    pairs: int  # resolution partner pairs the literal index offered
+    unifications: int  # of those pairs, the ones whose atoms unified
+    kept: int  # derived clauses kept
+    dedup_hits: int  # clauses dropped as renamings of one already seen
+
+
+@dataclass(frozen=True)
 class ProverResult:
     szs: SzsStatus
     wall_seconds: float
     used_axioms: tuple[str, ...] = ()
     raw_output_path: str | None = None
     reported_seconds: float | None = None
+    search: SearchCounts | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "used_axioms", tuple(self.used_axioms))

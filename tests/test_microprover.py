@@ -299,6 +299,70 @@ def test_ground_problems_at_scale_match_oracle():
 
 
 # --------------------------------------------------------------------------
+# first-order problems against the oracle
+#
+# Function-free clauses of at most two literals over binary predicates:
+# resolving two such clauses gives at most two literals again, so the
+# clauses the search can keep are finitely many up to renaming and giving
+# up means the queue emptied.  Variables and constants share every
+# argument position, so partners are retrieved through both the symbol
+# and the variable buckets of the literal index, and some clauses resolve
+# with themselves.
+
+FO_CONSTANTS = ("a", "b", "c")
+FO_VARIABLES = ("X", "Y", "Z")
+
+
+def _fo_atom(rng, predicate):
+    return Atom(predicate, tuple(
+        Variable(rng.choice(FO_VARIABLES)) if rng.random() < 0.5
+        else Constant(rng.choice(FO_CONSTANTS))
+        for _ in range(2)
+    ))
+
+
+def _fo_clause(rng, predicates):
+    first = _fo_atom(rng, rng.choice(predicates))
+    positive = rng.random() < 0.5
+    literals = [first if positive else Not(first)]
+    shape = rng.random()
+    if shape < 0.3:  # resolves with itself: one predicate, both signs
+        second = _fo_atom(rng, first.predicate)
+        literals.append(Not(second) if positive else second)
+    elif shape < 0.7:
+        second = _fo_atom(rng, rng.choice(predicates))
+        literals.append(second if rng.random() < 0.5 else Not(second))
+    return kif.universal_closure(Or(tuple(literals)) if len(literals) > 1 else literals[0])
+
+
+def _fo_case(rng):
+    predicates = ("p", "q", "r")[: rng.choice((2, 3))]
+    axioms = [(f"ax{j}", _fo_clause(rng, predicates)) for j in range(rng.randint(4, 7))]
+    conjecture = Atom(rng.choice(predicates),
+                      tuple(Constant(rng.choice(FO_CONSTANTS)) for _ in range(2)))
+    return axioms, conjecture
+
+
+def test_first_order_problems_match_oracle():
+    rng = random.Random(23)
+    universe = [Constant(c) for c in FO_CONSTANTS]
+    caps = dict(limit_seconds=60, max_literals=100, max_clauses=100000)
+    theorems = 0
+    for i in range(100):
+        axioms, conjecture = _fo_case(rng)
+        result = prove(axioms, conjecture, **caps)
+        entailed = oracles.ground_unsat(
+            [f for _, f in axioms] + [Not(conjecture)], universe
+        )
+        assert result.szs in (SzsStatus.THEOREM, SzsStatus.GAVE_UP)
+        assert (result.szs is SzsStatus.THEOREM) == entailed, f"case {i}"
+        if entailed:
+            theorems += 1
+            _assert_used_axioms_suffice(axioms, conjecture, result, **caps)
+    assert 20 <= theorems <= 80
+
+
+# --------------------------------------------------------------------------
 # properties of the search
 
 
@@ -337,3 +401,27 @@ def test_fixture_campaign_verdicts_are_pinned(journal):
         ),
     }
     assert all(result.szs is not SzsStatus.ERROR for result in journal.values())
+
+
+def test_partner_retrieval_skips_literals_that_cannot_unify():
+    # 300 memberships over distinct constants: retrieval by predicate and
+    # sign alone offers each rule literal every membership, about 37
+    # partner pairs per unification here and 160 without the goal
+    axioms = [(f"ax_member{k}", _parse(f"(instance Obj{k} Class{k % 20})")) for k in range(300)]
+    axioms += [
+        ("ax_class0_animal", _parse("(forall (?X) (=> (instance ?X Class0) (instance ?X Animal)))")),
+        ("ax_animal_organism",
+         _parse("(forall (?X) (=> (instance ?X Animal) (instance ?X Organism)))")),
+        ("ax_class1_class2",
+         _parse("(forall (?X) (=> (instance ?X Class1) (not (instance ?X Class2))))")),
+    ]
+    proved = prove(axioms, _parse("(instance Obj40 Organism)"))
+    assert proved.szs is SzsStatus.THEOREM
+    assert proved.used_axioms == ("ax_animal_organism", "ax_class0_animal", "ax_member40")
+    failed = prove(axioms, _parse("(instance Obj41 Organism)"))
+    assert failed.szs is SzsStatus.GAVE_UP
+    for result in (proved, failed):
+        search = result.search
+        assert search.given > 300
+        assert search.unifications > 30
+        assert search.pairs <= 3 * search.unifications, search

@@ -14,7 +14,7 @@ from cqeval.runner import (
     run_corpus,
     run_one,
 )
-from cqeval.tptp import ProblemFile, ProverResult, SzsStatus
+from cqeval.tptp import ProblemFile, ProverResult, SzsStatus, parse_szs
 
 PROBLEM_TEXT = """\
 % cq: cq_toy
@@ -113,6 +113,8 @@ def test_builtin_run_archives_output(tmp_path):
     assert "SZS status Theorem" in text
     assert "ax_fact" in text
     assert result.raw_output_path == str(out)
+    assert "\n% Search: given=2 pairs=1 unifications=1 kept=0 dedup_hits=0\n" in text
+    assert parse_szs(text) == (SzsStatus.THEOREM, ("ax_fact",))
 
 
 def test_builtin_bad_problem_is_error(tmp_path):
