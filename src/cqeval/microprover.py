@@ -6,6 +6,16 @@ distribution.  Equality is handled by axiomatization: reflexivity,
 symmetry, transitivity plus congruence clauses for every function and
 predicate symbol that occurs alongside ``=``.
 
+The distribution prunes as it goes (Nonnengart & Weidenbach, "Computing
+Small Clause Normal Forms", 2001): before a product in which either side
+holds more than one clause, each side loses repeated literals,
+tautologies and repeats of earlier partial clauses.  This yields the
+clauses that distributing first and pruning afterwards would keep, in
+the same order, so nested ``<=>`` over a few atoms stays small.  A chain
+of ``<=>`` over distinct atoms still doubles its clauses with every
+connective; the deadline is checked between input formulas and once per
+row of each product, so such a chain ends in Timeout.
+
 The search is a given-clause loop.  Clauses wait in a queue ordered by
 length, then by age.  The given clause joins the processed set and is
 resolved with the processed clauses that have a literal of the same
@@ -41,6 +51,7 @@ the empty clause's derivation tree.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import time
 from dataclasses import dataclass
@@ -103,11 +114,12 @@ class Clause:
 
 
 class _Fresh:
-    """Name supply shared across one problem's clausification."""
+    """Name supply and deadline shared across one problem's clausification."""
 
-    def __init__(self, skolem_start: int = 1):
+    def __init__(self, skolem_start: int = 1, deadline: float = math.inf):
         self.var_counter = 0
         self.skolem_counter = skolem_start
+        self.deadline = deadline
 
     def variable(self, base: str) -> str:
         self.var_counter += 1
@@ -173,8 +185,14 @@ def _skolemize(f: Formula, env: dict, universals: tuple, fresh: _Fresh, used: se
     raise TypeError(f"clausifier expects NNF, found {type(f).__name__}")
 
 
-def _matrix_to_clauses(f: Formula) -> list:
-    """Distribute or over and; returns lists of literals."""
+class _Deadline(Exception):
+    """Clausification ran past the deadline of its proof attempt."""
+
+
+def _matrix_to_clauses(f: Formula, deadline: float) -> list:
+    """Distribute or over and; returns lists of literals.  A product in
+    which either side holds more than one clause prunes both sides first
+    (see ``_prune``) and checks ``deadline`` once per row."""
     if isinstance(f, Atom):
         return [[Literal(True, f.predicate, f.args)]]
     if isinstance(f, Equal):
@@ -189,15 +207,40 @@ def _matrix_to_clauses(f: Formula) -> list:
     if isinstance(f, And):
         out = []
         for p in f.parts:
-            out.extend(_matrix_to_clauses(p))
+            out.extend(_matrix_to_clauses(p, deadline))
         return out
     if isinstance(f, Or):
         acc: list = [[]]
         for p in f.parts:
-            branch = _matrix_to_clauses(p)
-            acc = [a + b for a in acc for b in branch]
+            branch = _matrix_to_clauses(p, deadline)
+            if len(acc) == 1 and len(branch) == 1:
+                acc = [acc[0] + branch[0]]
+                continue
+            acc, branch = _prune(acc, deadline), _prune(branch, deadline)
+            product: list = []
+            for a in acc:
+                if time.monotonic() > deadline:
+                    raise _Deadline
+                product += [a + b for b in branch]
+            acc = product
         return acc
     raise TypeError(f"unexpected node in matrix: {type(f).__name__}")
+
+
+def _prune(partials, deadline: float) -> list:
+    """The first occurrence of each partial clause, without repeated
+    literals, unless it is a tautology.  Nothing is lost: a tautology
+    extends only to tautologies, and a repeat only to repeats of clauses
+    that an earlier partial yields first.  Checks ``deadline`` once per
+    partial."""
+    out: dict = {}
+    for lits in partials:
+        if time.monotonic() > deadline:
+            raise _Deadline
+        unique = tuple(dict.fromkeys(lits))
+        if unique not in out and not _is_tautology(unique):
+            out[unique] = None
+    return [list(u) for u in out]  # lists, as the leaves are, so that a + b works
 
 
 def _is_tautology(lits) -> bool:
@@ -211,16 +254,13 @@ def _is_tautology(lits) -> bool:
 
 
 def clausify(f: Formula, origin, fresh: _Fresh) -> list:
-    """Clauses for one closed formula; tautologies and duplicate literals
-    are dropped on the way out."""
+    """Clauses for one closed formula, tautologies and repeats dropped, each
+    without repeated literals.  Raises ``_Deadline`` past ``fresh.deadline``."""
+    if time.monotonic() > fresh.deadline:
+        raise _Deadline
     matrix = _skolemize(kif.nnf(kif.universal_closure(f)), {}, (), fresh, set())
-    clauses = []
-    for lits in _matrix_to_clauses(matrix):
-        unique = list(dict.fromkeys(lits))
-        if _is_tautology(unique):
-            continue
-        clauses.append(Clause(unique, origin=origin))
-    return clauses
+    return [Clause(lits, origin=origin)
+            for lits in _prune(_matrix_to_clauses(matrix, fresh.deadline), fresh.deadline)]
 
 
 # --------------------------------------------------------------------------
@@ -591,30 +631,35 @@ def prove(
     """Refute the negated conjecture against labeled axioms.
 
     ``axioms`` is an iterable of (label, formula).  Returns Theorem with
-    the axiom labels used, Timeout past ``limit_seconds``, or GaveUp when
+    the axiom labels used, Timeout past ``limit_seconds`` (clausification
+    included), or GaveUp when
     the clause queue empties or more than ``max_clauses`` derived clauses
     have been kept.  The result carries the search counts.
     """
     start = time.monotonic()
     deadline = start + limit_seconds
-    formulas = [f for _, f in axioms] + [conjecture]
-    fresh = _Fresh(skolem_floor(formulas))
-    initial: list = []
-    for label, f in axioms:
-        initial.extend(clausify(f, label, fresh))
-    initial.extend(clausify(Not(kif.universal_closure(conjecture)), NEGATED_CONJECTURE, fresh))
-    initial.extend(equality_clauses(initial))
-
-    terms = _Terms()
     seq = given_count = pair_count = unifications = derived = dedup_hits = 0
-    heap: list = []
-    known: set = set()
 
     def finish(status, empty=None):
         search = SearchCounts(given_count, pair_count, unifications, derived, dedup_hits)
         used = () if empty is None else _used_axioms(empty)
         return ProverResult(szs=status, wall_seconds=time.monotonic() - start,
                             used_axioms=used, search=search)
+
+    formulas = [f for _, f in axioms] + [conjecture]
+    fresh = _Fresh(skolem_floor(formulas), deadline)
+    initial: list = []
+    try:
+        for label, f in axioms:
+            initial.extend(clausify(f, label, fresh))
+        initial.extend(clausify(Not(kif.universal_closure(conjecture)), NEGATED_CONJECTURE, fresh))
+    except _Deadline:
+        return finish(SzsStatus.TIMEOUT)
+    initial.extend(equality_clauses(initial))
+
+    terms = _Terms()
+    heap: list = []
+    known: set = set()
 
     for c in initial:
         if not c.literals:

@@ -129,7 +129,9 @@ def _archive(cfg: RunnerConfig, cq_id: str, text: str) -> str:
 
 
 def _run_external(problem: ProblemFile, cfg: RunnerConfig) -> ProverResult:
-    cmd = cfg.prover_cmd.format(problem=problem.path, timeout=int(cfg.timeout_seconds))
+    # whole seconds, at least one: 0 means no limit to E's --cpu-limit and an
+    # immediate timeout to prover_cli
+    cmd = cfg.prover_cmd.format(problem=problem.path, timeout=max(1, int(cfg.timeout_seconds)))
     argv = shlex.split(cmd)
     start = time.monotonic()
     try:

@@ -10,8 +10,10 @@ import pytest
 import genformulas
 import oracles
 from cqeval import kif
-from cqeval.kif import And, Atom, Constant, Iff, Implies, Not, Or, Variable
-from cqeval.microprover import clausify, equality_clauses, prove, skolem_floor, _Fresh, _Terms
+from cqeval.kif import And, Atom, Constant, Equal, Iff, Implies, Not, Or, Variable
+from cqeval.microprover import (
+    clausify, equality_clauses, prove, skolem_floor, _Fresh, _skolemize, _Terms,
+)
 from cqeval.tptp import SzsStatus
 
 
@@ -88,6 +90,69 @@ def test_clausify_existential_under_universal_gets_function():
 def test_clausify_drops_tautologies():
     f = _parse("(or (p a) (not (p a)))")
     assert clausify(f, "ax", _Fresh()) == []
+
+
+# The distribution as it was before pruning: every product built in full,
+# then repeated literals and tautologies dropped from the finished clauses.
+
+
+def _unpruned_matrix(f):
+    if isinstance(f, (Atom, Equal)):
+        return [[(True, f)]]
+    if isinstance(f, Not):
+        return [[(False, f.body)]]
+    if isinstance(f, And):
+        return [c for p in f.parts for c in _unpruned_matrix(p)]
+    acc = [[]]
+    for p in f.parts:
+        branch = _unpruned_matrix(p)
+        acc = [a + b for a in acc for b in branch]
+    return acc
+
+
+def _reference_clauses(f, fresh):
+    """First occurrences of the clauses, as (sign, atom) tuples."""
+    matrix = _skolemize(kif.nnf(kif.universal_closure(f)), {}, (), fresh, set())
+    out = {}
+    for lits in _unpruned_matrix(matrix):
+        unique = tuple(dict.fromkeys(lits))
+        positives = {atom for positive, atom in unique if positive}
+        if any(not positive and atom in positives for positive, atom in unique):
+            continue
+        if any(positive and isinstance(atom, Equal) and atom.left == atom.right
+               for positive, atom in unique):
+            continue
+        out.setdefault(unique, None)
+    return list(out)
+
+
+def _atom(lit):
+    if lit.predicate == "=":
+        return Equal(*lit.args)
+    return Atom(lit.predicate, lit.args)
+
+
+def _clauses_as_pairs(clauses):
+    return list(dict.fromkeys(tuple((l.positive, _atom(l)) for l in c.literals) for c in clauses))
+
+
+def _clause_formula(pairs):
+    lits = tuple(atom if positive else Not(atom) for positive, atom in pairs)
+    return lits[0] if len(lits) == 1 else Or(lits)
+
+
+def _assert_clausify_matches_reference(f):
+    got = _clauses_as_pairs(clausify(f, "ax", _Fresh()))
+    assert got == _reference_clauses(f, _Fresh()), kif.print_kif(f)
+    return got
+
+
+def test_clausify_matches_unpruned_distribution():
+    draws = genformulas.formulas(200, seed=61, depth=3)
+    draws += genformulas.formulas(100, seed=62, depth=3, quantifiers=False)
+    assert sum("<=>" in kif.print_kif(f) for f in draws) >= 100
+    for f in draws:
+        _assert_clausify_matches_reference(f)
 
 
 def test_skolem_floor_dodges_user_symbols():
@@ -206,6 +271,55 @@ def test_prove_tautologies_from_no_axioms():
         assert result.used_axioms == ()
 
 
+def _chain(*atoms):
+    chain = atoms[-1]
+    for a in reversed(atoms[:-1]):
+        chain = Iff(a, chain)
+    return chain
+
+
+def _timed_prove(axioms, conjecture, **caps):
+    start = time.monotonic()
+    result = prove(axioms, conjecture, **caps)
+    return result, time.monotonic() - start
+
+
+def test_prove_nested_iff_chain_clausifies_quickly():
+    # the chain is equivalent to (q c d); unpruned, either polarity
+    # distributes into 458,329 clauses of which 4 are not tautologies
+    ab, bd, cd = _parse("(q a b)"), _parse("(q b d)"), _parse("(q c d)")
+    chain = _chain(ab, bd, ab, bd, cd)
+    axioms = [("ax_cd", cd)]
+    proved, seconds = _timed_prove(axioms, chain, limit_seconds=60)
+    assert proved.szs is SzsStatus.THEOREM and proved.used_axioms == ("ax_cd",)
+    assert seconds < 1
+    refuted, seconds = _timed_prove(axioms, Not(chain), limit_seconds=60)
+    assert refuted.szs is SzsStatus.GAVE_UP
+    assert seconds < 1
+
+
+def test_prove_five_connective_valid_chain():
+    # every atom twice: a valid chain; unpruned, its distribution ran out
+    # of a 1 GB address space
+    a, b, c = _parse("(q a b)"), _parse("(q b c)"), _parse("(q c d)")
+    chain = _chain(a, b, c, a, b, c)
+    truth, seconds = _timed_prove([], chain, limit_seconds=60)
+    assert truth.szs is SzsStatus.THEOREM
+    assert seconds < 1
+    falsity, seconds = _timed_prove([], Not(chain), limit_seconds=60)
+    assert falsity.szs is SzsStatus.GAVE_UP
+    assert seconds < 1
+
+
+def test_prove_times_out_during_clausification():
+    # distinct atoms defeat pruning: the chain's clause form doubles with
+    # every connective, so only the deadline ends this one
+    chain = _chain(*(Atom(f"p{i}", ()) for i in range(11)))
+    result, seconds = _timed_prove([], chain, limit_seconds=0.5)
+    assert result.szs is SzsStatus.TIMEOUT
+    assert seconds < 1.5
+
+
 # --------------------------------------------------------------------------
 # ground problems against the oracle
 #
@@ -296,6 +410,22 @@ def test_ground_problems_at_scale_match_oracle():
             assert result.szs is SzsStatus.THEOREM, f"case {i}"
     assert theorems >= 50
     assert inconsistent >= 10
+
+
+def test_clausified_ground_problems_match_oracle():
+    # the clauses of a problem's formulas are unsatisfiable exactly when
+    # the formulas are
+    rng = random.Random(13)
+    universe = [Constant(c) for c in SMALL_CONSTANTS]
+    unsat = 0
+    for i in range(100):
+        axioms, conjecture = _ground_case(rng, i)
+        formulas = [f for _, f in axioms] + [Not(conjecture)]
+        clauses = [c for f in formulas for c in _assert_clausify_matches_reference(f)]
+        entailed = oracles.ground_unsat(formulas, universe)
+        assert oracles.ground_unsat([_clause_formula(c) for c in clauses], universe) == entailed
+        unsat += entailed
+    assert 20 <= unsat <= 80
 
 
 # --------------------------------------------------------------------------

@@ -179,6 +179,15 @@ def test_external_template_gets_problem_and_timeout(tmp_path):
     assert f"args: {problem.path} 7" in archived
 
 
+def test_external_template_gets_at_least_one_second(tmp_path):
+    body = 'print("args:", sys.argv[1])\nprint("% SZS status GaveUp for x")\n'
+    cmd = _fake_prover(tmp_path, "echo.py", body)
+    cfg = _cfg(tmp_path, prover_cmd=cmd + " {timeout}", timeout_seconds=0.5)
+    assert run_one(_problem(tmp_path), cfg).szs is SzsStatus.GAVE_UP
+    archived = (tmp_path / "outputs" / "cq_toy.out").read_text(encoding="utf-8")
+    assert "args: 1\n" in archived
+
+
 def test_external_spawn_failure_is_error(tmp_path):
     cfg = _cfg(tmp_path, prover_cmd="/no/such/prover {problem}")
     result = run_one(_problem(tmp_path), cfg)
