@@ -383,19 +383,23 @@ def _runner_config(cfg: Config, args) -> runner.RunnerConfig:
         or os.environ.get("CQEVAL_PROVER_CMD")
         or cfg.get("prover_cmd", default=runner.BUILTIN)
     )
-    jobs = args.jobs or os.environ.get("CQEVAL_JOBS") or cfg.get("jobs", default=1)
-    timeout = args.timeout or cfg.get("timeout_seconds", default=600)
+    jobs = args.jobs if args.jobs is not None else (
+        os.environ.get("CQEVAL_JOBS") or cfg.get("jobs", default=1))
+    timeout = args.timeout if args.timeout is not None else cfg.get("timeout_seconds", default=600)
     journal = args.journal or cfg.get("journal", default="journal.ldjson")
-    return runner.RunnerConfig(
-        output_dir=cfg.resolve(cfg.get("outputs_dir", default="outputs")),
-        journal_path=cfg.resolve(journal),
-        prover_cmd=prover_cmd,
-        timeout_seconds=float(timeout),
-        max_parallel=int(jobs),
-        grace_seconds=float(cfg.get("grace_seconds", default=2.0)),
-        builtin_max_literals=int(cfg.get("builtin_max_literals", default=12)),
-        builtin_max_clauses=int(cfg.get("builtin_max_clauses", default=50000)),
-    )
+    try:
+        return runner.RunnerConfig(
+            output_dir=cfg.resolve(cfg.get("outputs_dir", default="outputs")),
+            journal_path=cfg.resolve(journal),
+            prover_cmd=prover_cmd,
+            timeout_seconds=float(timeout),
+            max_parallel=int(jobs),
+            grace_seconds=float(cfg.get("grace_seconds", default=2.0)),
+            builtin_max_literals=int(cfg.get("builtin_max_literals", default=12)),
+            builtin_max_clauses=int(cfg.get("builtin_max_clauses", default=50000)),
+        )
+    except (TypeError, ValueError) as e:
+        raise CliError(f"bad run setting: {e}") from None
 
 
 def cmd_run(args) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ontology import OntologyIndex
-from .wordnet import MappingEntry, MappingRelation, SynsetId
+from .wordnet import MappingRelation, SynsetId
 
 
 def downgrade(relation: MappingRelation, steps: int) -> MappingRelation:
@@ -116,8 +116,3 @@ def propagate_to_core(entries, idx: OntologyIndex) -> PropagationResult:
             )
         )
     return PropagationResult(out, dropped, warnings)
-
-
-def as_mapping_entries(result: PropagationResult) -> list:
-    """Propagated entries viewed as plain mapping entries (for re-runs)."""
-    return [MappingEntry(p.synset, p.term, p.relation) for p in result.entries]

@@ -19,7 +19,6 @@ Conventions baked into the AST:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 
@@ -552,44 +551,3 @@ def nnf(f: Formula) -> Formula:
         if isinstance(g, Exists):
             return Forall(g.variables, nnf(Not(g.body)))
     raise TypeError(f"not a formula: {f!r}")
-
-
-# --------------------------------------------------------------------------
-# alpha equivalence
-
-
-def _canon_term(t: Term, env: dict) -> Term:
-    if isinstance(t, Variable):
-        return Variable(env.get(t.name, t.name))
-    if isinstance(t, Function):
-        return Function(t.name, tuple(_canon_term(a, env) for a in t.args))
-    return t
-
-
-def _canon(f: Formula, env: dict, counter) -> Formula:
-    if isinstance(f, Atom):
-        return Atom(f.predicate, tuple(_canon_term(a, env) for a in f.args))
-    if isinstance(f, Equal):
-        return Equal(_canon_term(f.left, env), _canon_term(f.right, env))
-    if isinstance(f, Not):
-        return Not(_canon(f.body, env, counter))
-    if isinstance(f, And):
-        return And(tuple(_canon(p, env, counter) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(_canon(p, env, counter) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(_canon(f.antecedent, env, counter), _canon(f.consequent, env, counter))
-    if isinstance(f, Iff):
-        return Iff(_canon(f.left, env, counter), _canon(f.right, env, counter))
-    if isinstance(f, (Forall, Exists)):
-        inner = dict(env)
-        fresh = tuple(f"v{next(counter)}" for _ in f.variables)
-        inner.update(zip(f.variables, fresh))
-        cls = Forall if isinstance(f, Forall) else Exists
-        return cls(fresh, _canon(f.body, inner, counter))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def alpha_equal(f: Formula, g: Formula) -> bool:
-    """Structural equality up to consistent renaming of bound variables."""
-    return _canon(f, {}, itertools.count()) == _canon(g, {}, itertools.count())

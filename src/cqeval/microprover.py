@@ -1,20 +1,27 @@
 """A small saturation prover used as the bundled backend.
 
-Refutation by binary resolution with factoring over clauses obtained
-from negation normal form, inline skolemization and or-over-and
-distribution.  Equality is handled by axiomatization: reflexivity,
-symmetry, transitivity plus congruence clauses for every function and
-predicate symbol that occurs alongside ``=``.
+Refutation by binary resolution with factoring.  Equality is handled by
+axiomatization: reflexivity, symmetry, transitivity plus congruence
+clauses for every function and predicate symbol that occurs alongside
+``=``.
 
-The distribution prunes as it goes (Nonnengart & Weidenbach, "Computing
-Small Clause Normal Forms", 2001): before a product in which either side
-holds more than one clause, each side loses repeated literals,
+Clausification is one pass over each input formula as written, with a
+polarity flag (Nonnengart & Weidenbach, "Computing Small Clause Normal
+Forms", 2001).  ``not``, ``=>`` and ``<=>`` are read by polarity; a
+universal quantifier under positive polarity, or an existential under
+negative, binds a fresh variable, and the other two cases bind a skolem
+term over the variables in scope.  Skolem functors are keyed by ints, so
+they cannot collide with input names.  Each literal is interned into the
+proof attempt's term table as it is met, and the clauses come out in the
+order that distributing the negation normal form would give.  The
+distribution prunes as it goes: both sides of a product in which either
+side holds more than one clause, and its rows, lose repeated literals,
 tautologies and repeats of earlier partial clauses.  This yields the
 clauses that distributing first and pruning afterwards would keep, in
 the same order, so nested ``<=>`` over a few atoms stays small.  A chain
 of ``<=>`` over distinct atoms still doubles its clauses with every
-connective; the deadline is checked between input formulas and once per
-row of each product, so such a chain ends in Timeout.
+connective; the deadline is checked at every node of the formula and
+once per partial clause, so such a chain ends in Timeout.
 
 The search is a given-clause loop.  Clauses wait in a queue ordered by
 length, then by age.  The given clause joins the processed set and is
@@ -31,10 +38,9 @@ longer than the literal cap or renamings of a clause already seen are
 dropped.  The result counts the work: given clauses, partner pairs,
 unifications, derived clauses kept and duplicates dropped.
 
-Terms are interned: ``prove`` converts the clausified input once into
-ints over a per-run table, so comparing and hashing terms is O(1), and
-every walk over a term keeps its own stack, so deep terms cannot exhaust
-the interpreter's recursion limit.  A waiting clause shares its terms
+Terms are interned as ints over a per-run table, so comparing and
+hashing terms is O(1), and every walk over a term keeps its own stack,
+so deep terms cannot exhaust the interpreter's recursion limit.  A waiting clause shares its terms
 with its dedup key.  When it is given it gets variables of its own, once,
 so a resolution step renames nothing; only a given clause resolving with
 itself takes a copy.
@@ -52,15 +58,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 import time
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from . import kif
 from .kif import (
-    And, Atom, Constant, Equal, Exists, Forall, Formula, Function, Not, Or,
-    Term, Variable,
+    And, Atom, Constant, Equal, Exists, Forall, Formula, Iff, Implies, Not, Term, Variable,
 )
 from .tptp import ProverResult, SearchCounts, SzsStatus
 
@@ -68,35 +71,9 @@ NEGATED_CONJECTURE = "negated_conjecture"
 EQUALITY_ORIGIN = "eq"
 
 
-@dataclass(frozen=True)
-class Literal:
-    positive: bool
-    predicate: str  # "=" for equality
-    args: tuple[Term, ...]
-
-    def __str__(self):
-        if self.predicate == "=" and len(self.args) == 2:
-            core = f"{_term_str(self.args[0])} = {_term_str(self.args[1])}"
-        else:
-            inner = ", ".join(_term_str(a) for a in self.args)
-            core = f"{self.predicate}({inner})" if inner else self.predicate
-        return core if self.positive else "~" + core
-
-
-def _term_str(t: Term) -> str:
-    if isinstance(t, Variable):
-        return t.name
-    if isinstance(t, Constant):
-        return t.name
-    inner = ", ".join(_term_str(a) for a in t.args)
-    return f"{t.name}({inner})" if inner else t.name
-
-
 class Clause:
-    """Identity-based clause node; parents link the derivation tree.
-
-    ``clausify`` gives ``Literal`` objects; inside ``prove`` the literals
-    are interned ints (see ``_Terms``)."""
+    """Identity-based clause node; parents link the derivation tree.  Its
+    literals are interned ints (see ``_Terms``)."""
 
     __slots__ = ("literals", "origin", "parents")
 
@@ -105,129 +82,16 @@ class Clause:
         self.origin = origin
         self.parents = tuple(parents)
 
-    def __str__(self):
-        return " | ".join(str(l) for l in self.literals) if self.literals else "<empty>"
-
 
 # --------------------------------------------------------------------------
 # clausification
-
-
-class _Fresh:
-    """Name supply and deadline shared across one problem's clausification."""
-
-    def __init__(self, skolem_start: int = 1, deadline: float = math.inf):
-        self.var_counter = 0
-        self.skolem_counter = skolem_start
-        self.deadline = deadline
-
-    def variable(self, base: str) -> str:
-        self.var_counter += 1
-        return f"{base}_{self.var_counter}"
-
-    def skolem(self) -> str:
-        name = f"sk{self.skolem_counter}"
-        self.skolem_counter += 1
-        return name
-
-
-_SKOLEM_RE = re.compile(r"^sk(\d+)$")
-
-
-def skolem_floor(formulas) -> int:
-    """First free skN index given symbols already present in the input."""
-    top = 0
-    for f in formulas:
-        for sym in kif.symbols(f):
-            m = _SKOLEM_RE.match(sym)
-            if m:
-                top = max(top, int(m.group(1)))
-    return top + 1
-
-
-def _subst_term(t: Term, env: dict) -> Term:
-    if isinstance(t, Variable):
-        return env.get(t.name, t)
-    if isinstance(t, Function):
-        return Function(t.name, tuple(_subst_term(a, env) for a in t.args))
-    return t
-
-
-def _skolemize(f: Formula, env: dict, universals: tuple, fresh: _Fresh, used: set) -> Formula:
-    """NNF in, quantifier-free matrix out.  Universal variables are renamed
-    apart (so dropping the quantifiers is sound even under disjunction) and
-    existential ones replaced by skolem terms over the universals in scope."""
-    if isinstance(f, Atom):
-        return Atom(f.predicate, tuple(_subst_term(a, env) for a in f.args))
-    if isinstance(f, Equal):
-        return Equal(_subst_term(f.left, env), _subst_term(f.right, env))
-    if isinstance(f, Not):
-        return Not(_skolemize(f.body, env, universals, fresh, used))
-    if isinstance(f, And):
-        return And(tuple(_skolemize(p, env, universals, fresh, used) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(_skolemize(p, env, universals, fresh, used) for p in f.parts))
-    if isinstance(f, Forall):
-        inner = dict(env)
-        new_universals = list(universals)
-        for v in f.variables:
-            name = v if v not in used else fresh.variable(v)
-            used.add(name)
-            var = Variable(name)
-            inner[v] = var
-            new_universals.append(var)
-        return _skolemize(f.body, inner, tuple(new_universals), fresh, used)
-    if isinstance(f, Exists):
-        inner = dict(env)
-        for v in f.variables:
-            inner[v] = Function(fresh.skolem(), universals)
-        return _skolemize(f.body, inner, universals, fresh, used)
-    raise TypeError(f"clausifier expects NNF, found {type(f).__name__}")
 
 
 class _Deadline(Exception):
     """Clausification ran past the deadline of its proof attempt."""
 
 
-def _matrix_to_clauses(f: Formula, deadline: float) -> list:
-    """Distribute or over and; returns lists of literals.  A product in
-    which either side holds more than one clause prunes both sides first
-    (see ``_prune``) and checks ``deadline`` once per row."""
-    if isinstance(f, Atom):
-        return [[Literal(True, f.predicate, f.args)]]
-    if isinstance(f, Equal):
-        return [[Literal(True, "=", (f.left, f.right))]]
-    if isinstance(f, Not):
-        g = f.body
-        if isinstance(g, Atom):
-            return [[Literal(False, g.predicate, g.args)]]
-        if isinstance(g, Equal):
-            return [[Literal(False, "=", (g.left, g.right))]]
-        raise TypeError("negation below NNF reached clausifier")
-    if isinstance(f, And):
-        out = []
-        for p in f.parts:
-            out.extend(_matrix_to_clauses(p, deadline))
-        return out
-    if isinstance(f, Or):
-        acc: list = [[]]
-        for p in f.parts:
-            branch = _matrix_to_clauses(p, deadline)
-            if len(acc) == 1 and len(branch) == 1:
-                acc = [acc[0] + branch[0]]
-                continue
-            acc, branch = _prune(acc, deadline), _prune(branch, deadline)
-            product: list = []
-            for a in acc:
-                if time.monotonic() > deadline:
-                    raise _Deadline
-                product += [a + b for b in branch]
-            acc = product
-        return acc
-    raise TypeError(f"unexpected node in matrix: {type(f).__name__}")
-
-
-def _prune(partials, deadline: float) -> list:
+def _prune(terms: _Terms, partials, deadline: float) -> list:
     """The first occurrence of each partial clause, without repeated
     literals, unless it is a tautology.  Nothing is lost: a tautology
     extends only to tautologies, and a repeat only to repeats of clauses
@@ -238,41 +102,87 @@ def _prune(partials, deadline: float) -> list:
         if time.monotonic() > deadline:
             raise _Deadline
         unique = tuple(dict.fromkeys(lits))
-        if unique not in out and not _is_tautology(unique):
+        if unique not in out and not terms.tautology(unique):
             out[unique] = None
-    return [list(u) for u in out]  # lists, as the leaves are, so that a + b works
+    return list(out)
 
 
-def _is_tautology(lits) -> bool:
-    pos = {(l.predicate, l.args) for l in lits if l.positive}
-    for l in lits:
-        if not l.positive and (l.predicate, l.args) in pos:
-            return True
-        if l.positive and l.predicate == "=" and l.args[0] == l.args[1]:
-            return True
-    return False
+def _product(terms: _Terms, branches, deadline: float) -> list:
+    """Distribute or over and: every clause of the first branch joined
+    with every clause of the next, and so on, rows in that order.  Unless
+    both sides are single clauses, the sides are pruned before a product
+    and its rows as they are made."""
+    acc: list = [()]
+    for branch in branches:
+        if len(acc) == 1 and len(branch) == 1:
+            acc = [acc[0] + branch[0]]
+        else:
+            branch = _prune(terms, branch, deadline)
+            rows = (a + b for a in _prune(terms, acc, deadline) for b in branch)
+            acc = _prune(terms, rows, deadline)
+    return acc
 
 
-def clausify(f: Formula, origin, fresh: _Fresh) -> list:
-    """Clauses for one closed formula, tautologies and repeats dropped, each
-    without repeated literals.  Raises ``_Deadline`` past ``fresh.deadline``."""
-    if time.monotonic() > fresh.deadline:
-        raise _Deadline
-    matrix = _skolemize(kif.nnf(kif.universal_closure(f)), {}, (), fresh, set())
-    return [Clause(lits, origin=origin)
-            for lits in _prune(_matrix_to_clauses(matrix, fresh.deadline), fresh.deadline)]
+def clausify(f: Formula, origin, terms: _Terms, deadline: float = math.inf) -> list:
+    """Clauses for one formula, its free variables read universally, with
+    literals interned into ``terms``; tautologies and repeats dropped, each
+    clause without repeated literals.  Raises ``_Deadline`` past
+    ``deadline``."""
+
+    def cnf(g: Formula, positive: bool, env: dict, universals: tuple) -> list:
+        """The clauses of ``g`` if ``positive``, else of its negation, as
+        distributing its negation normal form would give them."""
+        if time.monotonic() > deadline:
+            raise _Deadline
+        if isinstance(g, (Atom, Equal)):
+            if isinstance(g, Atom):
+                name, args = g.predicate, g.args
+            else:
+                name, args = "=", (g.left, g.right)
+            ids = tuple(terms.from_kif(a, env) for a in args)
+            return [(2 * terms.make(terms.symbol(name, len(ids)), ids) + positive,)]
+        if isinstance(g, Not):
+            return cnf(g.body, not positive, env, universals)
+        if isinstance(g, Iff):
+            # (l & r) | (~l & ~r); negated, (l & ~r) | (~l & r)
+            return _product(terms, (
+                cnf(g.left, True, env, universals) + cnf(g.right, positive, env, universals),
+                cnf(g.left, False, env, universals) + cnf(g.right, not positive, env, universals),
+            ), deadline)
+        if isinstance(g, (Forall, Exists)):
+            env = dict(env)
+            if isinstance(g, Forall) == positive:
+                bound = tuple(terms.var() for _ in g.variables)
+                env.update(zip(g.variables, bound))
+                universals += bound
+            else:
+                for v in g.variables:
+                    env[v] = terms.make(terms.skolem(len(universals)), universals)
+            return cnf(g.body, positive, env, universals)
+        if isinstance(g, Implies):  # ~a | c
+            parts = ((g.antecedent, not positive), (g.consequent, positive))
+            conjunctive = not positive
+        else:
+            parts = tuple((p, positive) for p in g.parts)
+            conjunctive = isinstance(g, And) == positive
+        if conjunctive:
+            return [c for p, sign in parts for c in cnf(p, sign, env, universals)]
+        return _product(terms, (cnf(p, sign, env, universals) for p, sign in parts), deadline)
+
+    clauses = cnf(kif.universal_closure(f), True, {}, ())
+    return [Clause(lits, origin=origin) for lits in _prune(terms, clauses, deadline)]
 
 
 # --------------------------------------------------------------------------
 # interned terms
 #
 # Inside ``prove`` a term is an int.  A variable is negative: the even
-# ones (-2, -4, ...) belong to processed clauses, a fresh set per clause,
-# and the odd ones (-1, -3, ...) number the variables of a clause that is
-# being built or keyed or that waits in the queue.  Any other term is an
-# index into the table of one ``_Terms``, which holds each distinct
-# (functor, child ids) once, so two terms are equal exactly when their ids
-# are.  A literal is the int ``2 * atom + positive``, where the atom is a
+# ones (-2, -4, ...) are fresh from the table, one per quantifier binding
+# during clausification and a set per processed clause, and the odd ones
+# (-1, -3, ...) number the variables of a clause that is being built or
+# keyed or that waits in the queue.  Any other term is an index into the
+# table of one ``_Terms``, which holds each distinct (functor, child ids)
+# once, so two terms are equal exactly when their ids are.  A literal is the int ``2 * atom + positive``, where the atom is a
 # term whose functor is the predicate.  Every walk below keeps its own
 # stack, so term depth is bounded by memory, not by the interpreter's
 # recursion limit.
@@ -292,7 +202,8 @@ class _Terms:
     """Hash-consed term table of one proof attempt."""
 
     def __init__(self):
-        self.symbols: dict = {}  # (name, arity, or None for a constant) -> functor
+        self.symbols: dict = {}  # (name, arity, or None for a constant) -> functor;
+        # a skolem functor's name is an int
         self.ids: dict = {}  # (functor, child ids) -> term
         self.functor: list = []
         self.args: list = []
@@ -315,20 +226,22 @@ class _Terms:
             ground.append(all(a >= 0 and ground[a] for a in args))
         return t
 
-    def symbol(self, name: str, arity) -> int:
+    def symbol(self, name, arity) -> int:
         return self.symbols.setdefault((name, arity), len(self.symbols))
 
-    def from_kif(self, t: Term, names: dict, fresh) -> int:
-        """Intern a kif term; ``names`` maps variable names to variables
-        and takes ``fresh()`` for each name it has not seen."""
+    def skolem(self, arity: int) -> int:
+        """A functor of its own, keyed by an int name, which no input
+        symbol has."""
+        return self.symbol(len(self.symbols), arity)
+
+    def from_kif(self, t: Term, env: dict) -> int:
+        """Intern a kif term whose variables ``env`` maps to terms."""
         done: list = []
         stack = [(t, False)]
         while stack:
             node, expanded = stack.pop()
             if isinstance(node, Variable):
-                if node.name not in names:
-                    names[node.name] = fresh()
-                done.append(names[node.name])
+                done.append(env[node.name])
             elif isinstance(node, Constant):
                 done.append(self.make(self.symbol(node.name, None), ()))
             elif expanded:
@@ -340,10 +253,6 @@ class _Terms:
                 stack.append((node, True))
                 stack.extend((a, False) for a in reversed(node.args))
         return done[0]
-
-    def literal(self, lit: Literal, names: dict, fresh) -> int:
-        args = tuple(self.from_kif(a, names, fresh) for a in lit.args)
-        return 2 * self.make(self.symbol(lit.predicate, len(args)), args) + lit.positive
 
     def _occurs(self, v: int, t: int, subst: dict) -> bool:
         args, ground = self.args, self.ground
@@ -537,68 +446,49 @@ class _LiteralIndex:
 # equality axioms
 
 
-def _collect_signature(clauses):
-    functions: set = set()
-    predicates: set = set()
-    has_eq = False
-
-    def walk(t: Term):
-        if isinstance(t, Function):
-            functions.add((t.name, len(t.args)))
-            for a in t.args:
-                walk(a)
-
-    for c in clauses:
-        for l in c.literals:
-            if l.predicate == "=":
-                has_eq = True
-            else:
-                predicates.add((l.predicate, len(l.args)))
-            for a in l.args:
-                walk(a)
-    return has_eq, functions, predicates
-
-
-def equality_clauses(clauses) -> list:
-    """Reflexivity, symmetry, transitivity and congruence for the problem
-    signature; empty when no equality literal occurs."""
-    has_eq, functions, predicates = _collect_signature(clauses)
-    if not has_eq:
+def equality_clauses(terms: _Terms, clauses) -> list:
+    """Reflexivity, symmetry, transitivity and congruence for the function
+    and predicate symbols of ``clauses``, over the same table; empty when
+    no equality literal occurs there.  Congruence clauses follow the
+    symbols' names, skolem functors last in the order they were made."""
+    functor, args = terms.functor, terms.args
+    eq = terms.symbols.get(("=", 2))
+    atoms = {l >> 1 for c in clauses for l in c.literals}
+    if eq is None or all(functor[a] != eq for a in atoms):
         return []
-    X, Y, Z = Variable("EQX"), Variable("EQY"), Variable("EQZ")
-    out = [
-        Clause([Literal(True, "=", (X, X))], origin=EQUALITY_ORIGIN),
-        Clause(
-            [Literal(False, "=", (X, Y)), Literal(True, "=", (Y, X))],
-            origin=EQUALITY_ORIGIN,
-        ),
-        Clause(
-            [
-                Literal(False, "=", (X, Y)),
-                Literal(False, "=", (Y, Z)),
-                Literal(True, "=", (X, Z)),
-            ],
-            origin=EQUALITY_ORIGIN,
-        ),
-    ]
-    for name, arity in sorted(functions):
-        if arity == 0:
-            continue
-        xs = tuple(Variable(f"EQA{i}") for i in range(arity))
-        ys = tuple(Variable(f"EQB{i}") for i in range(arity))
-        lits = [Literal(False, "=", (x, y)) for x, y in zip(xs, ys)]
-        lits.append(Literal(True, "=", (Function(name, xs), Function(name, ys))))
-        out.append(Clause(lits, origin=EQUALITY_ORIGIN))
-    for name, arity in sorted(predicates):
-        if arity == 0:
-            continue
-        xs = tuple(Variable(f"EQA{i}") for i in range(arity))
-        ys = tuple(Variable(f"EQB{i}") for i in range(arity))
-        lits = [Literal(False, "=", (x, y)) for x, y in zip(xs, ys)]
-        lits.append(Literal(False, name, xs))
-        lits.append(Literal(True, name, ys))
-        out.append(Clause(lits, origin=EQUALITY_ORIGIN))
-    return out
+    predicates = {functor[a] for a in atoms if functor[a] != eq and args[a]}
+    functions: set = set()
+    stack = [t for a in atoms for t in args[a]]
+    seen: set = set()
+    while stack:
+        t = stack.pop()
+        if t >= 0 and args[t] and t not in seen:
+            seen.add(t)
+            functions.add(functor[t])
+            stack.extend(args[t])
+    keys = {f: key for key, f in terms.symbols.items()}
+
+    def by_name(f):
+        return not isinstance(keys[f][0], str), keys[f]
+
+    def equal(a, b, positive):
+        return 2 * terms.make(eq, (a, b)) + positive
+
+    def congruence(f, function: bool) -> list:
+        arity = keys[f][1]
+        xs = tuple(terms.var() for _ in range(arity))
+        ys = tuple(terms.var() for _ in range(arity))
+        lits = [equal(a, b, 0) for a, b in zip(xs, ys)]
+        if function:
+            return lits + [equal(terms.make(f, xs), terms.make(f, ys), 1)]
+        return lits + [2 * terms.make(f, xs), 2 * terms.make(f, ys) + 1]
+
+    x, y, z = terms.var(), terms.var(), terms.var()
+    out = [[equal(x, x, 1)], [equal(x, y, 0), equal(y, x, 1)],
+           [equal(x, y, 0), equal(y, z, 0), equal(x, z, 1)]]
+    out += [congruence(f, True) for f in sorted(functions, key=by_name)]
+    out += [congruence(f, False) for f in sorted(predicates, key=by_name)]
+    return [Clause(lits, origin=EQUALITY_ORIGIN) for lits in out]
 
 
 # --------------------------------------------------------------------------
@@ -646,32 +536,26 @@ def prove(
         return ProverResult(szs=status, wall_seconds=time.monotonic() - start,
                             used_axioms=used, search=search)
 
-    formulas = [f for _, f in axioms] + [conjecture]
-    fresh = _Fresh(skolem_floor(formulas), deadline)
+    terms = _Terms()
     initial: list = []
     try:
         for label, f in axioms:
-            initial.extend(clausify(f, label, fresh))
-        initial.extend(clausify(Not(kif.universal_closure(conjecture)), NEGATED_CONJECTURE, fresh))
+            initial.extend(clausify(f, label, terms, deadline))
+        initial.extend(clausify(Not(kif.universal_closure(conjecture)), NEGATED_CONJECTURE,
+                                terms, deadline))
     except _Deadline:
         return finish(SzsStatus.TIMEOUT)
-    initial.extend(equality_clauses(initial))
+    initial.extend(equality_clauses(terms, initial))
 
-    terms = _Terms()
     heap: list = []
     known: set = set()
-
     for c in initial:
-        if not c.literals:
-            return finish(SzsStatus.THEOREM, empty=c)
-        names: dict = {}
-        var = _numbering()
-        key, lits = terms.canonical([terms.literal(l, names, var) for l in c.literals])
+        key, c.literals = terms.canonical(c.literals)
         if key in known:
             dedup_hits += 1
             continue
         known.add(key)
-        heappush(heap, (len(lits), seq, Clause(lits, origin=c.origin)))
+        heappush(heap, (len(c.literals), seq, c))
         seq += 1
 
     # Processed clauses in processing order; the index files each of their

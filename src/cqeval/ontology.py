@@ -51,27 +51,9 @@ class OntologyAxiom:
 @dataclass(frozen=True)
 class Ontology:
     name: str
-    source_format: str  # "kif" or "tptp"
     axioms: tuple[OntologyAxiom, ...]
     structural_facts: tuple[tuple[str, str, str], ...]
     vocabulary: frozenset[str]
-    source_path: str | None = None
-
-    def without(self, *labels: str) -> "Ontology":
-        """A copy with the named axioms removed; used for ablation runs."""
-        drop = set(labels)
-        missing = drop - {ax.label for ax in self.axioms}
-        if missing:
-            raise KeyError(f"no such axioms: {sorted(missing)}")
-        kept = tuple(ax for ax in self.axioms if ax.label not in drop)
-        return Ontology(
-            name=self.name,
-            source_format=self.source_format,
-            axioms=kept,
-            structural_facts=_facts_of(kept),
-            vocabulary=self.vocabulary,
-            source_path=self.source_path,
-        )
 
 
 def _fact_from(f: Formula | None):
@@ -118,11 +100,9 @@ def load_kif_ontology(path: str | Path, name: str | None = None) -> Ontology:
     axioms = tuple(axioms)
     return Ontology(
         name=name or path.stem,
-        source_format="kif",
         axioms=axioms,
         structural_facts=_facts_of(axioms),
         vocabulary=_vocabulary_of(axioms),
-        source_path=str(path),
     )
 
 
@@ -142,11 +122,9 @@ def load_tptp_ontology(path: str | Path, name: str | None = None) -> Ontology:
     axioms = tuple(axioms)
     return Ontology(
         name=name or path.stem,
-        source_format="tptp",
         axioms=axioms,
         structural_facts=_facts_of(axioms),
         vocabulary=_vocabulary_of(axioms),
-        source_path=str(path),
     )
 
 
@@ -163,7 +141,6 @@ def merge_ontologies(name: str, *sources: Ontology) -> Ontology:
     axioms: list = []
     seen: set = set()
     vocab: set = set()
-    fmt = sources[0].source_format if sources else "kif"
     for src in sources:
         for ax in src.axioms:
             if ax.label in seen:
@@ -174,11 +151,9 @@ def merge_ontologies(name: str, *sources: Ontology) -> Ontology:
     axioms = tuple(axioms)
     return Ontology(
         name=name,
-        source_format=fmt,
         axioms=axioms,
         structural_facts=_facts_of(axioms),
         vocabulary=frozenset(vocab),
-        source_path=None,
     )
 
 

@@ -36,7 +36,9 @@ from cqeval.microprover import prove
 from cqeval.runner import ProverResult
 from cqeval.tptp import SzsStatus
 from cqeval.verdict import Classification
-from test_coremap import check_against_oracle, graph_case
+from test_coremap import as_mapping_entries, check_against_oracle, graph_case
+from test_kif import alpha_equal
+from test_ontology import without
 from test_verdict import FALSITY_TABLE, TRUTH_TABLE
 
 
@@ -191,14 +193,14 @@ def test_criterion_2_worked_examples(corpus, capsys, tmp_path):
         for cq_id, expected_text in WORKED_EXAMPLES:
             cq = by_id[cq_id]
             (expected,) = kif.parse_kif(expected_text)
-            assert kif.alpha_equal(cq.formula, expected), cq_id
+            assert alpha_equal(cq.formula, expected), cq_id
             # and the formula must survive its trip through problem syntax
             problem = tmp_path / f"{cq_id}.p"
             problem.write_text(tptp.render_fof(cq.id, "conjecture", cq.formula) + "\n")
             axioms, (name, back) = tptp.read_problem(problem)
             assert axioms == []
             assert name == cq.id
-            assert kif.alpha_equal(back, kif.universal_closure(expected)), cq_id
+            assert alpha_equal(back, kif.universal_closure(expected)), cq_id
         info["detail"] = (
             f"{len(WORKED_EXAMPLES)} pinned formulas match and survive "
             "the fof round trip"
@@ -287,7 +289,7 @@ def test_criterion_3_property_suite(corpus, journal, capsys):
         assert len(pairs) == 9
         rng = random.Random(3)
         for truth, falsity in pairs:
-            assert kif.alpha_equal(
+            assert alpha_equal(
                 kif.nnf(Not(truth.formula)), kif.nnf(falsity.formula)
             ), truth.id
             for _ in range(6):
@@ -319,7 +321,7 @@ def test_criterion_3_property_suite(corpus, journal, capsys):
             check_against_oracle(*graph_case(seed))
         idx, _, _, entries = graph_case(7)
         first = coremap.propagate_to_core(entries, idx)
-        again = coremap.propagate_to_core(coremap.as_mapping_entries(first), idx)
+        again = coremap.propagate_to_core(as_mapping_entries(first), idx)
         assert [(p.synset, p.term, p.relation) for p in again.entries] == [
             (p.synset, p.term, p.relation) for p in first.entries
         ]
@@ -366,7 +368,7 @@ def test_criterion_4_fixture_entailments(nulllist_ontology, deadliving_ontology,
         )
 
         # drop the load-bearing axiom: no proof, and an explicit countermodel
-        ablated = ont.without("ax_nulllist_empty")
+        ablated = without(ont, "ax_nulllist_empty")
         r2 = prove(_labeled(ablated), conj, limit_seconds=5, max_clauses=2000)
         assert r2.szs is not SzsStatus.THEOREM
         counter = oracles.Model(
@@ -423,7 +425,7 @@ def test_criterion_4_fixture_entailments(nulllist_ontology, deadliving_ontology,
 
         # ablate the subAttribute bridge: the question flips to unknown,
         # effectively passing, and the countermodel shows why
-        ablated = ont.without("ax_dead_unconscious")
+        ablated = without(ont, "ax_dead_unconscious")
         r2 = prove(_labeled(ablated), conj, limit_seconds=2, max_clauses=3000)
         v2 = verdict.classify(Polarity.FALSITY, r2, "cq_organisms_dead")
         assert v2.classification is Classification.UNKNOWN

@@ -338,3 +338,21 @@ def test_run_with_malformed_journal(mini_campaign):
     root, config = mini_campaign
     (root / "journal.ldjson").write_text('not json\n{"cq_id": "cq_x"}\n', encoding="utf-8")
     _expect_error(["run", "--config", str(config)], "malformed journal line 1")
+
+
+@pytest.mark.parametrize("flags, needle", [
+    (("--jobs", "-1"), "max_parallel must be at least 1"),
+    (("--jobs", "0"), "max_parallel must be at least 1"),
+    (("--timeout", "-2"), "timeout_seconds must be positive"),
+    (("--timeout", "0"), "timeout_seconds must be positive"),
+])
+def test_run_rejects_bad_flags(mini_campaign, flags, needle):
+    root, config = mini_campaign
+    _expect_error(["run", "--config", str(config), *flags], needle)
+    assert not (root / "journal.ldjson").exists()
+
+
+def test_run_rejects_bad_jobs_env(mini_campaign, monkeypatch):
+    root, config = mini_campaign
+    monkeypatch.setenv("CQEVAL_JOBS", "two")
+    _expect_error(["run", "--config", str(config)], "'two'")

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from cqeval import kif, ontology
-from cqeval.coremap import as_mapping_entries, downgrade, propagate_to_core
+from cqeval.coremap import downgrade, propagate_to_core
 from cqeval.ontology import OntologyAxiom, build_index
 from cqeval.wordnet import MappingEntry, MappingRelation, Pos, SynsetId
 
@@ -28,7 +28,6 @@ def _index_from(facts, vocabulary):
     )
     core = ontology.Ontology(
         name="synthetic",
-        source_format="kif",
         axioms=axioms,
         structural_facts=tuple(facts),
         vocabulary=frozenset(vocabulary),
@@ -161,6 +160,11 @@ def check_against_oracle(idx, edges, vocabulary, entries):
 def test_random_taxonomies_match_oracle():
     for seed in range(8):
         check_against_oracle(*graph_case(seed))
+
+
+def as_mapping_entries(result):
+    """Propagated entries viewed as plain mapping entries, for a re-run."""
+    return [MappingEntry(p.synset, p.term, p.relation) for p in result.entries]
 
 
 def test_propagation_is_idempotent():

