@@ -449,6 +449,9 @@ def cmd_diff(args) -> int:
 
 
 def cmd_check_cqs(args) -> int:
+    # a check that times out counts as nontrivial, so no time screens nothing
+    if not args.timeout > 0:
+        raise CliError(f"bad check-cqs setting: timeout must be positive, got {args.timeout}")
     cfg = Config.load(args.config)
     corpus = _load_corpus(cfg)
     from . import microprover

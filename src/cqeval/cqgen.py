@@ -24,6 +24,7 @@ from pathlib import Path
 from . import kif
 from .kif import And, Atom, Constant, Equal, Exists, Forall, Formula, Implies, Not, Or, Variable
 from .ontology import OntologyIndex
+from .tptp import SzsStatus
 from .wordnet import MappingRelation
 
 
@@ -214,6 +215,8 @@ def gen_relation(links, core_entries) -> GenResult:
     res = GenResult([], {})
     seen: set = set()
     for ln in sorted(links, key=_link_order):
+        if ln.relation == "event":
+            continue  # gen_event's link
         pattern = _RELATION_PATTERNS.get(ln.relation)
         if pattern is None:
             res._skip("other_relation")
@@ -269,8 +272,7 @@ def gen_event(links, core_entries) -> GenResult:
     seen: set = set()
     for ln in sorted(links, key=_link_order):
         if ln.relation != "event":
-            res._skip("other_relation")
-            continue
+            continue  # gen_relation's link, or skipped there
         ev, en = by_synset.get(ln.verb), by_synset.get(ln.noun)
         if ev is None or en is None:
             res._skip("unmapped")
@@ -368,7 +370,7 @@ def _strip_foralls(f: Formula) -> Formula:
     return f
 
 
-def check_nontriviality(cq: CompetencyQuestion, prove=None) -> bool:
+def check_nontriviality(cq: CompetencyQuestion, prove) -> bool:
     """False when the question's conclusion already follows from its own
     premises with no ontology at all; such a question tests nothing.
 
@@ -379,14 +381,8 @@ def check_nontriviality(cq: CompetencyQuestion, prove=None) -> bool:
     body = _strip_foralls(cq.formula)
     if not isinstance(body, Implies):
         return True
-    if prove is None:
-        from .microprover import prove as prove_fn
-    else:
-        prove_fn = prove
-    from .tptp import SzsStatus
-
     try:
-        result = prove_fn([], kif.universal_closure(cq.formula))
+        result = prove([], kif.universal_closure(cq.formula))
     except Exception:
         return True
     return result.szs is not SzsStatus.THEOREM

@@ -6,31 +6,26 @@ output, which makes it usable as an external prover command:
     python -m cqeval.prover_cli problem.p --timeout 600
 
 The campaign runner's builtin backend goes through :func:`prove_problem`
-too, so both write the same output.
+too, so both write the same output, and the runner reads both the same
+way.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 from . import microprover, tptp
-from .tptp import ProverResult, SzsStatus
+from .tptp import SzsStatus
 
 
-def prove_problem(path, limit_seconds: float, max_literals: int,
-                  max_clauses: int) -> tuple[ProverResult, str]:
-    """Read a problem, prove it and render SZS output.
-
-    Returns the result (no output path set, and no search counts, which
-    journal records do not carry) and the output text: the SZS lines, the
+def prove_problem(path, limit_seconds: float, max_literals: int, max_clauses: int) -> str:
+    """Read a problem, prove it and render SZS output: the SZS lines, the
     prover's own time and a ``% Search:`` line with its counters.  Any
-    failure to read or prove becomes an Error result.
+    failure to read or prove renders as an Error status.
     """
     name = Path(path).name
-    start = time.monotonic()
     try:
         axioms, (_, conjecture) = tptp.read_problem(path)
         inner = microprover.prove(
@@ -41,16 +36,12 @@ def prove_problem(path, limit_seconds: float, max_literals: int,
             max_clauses=max_clauses,
         )
     except Exception as e:
-        wall = time.monotonic() - start
-        return (ProverResult(SzsStatus.ERROR, wall),
-                f"% SZS status Error for {name}\n% {e}\n")
-    wall = time.monotonic() - start
+        return f"% SZS status Error for {name}\n% {e}\n"
     n = inner.search
-    text = (tptp.render_szs_output(inner.szs, inner.used_axioms, problem=name)
+    return (tptp.render_szs_output(inner.szs, inner.used_axioms, problem=name)
             + f"% Time elapsed: {inner.wall_seconds:.3f} s\n"
             + f"% Search: given={n.given} pairs={n.pairs} unifications={n.unifications}"
             f" kept={n.kept} dedup_hits={n.dedup_hits}\n")
-    return ProverResult(inner.szs, wall, inner.used_axioms, None, inner.wall_seconds), text
 
 
 def main(argv=None) -> int:
@@ -65,10 +56,9 @@ def main(argv=None) -> int:
     parser.add_argument("--max-literals", type=int, default=12,
                         help="discard derived clauses longer than this")
     args = parser.parse_args(argv)
-    result, text = prove_problem(args.problem, args.timeout, args.max_literals,
-                                 args.max_clauses)
+    text = prove_problem(args.problem, args.timeout, args.max_literals, args.max_clauses)
     sys.stdout.write(text)
-    return 1 if result.szs is SzsStatus.ERROR else 0
+    return 1 if tptp.parse_szs(text)[0] is SzsStatus.ERROR else 0
 
 
 if __name__ == "__main__":

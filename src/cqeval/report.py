@@ -15,8 +15,8 @@ import io
 import json
 from dataclasses import dataclass
 
-from .cqgen import FAMILIES, Polarity
-from .verdict import Classification, Verdict
+from .cqgen import FAMILIES, Corpus, Polarity
+from .verdict import Classification
 
 
 class ReportError(Exception):
@@ -69,69 +69,45 @@ def _mean(values) -> float | None:
     return sum(values) / len(values) if values else None
 
 
-def summarize(verdicts, corpus) -> Report:
+def _row(polarity: str, family: str, verdicts) -> ReportRow:
+    """One table row over its questions' verdicts, None where a question
+    has none."""
+    times: dict = {Classification.PASSING: [], Classification.NON_PASSING: []}
+    unknown = 0
+    for v in verdicts:
+        if v is None or v.classification is Classification.UNKNOWN:
+            unknown += 1
+        else:
+            times[v.classification].append(v.wall_seconds)
+    passing, non_passing = times[Classification.PASSING], times[Classification.NON_PASSING]
+    return ReportRow(polarity, family, len(verdicts), len(passing), len(non_passing), unknown,
+                     _mean(passing), _mean(non_passing))
+
+
+def summarize(verdicts, corpus: Corpus) -> Report:
     """Aggregate verdicts over a question corpus.
 
     Every verdict must name a corpus question; corpus questions without a
     verdict are counted unknown so the table never quietly shrinks.
     """
     by_id = {v.cq_id: v for v in verdicts}
-    corpus_questions = corpus.questions if hasattr(corpus, "questions") else list(corpus)
-    corpus_ids = {cq.id for cq in corpus_questions}
+    corpus_ids = {cq.id for cq in corpus.questions}
     stray = sorted(set(by_id) - corpus_ids)
     if stray:
         raise UnresolvedCqId(f"verdicts for unknown questions: {stray}")
     missing = tuple(sorted(corpus_ids - set(by_id)))
 
     cells: dict = {}
-    for cq in corpus_questions:
-        key = (cq.polarity.value, cq.pattern.family)
-        cell = cells.setdefault(key, {"p": 0, "n": 0, "u": 0, "pt": [], "nt": []})
-        v = by_id.get(cq.id)
-        if v is None or v.classification is Classification.UNKNOWN:
-            cell["u"] += 1
-        elif v.classification is Classification.PASSING:
-            cell["p"] += 1
-            cell["pt"].append(v.wall_seconds)
-        else:
-            cell["n"] += 1
-            cell["nt"].append(v.wall_seconds)
+    for cq in corpus.questions:
+        cells.setdefault((cq.polarity.value, cq.pattern.family), []).append(by_id.get(cq.id))
 
     rows: list = []
     for pol in (Polarity.TRUTH.value, Polarity.FALSITY.value):
-        group = [(fam, cells[(pol, fam)]) for fam in FAMILIES if (pol, fam) in cells]
-        if not group:
+        families = [fam for fam in FAMILIES if (pol, fam) in cells]
+        if not families:
             continue
-        tot = {"p": 0, "n": 0, "u": 0, "pt": [], "nt": []}
-        for fam, cell in group:
-            rows.append(
-                ReportRow(
-                    polarity=pol,
-                    family=fam,
-                    total=cell["p"] + cell["n"] + cell["u"],
-                    passing=cell["p"],
-                    non_passing=cell["n"],
-                    unknown=cell["u"],
-                    mean_passing=_mean(cell["pt"]),
-                    mean_non_passing=_mean(cell["nt"]),
-                )
-            )
-            for k in ("p", "n", "u"):
-                tot[k] += cell[k]
-            tot["pt"].extend(cell["pt"])
-            tot["nt"].extend(cell["nt"])
-        rows.append(
-            ReportRow(
-                polarity=pol,
-                family="total",
-                total=tot["p"] + tot["n"] + tot["u"],
-                passing=tot["p"],
-                non_passing=tot["n"],
-                unknown=tot["u"],
-                mean_passing=_mean(tot["pt"]),
-                mean_non_passing=_mean(tot["nt"]),
-            )
-        )
+        rows.extend(_row(pol, fam, cells[(pol, fam)]) for fam in families)
+        rows.append(_row(pol, "total", [v for fam in families for v in cells[(pol, fam)]]))
     flagged = tuple(sorted(v.cq_id for v in verdicts if v.flagged))
     return Report(rows, by_id, frozenset(corpus_ids), missing, flagged)
 

@@ -4,7 +4,8 @@ Takes a directory of problem files and runs each through either an
 external prover command or the bundled backend, with a hard wall-clock
 limit per problem.  External provers run in their own process group and
 are killed outright when the limit passes; the grace period only covers
-collecting output from the dying process.
+collecting output from the dying process.  Either way the output is
+archived, and the result is read back from its SZS lines.
 
 Every finished problem is appended to a line-delimited JSON journal
 under a lock.  On restart, journaled ids are skipped and their results
@@ -22,7 +23,7 @@ import subprocess
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import prover_cli, tptp
@@ -128,28 +129,25 @@ def _archive(cfg: RunnerConfig, cq_id: str, text: str) -> str:
     return str(path)
 
 
-def _run_external(problem: ProblemFile, cfg: RunnerConfig) -> ProverResult:
+def _run_external(problem: ProblemFile, cfg: RunnerConfig) -> tuple[str, SzsStatus]:
+    """The prover's output, and the status to read when it names none."""
     # whole seconds, at least one: 0 means no limit to E's --cpu-limit and an
     # immediate timeout to prover_cli
     cmd = cfg.prover_cmd.format(problem=problem.path, timeout=max(1, int(cfg.timeout_seconds)))
-    argv = shlex.split(cmd)
-    start = time.monotonic()
     try:
         proc = subprocess.Popen(
-            argv,
+            shlex.split(cmd),
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             start_new_session=True,
         )
     except OSError as e:
-        wall = time.monotonic() - start
-        out_path = _archive(cfg, problem.cq_id, f"spawn failure: {e}\n")
-        return ProverResult(SzsStatus.ERROR, wall, (), out_path, None)
-    timed_out = False
+        return f"spawn failure: {e}\n", SzsStatus.ERROR
     try:
         out, _ = proc.communicate(timeout=cfg.timeout_seconds)
+        silent = SzsStatus.NO_STATUS
     except subprocess.TimeoutExpired:
-        timed_out = True
+        silent = SzsStatus.TIMEOUT
         try:
             os.killpg(proc.pid, signal.SIGKILL)
         except (ProcessLookupError, PermissionError):
@@ -158,29 +156,24 @@ def _run_external(problem: ProblemFile, cfg: RunnerConfig) -> ProverResult:
             out, _ = proc.communicate(timeout=cfg.grace_seconds)
         except subprocess.TimeoutExpired:
             out = b""
-    wall = time.monotonic() - start
-    text = (out or b"").decode("utf-8", errors="replace")
-    out_path = _archive(cfg, problem.cq_id, text)
-    status, used = tptp.parse_szs(text)
-    if timed_out and status is SzsStatus.NO_STATUS:
-        status = SzsStatus.TIMEOUT
-    return ProverResult(status, wall, used, out_path, tptp.parse_reported_seconds(text))
-
-
-def _run_builtin(problem: ProblemFile, cfg: RunnerConfig) -> ProverResult:
-    result, text = prover_cli.prove_problem(
-        problem.path,
-        cfg.timeout_seconds,
-        cfg.builtin_max_literals,
-        cfg.builtin_max_clauses,
-    )
-    return replace(result, raw_output_path=_archive(cfg, problem.cq_id, text))
+    return (out or b"").decode("utf-8", errors="replace"), silent
 
 
 def run_one(problem: ProblemFile, cfg: RunnerConfig) -> ProverResult:
+    """Run either backend, archive its output and read the result from it."""
+    start = time.monotonic()
     if cfg.prover_cmd == BUILTIN:
-        return _run_builtin(problem, cfg)
-    return _run_external(problem, cfg)
+        text = prover_cli.prove_problem(problem.path, cfg.timeout_seconds,
+                                        cfg.builtin_max_literals, cfg.builtin_max_clauses)
+        silent = SzsStatus.NO_STATUS
+    else:
+        text, silent = _run_external(problem, cfg)
+    wall = time.monotonic() - start
+    out_path = _archive(cfg, problem.cq_id, text)
+    status, used = tptp.parse_szs(text)
+    if status is SzsStatus.NO_STATUS:
+        status = silent
+    return ProverResult(status, wall, used, out_path, tptp.parse_reported_seconds(text))
 
 
 # --------------------------------------------------------------------------

@@ -187,7 +187,6 @@ _SUFFIX_TO_RELATION = {r.value: r for r in MappingRelation}
 # Complement suffixes exist in the wild but carry no positive content for
 # question generation, so they are opt-in.
 DEFAULT_SUFFIXES = frozenset({"=", "+", "@"})
-ALL_SUFFIXES = frozenset(_SUFFIX_TO_RELATION)
 
 
 @dataclass(frozen=True)

@@ -303,9 +303,9 @@ def test_criterion_3_property_suite(corpus, journal, capsys):
             (Polarity.TRUTH, TRUTH_TABLE),
             (Polarity.FALSITY, FALSITY_TABLE),
         ):
-            for status, cls, eff, flagged in table:
+            for status, cls, _, flagged in table:
                 v = verdict.classify(polarity, _result(status), "cq_cell")
-                assert (v.classification, v.effective, v.flagged) == (cls, eff, flagged)
+                assert (v.classification, v.flagged) == (cls, flagged)
 
         # report rows conserve the corpus
         rep = report.summarize(
@@ -398,7 +398,6 @@ def test_criterion_4_fixture_entailments(nulllist_ontology, deadliving_ontology,
         )
         v = verdict.classify(Polarity.FALSITY, r, "cq_organisms_dead")
         assert v.classification is Classification.NON_PASSING
-        assert v.effective is Classification.NON_PASSING
 
         # same entailment through the ground oracle, biconditional
         # hand-skolemized because positive existentials must not be
@@ -424,12 +423,11 @@ def test_criterion_4_fixture_entailments(nulllist_ontology, deadliving_ontology,
         assert oracles.ground_entails(others + skolemized, facts, universe)
 
         # ablate the subAttribute bridge: the question flips to unknown,
-        # effectively passing, and the countermodel shows why
+        # and the countermodel shows why
         ablated = without(ont, "ax_dead_unconscious")
         r2 = prove(_labeled(ablated), conj, limit_seconds=2, max_clauses=3000)
         v2 = verdict.classify(Polarity.FALSITY, r2, "cq_organisms_dead")
         assert v2.classification is Classification.UNKNOWN
-        assert v2.effective is Classification.PASSING
         counter = oracles.Model(
             domain=["o", "Dead", "Living", "Unconscious", "CA", "SA", "Org"],
             consts={

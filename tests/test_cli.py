@@ -59,7 +59,7 @@ def test_generate_output(pipeline):
         "event3 truth=1 falsity=1\n"
         "creative truth=2 falsity=1\n"
         "total truth=11 falsity=10\n"
-        "skipped non_equivalence=1 other_relation=8 unmapped=1\n"
+        "skipped non_equivalence=1 other_relation=1 unmapped=1\n"
         f"wrote {corpus_path} (21 questions)\n"
     )
 
@@ -153,6 +153,17 @@ def test_check_cqs_flags_self_proving(tmp_path):
     code, out, err = run_cli("check-cqs", "--config", str(config))
     assert code == 0, err
     assert out == "trivial: cq_self_proving\nchecked 1 questions, 1 trivial\n"
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1"])
+def test_check_cqs_rejects_non_positive_timeout(pipeline, timeout):
+    # every check would time out, and a timeout counts as nontrivial
+    code, out, err = run_cli(
+        "check-cqs", "--config", str(pipeline.config), "--timeout", timeout
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "timeout must be positive" in err
 
 
 # --------------------------------------------------------------------------

@@ -165,9 +165,10 @@ def test_gen_relation_result_link():
 
 def test_gen_relation_skips():
     links = [
-        MorphLink(V("00000001"), "event", N("00000002")),
+        MorphLink(V("00000001"), "event", N("00000002")),  # gen_event's
         MorphLink(V("00000003"), "agent", N("00000004")),
         MorphLink(V("00000005"), "instrument", N("00000006")),
+        MorphLink(V("00000007"), "body-part", N("00000008")),
     ]
     entries = [
         _entry(V("00000003"), "Teaching"),
@@ -177,6 +178,32 @@ def test_gen_relation_skips():
     res = gen_relation(links, entries)
     assert res.questions == []
     assert res.skipped == {"other_relation": 1, "complement_mapping": 1, "unmapped": 1}
+
+
+def test_each_link_yields_one_question_or_one_skip():
+    links = [
+        MorphLink(V("00000001"), "agent", N("00000002")),
+        MorphLink(V("00000001"), "agent", N("00000002")),  # duplicate
+        MorphLink(V("00000003"), "result", N("00000009")),  # unmapped noun
+        MorphLink(V("00000001"), "event", N("00000002")),
+        MorphLink(V("00000001"), "event", N("00000004")),  # same constant
+        MorphLink(V("00000003"), "event", N("00000005")),  # complement mapping
+        MorphLink(V("00000001"), "body-part", N("00000002")),
+        MorphLink(V("00000003"), "uses", N("00000005")),
+    ]
+    entries = [
+        _entry(V("00000001"), "Teaching"),
+        _entry(N("00000002"), "Teacher"),
+        _entry(V("00000003"), "Cutting"),
+        _entry(N("00000004"), "Teaching"),
+        _entry(N("00000005"), "Knife", MappingRelation.NOT_SUBSUMPTION),
+    ]
+    parts = [gen_relation(links, entries), gen_event(links, entries)]
+    questions = sum(len(res.questions) for res in parts)
+    skips = sum(n for res in parts for n in res.skipped.values())
+    assert (questions, skips) == (2, 6)
+    assert questions + skips == len(links)
+    assert sum(res.skipped.get("other_relation", 0) for res in parts) == 2
 
 
 # --------------------------------------------------------------------------

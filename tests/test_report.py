@@ -7,7 +7,7 @@ import json
 import pytest
 
 from cqeval import cqgen, kif
-from cqeval.cqgen import Pattern, Polarity
+from cqeval.cqgen import Corpus, Pattern, Polarity
 from cqeval.report import (
     FOOTNOTE,
     CorpusMismatch,
@@ -86,17 +86,17 @@ def test_stray_verdict_rejected(session_report, corpus):
 
 
 def test_small_synthetic_table():
-    questions = [
+    corpus = Corpus([
         _cq("cq_a", Polarity.TRUTH),
         _cq("cq_b", Polarity.TRUTH),
         _cq("cq_b_falsity", Polarity.FALSITY),
-    ]
+    ], {})
     verdicts = [
         _verdict("cq_a", Polarity.TRUTH, SzsStatus.THEOREM, wall=2.0),
         _verdict("cq_b", Polarity.TRUTH, SzsStatus.GAVE_UP),
         _verdict("cq_b_falsity", Polarity.FALSITY, SzsStatus.THEOREM, wall=4.0),
     ]
-    report = summarize(verdicts, questions)
+    report = summarize(verdicts, corpus)
     by_key = {(r.polarity, r.family): r for r in report.rows}
     truth = by_key[("truth", "antonym")]
     assert (truth.total, truth.passing, truth.unknown) == (2, 1, 1)
@@ -110,9 +110,9 @@ def test_small_synthetic_table():
 
 
 def test_flagged_listed():
-    questions = [_cq("cq_a", Polarity.TRUTH)]
+    corpus = Corpus([_cq("cq_a", Polarity.TRUTH)], {})
     verdicts = [_verdict("cq_a", Polarity.TRUTH, SzsStatus.ERROR)]
-    report = summarize(verdicts, questions)
+    report = summarize(verdicts, corpus)
     assert report.flagged == ("cq_a",)
     assert "flagged for review: cq_a" in render_text(report)
 
@@ -169,20 +169,20 @@ def test_diff_of_identical_runs_is_empty(session_report, corpus):
 
 
 def test_diff_reports_flip():
-    questions = [_cq("cq_a", Polarity.TRUTH), _cq("cq_b", Polarity.TRUTH)]
+    corpus = Corpus([_cq("cq_a", Polarity.TRUTH), _cq("cq_b", Polarity.TRUTH)], {})
     old = summarize(
         [
             _verdict("cq_a", Polarity.TRUTH, SzsStatus.THEOREM),
             _verdict("cq_b", Polarity.TRUTH, SzsStatus.GAVE_UP),
         ],
-        questions,
+        corpus,
     )
     new = summarize(
         [
             _verdict("cq_a", Polarity.TRUTH, SzsStatus.GAVE_UP),
             _verdict("cq_b", Polarity.TRUTH, SzsStatus.GAVE_UP),
         ],
-        questions,
+        corpus,
     )
     delta = diff_reports(old, new)
     assert [(f[0], f[1], f[2]) for f in delta.flips] == [
@@ -198,9 +198,9 @@ def test_diff_reports_flip():
 
 
 def test_diff_rejects_different_corpora():
-    questions = [_cq("cq_a", Polarity.TRUTH)]
-    other = [_cq("cq_b", Polarity.TRUTH)]
-    a = summarize([_verdict("cq_a", Polarity.TRUTH, SzsStatus.GAVE_UP)], questions)
+    corpus = Corpus([_cq("cq_a", Polarity.TRUTH)], {})
+    other = Corpus([_cq("cq_b", Polarity.TRUTH)], {})
+    a = summarize([_verdict("cq_a", Polarity.TRUTH, SzsStatus.GAVE_UP)], corpus)
     b = summarize([_verdict("cq_b", Polarity.TRUTH, SzsStatus.GAVE_UP)], other)
     with pytest.raises(CorpusMismatch):
         diff_reports(a, b)

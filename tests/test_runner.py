@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from cqeval import prover_cli
 from cqeval.runner import (
     RunnerConfig,
     discover_problems,
@@ -14,7 +15,13 @@ from cqeval.runner import (
     run_corpus,
     run_one,
 )
-from cqeval.tptp import ProblemFile, ProverResult, SzsStatus, parse_szs
+from cqeval.tptp import (
+    ProblemFile,
+    ProverResult,
+    SzsStatus,
+    parse_reported_seconds,
+    parse_szs,
+)
 
 PROBLEM_TEXT = """\
 % cq: cq_toy
@@ -115,6 +122,7 @@ def test_builtin_run_archives_output(tmp_path):
     assert result.raw_output_path == str(out)
     assert "\n% Search: given=2 pairs=1 unifications=1 kept=0 dedup_hits=0\n" in text
     assert parse_szs(text) == (SzsStatus.THEOREM, ("ax_fact",))
+    assert result.reported_seconds == parse_reported_seconds(text)
 
 
 def test_builtin_bad_problem_is_error(tmp_path):
@@ -126,6 +134,33 @@ def test_builtin_bad_problem_is_error(tmp_path):
     assert result.used_axioms == ()
     archived = (tmp_path / "outputs" / "cq_bad.out").read_text(encoding="utf-8")
     assert "SZS status Error" in archived
+
+
+def test_prover_cli_exit_code_follows_status(tmp_path, capsys):
+    assert prover_cli.main([str(_problem(tmp_path).path)]) == 0
+    assert "SZS status Theorem" in capsys.readouterr().out
+    bad = tmp_path / "cq_bad.p"
+    bad.write_text("fof(ax_only, axiom, s__p(s__a)).\n", encoding="utf-8")
+    assert prover_cli.main([str(bad)]) == 1
+    assert "SZS status Error" in capsys.readouterr().out
+
+
+def test_builtin_and_prover_cli_command_agree(pipeline, journal, tmp_path):
+    """The same problems, in-process and through the standalone command,
+    read the same way."""
+    settled = (SzsStatus.THEOREM, SzsStatus.GAVE_UP)
+    problems = [p for p in discover_problems(pipeline.root / "problems")
+                if journal[p.cq_id].szs in settled]
+    assert {journal[p.cq_id].szs for p in problems} == set(settled)
+    caps = dict(timeout_seconds=30.0, builtin_max_literals=12, builtin_max_clauses=1200)
+    command = (f"{sys.executable} -m cqeval.prover_cli {{problem}} --timeout {{timeout}}"
+               " --max-literals 12 --max-clauses 1200")
+    builtin = _cfg(tmp_path / "builtin", **caps)
+    external = _cfg(tmp_path / "external", prover_cmd=command, **caps)
+    for problem in problems:
+        a, b = run_one(problem, builtin), run_one(problem, external)
+        assert (a.szs, a.used_axioms) == (b.szs, b.used_axioms), problem.cq_id
+        assert a.szs is journal[problem.cq_id].szs, problem.cq_id
 
 
 # --------------------------------------------------------------------------

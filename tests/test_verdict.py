@@ -5,58 +5,48 @@ import pytest
 
 from cqeval.cqgen import Polarity
 from cqeval.tptp import ProverResult, SzsStatus
-from cqeval.verdict import (
-    Classification,
-    Verdict,
-    classify,
-    classify_all,
-)
+from cqeval.verdict import Classification, classify, classify_all
 
 P = Classification.PASSING
 N = Classification.NON_PASSING
 U = Classification.UNKNOWN
 
-# (status, classification, effective, flagged) for truth questions;
-# falsity rows below mirror the settled ones and flip the leaning.
+# (status, classification, twin's classification, flagged) for truth
+# questions, the twin being the falsity question under the same status;
+# falsity rows below mirror them.  A settled status splits the twins, an
+# unsettled one leaves both unknown.
 TRUTH_TABLE = [
-    (SzsStatus.THEOREM, P, P, False),
-    (SzsStatus.COUNTER_SATISFIABLE, N, N, False),
-    (SzsStatus.SATISFIABLE, U, N, False),
-    (SzsStatus.TIMEOUT, U, N, False),
-    (SzsStatus.GAVE_UP, U, N, False),
-    (SzsStatus.RESOURCE_OUT, U, N, False),
-    (SzsStatus.ERROR, U, N, True),
-    (SzsStatus.NO_STATUS, U, N, True),
+    (SzsStatus.THEOREM, P, N, False),
+    (SzsStatus.COUNTER_SATISFIABLE, N, P, False),
+    (SzsStatus.SATISFIABLE, U, U, False),
+    (SzsStatus.TIMEOUT, U, U, False),
+    (SzsStatus.GAVE_UP, U, U, False),
+    (SzsStatus.RESOURCE_OUT, U, U, False),
+    (SzsStatus.ERROR, U, U, True),
+    (SzsStatus.NO_STATUS, U, U, True),
 ]
 
-FALSITY_TABLE = [
-    (SzsStatus.THEOREM, N, N, False),
-    (SzsStatus.COUNTER_SATISFIABLE, P, P, False),
-    (SzsStatus.SATISFIABLE, U, P, False),
-    (SzsStatus.TIMEOUT, U, P, False),
-    (SzsStatus.GAVE_UP, U, P, False),
-    (SzsStatus.RESOURCE_OUT, U, P, False),
-    (SzsStatus.ERROR, U, P, True),
-    (SzsStatus.NO_STATUS, U, P, True),
-]
+FALSITY_TABLE = [(status, twin, cls, flagged) for status, cls, twin, flagged in TRUTH_TABLE]
 
 
 def _result(status, used=()):
     return ProverResult(status, 0.5, tuple(used))
 
 
-@pytest.mark.parametrize("status,cls,eff,flagged", TRUTH_TABLE)
-def test_truth_question_mapping(status, cls, eff, flagged):
+@pytest.mark.parametrize("status,cls,twin,flagged", TRUTH_TABLE)
+def test_truth_question_mapping(status, cls, twin, flagged):
     v = classify(Polarity.TRUTH, _result(status), "cq_x")
-    assert (v.classification, v.effective, v.flagged) == (cls, eff, flagged)
+    assert (v.classification, v.flagged) == (cls, flagged)
     assert v.szs is status
     assert v.wall_seconds == 0.5
+    assert classify(Polarity.FALSITY, _result(status), "cq_x_falsity").classification is twin
 
 
-@pytest.mark.parametrize("status,cls,eff,flagged", FALSITY_TABLE)
-def test_falsity_question_mapping(status, cls, eff, flagged):
+@pytest.mark.parametrize("status,cls,twin,flagged", FALSITY_TABLE)
+def test_falsity_question_mapping(status, cls, twin, flagged):
     v = classify(Polarity.FALSITY, _result(status), "cq_x_falsity")
-    assert (v.classification, v.effective, v.flagged) == (cls, eff, flagged)
+    assert (v.classification, v.flagged) == (cls, flagged)
+    assert classify(Polarity.TRUTH, _result(status), "cq_x").classification is twin
 
 
 def test_table_is_exhaustive():
@@ -70,17 +60,6 @@ def test_used_axioms_ride_along_only_on_theorems():
     # the prover result type itself forbids the other combination
     with pytest.raises(ValueError):
         ProverResult(SzsStatus.GAVE_UP, 0.5, ("ax_1",))
-
-
-def test_effective_must_lean():
-    with pytest.raises(ValueError):
-        Verdict(
-            cq_id="cq_x",
-            classification=U,
-            effective=U,
-            szs=SzsStatus.TIMEOUT,
-            wall_seconds=1.0,
-        )
 
 
 def test_classify_all_rejects_unknown_question(pipeline, corpus):

@@ -4,7 +4,6 @@ verb-noun link tables."""
 import pytest
 
 from conftest import WN
-from cqeval import wordnet
 from cqeval.wordnet import (
     DataFormatError,
     DuplicateKey,
@@ -20,6 +19,8 @@ from cqeval.wordnet import (
     parse_sense_index,
     parse_wn_data,
 )
+
+ALL_SUFFIXES = frozenset(r.value for r in MappingRelation)
 
 
 def test_synset_id_key_round_trip():
@@ -136,7 +137,7 @@ def test_parse_mapping_rejects_unlisted_suffix():
     line = "00100101 00 n 01 frozen 0 000 | g &%Thing:\n"
     with pytest.raises(UnknownSuffix):
         parse_mapping_file(line, Pos.NOUN)
-    parsed = parse_mapping_file(line, Pos.NOUN, suffixes=wordnet.ALL_SUFFIXES)
+    parsed = parse_mapping_file(line, Pos.NOUN, suffixes=ALL_SUFFIXES)
     assert parsed.entries[0].relation is MappingRelation.NOT_EQUIVALENCE
 
 
