@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from collections import Counter
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from . import coremap, cqgen, ontology, report, runner, store, tptp, wordnet
@@ -409,7 +410,10 @@ def cmd_run(args) -> int:
     if not problems:
         raise CliError(f"no problem files in {problems_dir}")
     rcfg = _runner_config(cfg, args)
-    results = runner.run_corpus(problems, rcfg)
+    try:
+        results = runner.run_corpus(problems, rcfg)
+    except BrokenExecutor as e:
+        raise CliError(f"{e} Finished results are journaled; run again to resume.") from None
     histogram: dict = {}
     for _, r in results:
         histogram[r.szs.value] = histogram.get(r.szs.value, 0) + 1

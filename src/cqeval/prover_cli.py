@@ -37,11 +37,9 @@ def prove_problem(path, limit_seconds: float, max_literals: int, max_clauses: in
         )
     except Exception as e:
         return f"% SZS status Error for {name}\n% {e}\n"
-    n = inner.search
     return (tptp.render_szs_output(inner.szs, inner.used_axioms, problem=name)
             + f"% Time elapsed: {inner.wall_seconds:.3f} s\n"
-            + f"% Search: given={n.given} pairs={n.pairs} unifications={n.unifications}"
-            f" kept={n.kept} dedup_hits={n.dedup_hits}\n")
+            + tptp.render_search(inner.search))
 
 
 def main(argv=None) -> int:

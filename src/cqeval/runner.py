@@ -1,16 +1,26 @@
 """Prover campaign driver.
 
 Takes a directory of problem files and runs each through either an
-external prover command or the bundled backend, with a hard wall-clock
-limit per problem.  External provers run in their own process group and
-are killed outright when the limit passes; the grace period only covers
-collecting output from the dying process.  Either way the output is
-archived, and the result is read back from its SZS lines.
+external prover command or the bundled backend, with a wall-clock limit
+per problem.  External provers run in their own process group and are
+killed outright when the limit passes; the grace period only covers
+collecting output from the dying process.  The bundled prover checks
+its limit itself.  Either way the output is archived, and the result is
+read back from its SZS lines.
 
-Every finished problem is appended to a line-delimited JSON journal
-under a lock.  On restart, journaled ids are skipped and their results
+With one job, problems run one after another in the calling thread.
+With more, each runs in a pool of worker processes forked from this
+one (POSIX ``fork``), at most one per job, per problem left and per
+CPU.  A worker exits once the process that forked it is gone, so none
+outlives a killed run.
+
+This process is the only writer of the journal: every result is
+appended as one line of JSON as soon as it arrives, so no lock is
+needed.  On restart, journaled ids are skipped and their results
 reconstructed, so a long campaign survives interruption at the cost of
-re-running at most the problems that were in flight.
+re-running at most the problems that were in flight.  A worker that
+dies mid-problem fails the run, but only after every result that had
+already finished is journaled.
 """
 
 from __future__ import annotations
@@ -20,14 +30,12 @@ import os
 import shlex
 import signal
 import subprocess
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import prover_cli, tptp
-from .tptp import ProblemFile, ProverResult, SzsStatus
+from .tptp import ProblemFile, ProverResult, SearchCounts, SzsStatus
 
 BUILTIN = "builtin"
 
@@ -57,7 +65,7 @@ class RunnerConfig:
 
 
 def journal_record(cq_id: str, r: ProverResult) -> dict:
-    return {
+    rec = {
         "cq_id": cq_id,
         "szs": r.szs.value,
         "wall_seconds": r.wall_seconds,
@@ -65,15 +73,20 @@ def journal_record(cq_id: str, r: ProverResult) -> dict:
         "output_file": r.raw_output_path,
         "reported_seconds": r.reported_seconds,
     }
+    if r.search is not None:
+        rec["search"] = asdict(r.search)
+    return rec
 
 
 def result_from_record(rec: dict) -> ProverResult:
+    search = rec.get("search")
     return ProverResult(
         szs=SzsStatus(rec["szs"]),
         wall_seconds=float(rec["wall_seconds"]),
         used_axioms=tuple(rec.get("used_axioms", ())),
         raw_output_path=rec.get("output_file"),
         reported_seconds=rec.get("reported_seconds"),
+        search=None if search is None else SearchCounts(**search),
     )
 
 
@@ -173,7 +186,8 @@ def run_one(problem: ProblemFile, cfg: RunnerConfig) -> ProverResult:
     status, used = tptp.parse_szs(text)
     if status is SzsStatus.NO_STATUS:
         status = silent
-    return ProverResult(status, wall, used, out_path, tptp.parse_reported_seconds(text))
+    return ProverResult(status, wall, used, out_path, tptp.parse_reported_seconds(text),
+                        tptp.parse_search(text))
 
 
 # --------------------------------------------------------------------------
@@ -187,26 +201,67 @@ def run_corpus(problems, cfg: RunnerConfig):
     todo = [p for p in problems if p.cq_id not in done]
     known_ids = {p.cq_id for p in problems}
 
-    lock = threading.Lock()
     cfg.journal_path.parent.mkdir(parents=True, exist_ok=True)
     _end_journal_tail(cfg.journal_path)
     results: dict = {cq_id: r for cq_id, r in done.items() if cq_id in known_ids}
 
-    def work(problem: ProblemFile):
-        r = run_one(problem, cfg)
-        line = json.dumps(journal_record(problem.cq_id, r), sort_keys=True)
-        with lock:
-            with open(cfg.journal_path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-                fh.flush()
-            results[problem.cq_id] = r
-        return r
+    with open(cfg.journal_path, "a", encoding="utf-8") as journal:
+        def record(cq_id: str, r: ProverResult) -> None:
+            journal.write(json.dumps(journal_record(cq_id, r), sort_keys=True) + "\n")
+            journal.flush()
+            results[cq_id] = r
 
-    if todo:
-        with ThreadPoolExecutor(max_workers=cfg.max_parallel) as pool:
-            list(pool.map(work, todo))
+        if cfg.max_parallel == 1:
+            for problem in todo:
+                record(problem.cq_id, run_one(problem, cfg))
+        elif todo:
+            _run_pool(todo, cfg, record)
 
     return sorted(results.items(), key=lambda kv: kv[0])
+
+
+def _run_pool(todo, cfg: RunnerConfig, record) -> None:
+    """Run ``todo`` on forked worker processes and record each result as it
+    arrives.  Every result that finished is recorded before an error from
+    another problem, such as a dead worker's BrokenProcessPool, is raised."""
+    # imported here: multiprocessing costs about 2 MB of RSS, which a
+    # one-job run need not pay
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    workers = min(cfg.max_parallel, len(todo), os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_exit_with_parent, initargs=(os.getpid(),))
+    try:
+        futures = {pool.submit(run_one, problem, cfg): problem.cq_id for problem in todo}
+        error = None
+        for future in as_completed(futures):
+            try:
+                result = future.result()
+            except Exception as e:  # raised below, once the finished results are in
+                error = error or e
+            else:
+                record(futures[future], result)
+        if error is not None:
+            raise error
+    finally:
+        # joins the workers, so their CPU time and memory count as this run's
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Worker initializer: exit once ``parent_pid`` is no longer the parent.
+
+    A worker whose parent was killed would otherwise wait on the pool's
+    call queue for good."""
+    import threading
+
+    def watch():
+        while os.getppid() == parent_pid:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def discover_problems(corpus_dir: str | Path):

@@ -14,7 +14,7 @@ Handles three jobs around external refutation provers:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -602,6 +602,21 @@ class SearchCounts:
     unifications: int  # of those pairs, the ones whose atoms unified
     kept: int  # derived clauses kept
     dedup_hits: int  # clauses dropped as renamings of one already seen
+
+
+def render_search(n: SearchCounts) -> str:
+    """The ``% Search:`` line of the bundled prover's output."""
+    return "% Search: " + " ".join(f"{k}={v}" for k, v in asdict(n).items()) + "\n"
+
+
+_SEARCH_RE = re.compile(
+    r"^% Search: " + " ".join(rf"{f.name}=(\d+)" for f in fields(SearchCounts)) + "$", re.M)
+
+
+def parse_search(output: str) -> SearchCounts | None:
+    """The counters of a :func:`render_search` line, or None without one."""
+    m = _SEARCH_RE.search(output)
+    return SearchCounts(*map(int, m.groups())) if m else None
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,19 @@
-"""Campaign driver: journaling, external process control, builtin path."""
+"""Campaign driver: journaling, external process control, builtin path,
+worker processes."""
 
+import concurrent.futures
 import json
+import os
+import signal
+import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
+from conftest import base_config, run_cli, write_config
 from cqeval import prover_cli
 from cqeval.runner import (
     RunnerConfig,
@@ -18,6 +27,7 @@ from cqeval.runner import (
 from cqeval.tptp import (
     ProblemFile,
     ProverResult,
+    SearchCounts,
     SzsStatus,
     parse_reported_seconds,
     parse_szs,
@@ -65,13 +75,25 @@ def test_config_validation():
 
 
 def test_journal_record_round_trip():
-    r = ProverResult(SzsStatus.THEOREM, 1.25, ("ax_b", "ax_a"), "/tmp/x.out", 0.9)
+    r = ProverResult(SzsStatus.THEOREM, 1.25, ("ax_b", "ax_a"), "/tmp/x.out", 0.9,
+                     SearchCounts(given=4, pairs=3, unifications=2, kept=1, dedup_hits=0))
     rec = journal_record("cq_x", r)
     assert rec["cq_id"] == "cq_x"
     assert rec["szs"] == "Theorem"
     assert rec["used_axioms"] == ["ax_b", "ax_a"]
+    assert rec["search"] == {"given": 4, "pairs": 3, "unifications": 2, "kept": 1,
+                             "dedup_hits": 0}
     back = result_from_record(json.loads(json.dumps(rec)))
     assert back == r
+
+
+def test_journal_record_without_search_counts():
+    """External provers print no counters, and older journals have no
+    ``search`` key: both read back as None."""
+    r = ProverResult(SzsStatus.GAVE_UP, 0.5)
+    rec = journal_record("cq_x", r)
+    assert "search" not in rec
+    assert result_from_record(json.loads(json.dumps(rec))) == r
 
 
 def test_read_journal_missing_file(tmp_path):
@@ -121,6 +143,7 @@ def test_builtin_run_archives_output(tmp_path):
     assert "ax_fact" in text
     assert result.raw_output_path == str(out)
     assert "\n% Search: given=2 pairs=1 unifications=1 kept=0 dedup_hits=0\n" in text
+    assert result.search == SearchCounts(given=2, pairs=1, unifications=1, kept=0, dedup_hits=0)
     assert parse_szs(text) == (SzsStatus.THEOREM, ("ax_fact",))
     assert result.reported_seconds == parse_reported_seconds(text)
 
@@ -313,3 +336,136 @@ def test_run_corpus_parallel_runs_everything(tmp_path):
     results = run_corpus(problems, cfg)
     assert len(results) == 4
     assert all(r.szs is SzsStatus.THEOREM for _, r in results)
+
+
+# --------------------------------------------------------------------------
+# worker processes (more than one job)
+
+
+@pytest.mark.parametrize("cpus, n_problems, workers", [(8, 2, 2), (1, 3, 1)])
+def test_run_corpus_bounds_its_pool(tmp_path, monkeypatch, cpus, n_problems, workers):
+    """At most one worker per job, per problem left and per CPU."""
+    real = concurrent.futures.ProcessPoolExecutor
+    sizes = []
+
+    def bounded(max_workers, **kw):
+        sizes.append(max_workers)
+        if max_workers > workers:  # fail before forking that many
+            raise AssertionError(f"{max_workers} workers")
+        return real(max_workers, **kw)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", bounded)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    problems = [_problem(tmp_path, f"cq_{i}") for i in range(n_problems)]
+    results = run_corpus(problems, _cfg(tmp_path, max_parallel=64))
+    assert sizes == [workers]
+    assert [r.szs for _, r in results] == [SzsStatus.THEOREM] * n_problems
+
+
+def _journal_ids(path):
+    return [json.loads(line)["cq_id"]
+            for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_dead_worker_keeps_finished_results(tmp_path, monkeypatch):
+    """A worker killed mid-problem fails the run, but every result that
+    finished is journaled first, and a resume runs only the rest."""
+    problems = [_problem(tmp_path, cq_id) for cq_id in
+                ("cq_die", "cq_a", "cq_b", "cq_c", "cq_d", "cq_e")]
+    cfg = _cfg(tmp_path, max_parallel=2)
+    real = prover_cli.prove_problem
+
+    def prove_or_die(path, *args):
+        # submitted first, it dies only after the other worker's results are
+        # journaled: a runner that read results in submission order loses them
+        if Path(path).stem == "cq_die":
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline and (
+                    not cfg.journal_path.exists() or len(_journal_ids(cfg.journal_path)) < 5):
+                time.sleep(0.05)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(path, *args)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(prover_cli, "prove_problem", prove_or_die)
+    with pytest.raises(BrokenProcessPool):
+        run_corpus(problems, cfg)
+    assert sorted(_journal_ids(cfg.journal_path)) == ["cq_a", "cq_b", "cq_c", "cq_d", "cq_e"]
+
+    ran = tmp_path / "ran.txt"
+
+    def prove_and_note(path, *args):
+        with open(ran, "a", encoding="utf-8") as fh:
+            fh.write(Path(path).stem + "\n")
+        return real(path, *args)
+
+    monkeypatch.setattr(prover_cli, "prove_problem", prove_and_note)
+    results = run_corpus(problems, cfg)
+    assert ran.read_text(encoding="utf-8") == "cq_die\n"
+    assert sorted(_journal_ids(cfg.journal_path)) == sorted(p.cq_id for p in problems)
+    assert [r.szs for _, r in results] == [SzsStatus.THEOREM] * len(problems)
+
+
+
+def test_cli_reports_a_dead_worker(tmp_path, monkeypatch):
+    (tmp_path / "problems").mkdir()
+    for cq_id in ("cq_a", "cq_b"):
+        _problem(tmp_path / "problems", cq_id)
+    monkeypatch.setattr(prover_cli, "prove_problem",
+                        lambda *a: os.kill(os.getpid(), signal.SIGKILL))
+    config = write_config(tmp_path, {"problems_dir": "problems", "timeout_seconds": 5})
+    code, _, err = run_cli("run", "--config", str(config), "--jobs", "2")
+    assert code == 2
+    assert err.startswith("error: ") and "run again to resume" in err
+
+def _live_members(pgid: int) -> list:
+    """Pids of the processes in group ``pgid`` that are not zombies."""
+    out = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            text = stat.read_text(encoding="utf-8")
+        except OSError:  # gone meanwhile
+            continue
+        state, _ppid, pgrp = text.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            out.append(int(stat.parent.name))
+    return out
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads process groups from /proc")
+def test_killed_run_leaves_no_workers_and_resumes(pipeline, journal, tmp_path):
+    """SIGKILL a real ``cqeval run --jobs 2`` once a few results are in: its
+    workers exit, and a resume journals every problem exactly once, with the
+    statuses of the uninterrupted run."""
+    raw = base_config()
+    raw["problems_dir"] = str(pipeline.root / "problems")
+    config = write_config(tmp_path, raw)
+    journal_path = tmp_path / "journal.ldjson"
+    argv = ["run", "--config", str(config), "--jobs", "2"]
+    proc = subprocess.Popen([sys.executable, "-m", "cqeval.cli", *argv],
+                            stdout=subprocess.DEVNULL, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and proc.poll() is None and (
+                not journal_path.exists() or len(_journal_ids(journal_path)) < 3):
+            time.sleep(0.02)
+        proc.kill()
+        proc.wait(timeout=10)
+        assert 3 <= len(_journal_ids(journal_path)) < len(journal)  # killed mid-run
+        deadline = time.monotonic() + 2.5
+        while _live_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert _live_members(proc.pid) == []
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+    code, _, err = run_cli(*argv)
+    assert code == 0, err
+    ids = _journal_ids(journal_path)
+    assert sorted(ids) == sorted(journal)
+    assert {k: r.szs for k, r in read_journal(journal_path).items()} == \
+        {k: r.szs for k, r in journal.items()}
