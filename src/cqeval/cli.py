@@ -11,9 +11,13 @@ a persistent store, so the pipeline can be run stage by stage:
     cqeval run        --config campaign.json
     cqeval report     --config campaign.json
 
-Paths in the config resolve relative to the config file.  Environment
-variables CQEVAL_PROVER_CMD and CQEVAL_JOBS override the config; flags
-override both.
+Paths in the config resolve relative to the config file, and every input
+it names is checked against its pinned sha256, if any, before it is
+read.  Each store has one record format, in ``STORES``; reading a store
+that is missing names the stage that writes it.  Environment variables
+CQEVAL_PROVER_CMD and CQEVAL_JOBS override the config; flags override
+both.  A run setting that none of them gives keeps the default of
+``runner.RunnerConfig``.
 """
 
 from __future__ import annotations
@@ -23,11 +27,12 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from collections import Counter
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
-from . import coremap, cqgen, ontology, report, runner, store, tptp, wordnet
+from . import coremap, cqgen, ontology, report, runner, store, tptp, verdict, wordnet
 
 
 class CliError(Exception):
@@ -41,13 +46,26 @@ POS_BY_NAME = {
     "adv": wordnet.Pos.ADV,
 }
 
+_PAIR = ("a", "b")  # the keys of an antonym pair's record
+
+
+def _pair_record(pair) -> dict:
+    return {key: synset.key for key, synset in zip(_PAIR, pair)}
+
+
+def _pair(rec: dict) -> tuple:
+    return tuple(wordnet.SynsetId.from_key(rec[key]) for key in _PAIR)
+
+
+# each store, kept as <name>.ldjson in stores_dir: the stage that writes it,
+# and the functions that turn one of its objects into a record and back
 STORES = {
-    "synsets": "synsets.ldjson",
-    "antonyms": "antonyms.ldjson",
-    "mapping": "mapping.ldjson",
-    "morphlinks": "morphlinks.ldjson",
-    "core_mapping": "core_mapping.ldjson",
-    "corpus": "corpus.ldjson",
+    "synsets": ("ingest", *store.record_codec(wordnet.Synset)),
+    "antonyms": ("ingest", _pair_record, _pair),
+    "mapping": ("ingest", *store.record_codec(wordnet.MappingEntry)),
+    "morphlinks": ("ingest", *store.record_codec(wordnet.MorphLink)),
+    "core_mapping": ("propagate", *store.record_codec(coremap.PropagatedEntry)),
+    "corpus": ("generate", cqgen.cq_to_record, cqgen.cq_from_record),
 }
 
 
@@ -81,8 +99,8 @@ class Config:
             node = node[k]
         return node
 
-    def read_text(self, rel: str) -> str:
-        """Read an input file, verifying its checksum when one is pinned."""
+    def input_path(self, rel: str) -> Path:
+        """The path of an input file, once its checksum matches the pinned one, if any."""
         path = self.resolve(rel)
         pinned = self.get("checksums", default={}).get(rel)
         if pinned:
@@ -91,11 +109,27 @@ class Config:
                 raise CliError(
                     f"checksum mismatch for {rel}: config pins {pinned}, file has {actual}"
                 )
-        return path.read_text(encoding="utf-8")
+        return path
 
     def store_path(self, name: str) -> Path:
-        stores_dir = self.resolve(self.get("stores_dir", default="stores"))
-        return stores_dir / STORES[name]
+        return self.resolve(self.get("stores_dir", default="stores")) / f"{name}.ldjson"
+
+    def write_store(self, name: str, objects) -> None:
+        _, encode, _ = STORES[name]
+        store.write_ldjson(self.store_path(name), name, map(encode, objects))
+
+    def read_store(self, name: str) -> list:
+        stage, _, decode = STORES[name]
+        path = self.store_path(name)
+        if not path.exists():
+            raise CliError(f"{name} store missing: {path} (run {stage} first)")
+        return [decode(rec) for rec in store.read_ldjson(path, name)]
+
+    def problems_dir(self) -> Path:
+        return self.resolve(self.get("problems_dir", default="problems"))
+
+    def journal_path(self, flag: str | None) -> Path:
+        return self.resolve(flag or self.get("journal", default="journal.ldjson"))
 
     def suffixes(self) -> frozenset:
         listed = self.get("mapping_suffixes")
@@ -112,19 +146,17 @@ def _load_ontologies(cfg: Config):
     core_rel = cfg.get("ontology", "core")
     if core_rel is None:
         raise CliError("config lacks ontology.core")
-    cfg.read_text(core_rel)  # checksum side effect
-    core = ontology.load_ontology(cfg.resolve(core_rel))
-    extras = []
-    for rel in cfg.get("ontology", "extra", default=()) or ():
-        cfg.read_text(rel)
-        extras.append(ontology.load_ontology(cfg.resolve(rel)))
+    core = ontology.load_ontology(cfg.input_path(core_rel))
+    extras = [ontology.load_ontology(cfg.input_path(rel))
+              for rel in cfg.get("ontology", "extra", default=()) or ()]
     return core, extras
 
 
-def _build_index(cfg: Config, core, extras):
+def _build_index(cfg: Config):
+    core, extras = _load_ontologies(cfg)
     vocab_rel = cfg.get("ontology", "vocabulary_source")
     if vocab_rel:
-        vocab_ont = ontology.load_ontology(cfg.resolve(vocab_rel))
+        vocab_ont = ontology.load_ontology(cfg.input_path(vocab_rel))
         core = dataclasses.replace(core, vocabulary=vocab_ont.vocabulary)
     return ontology.build_index(core, extras)
 
@@ -137,36 +169,12 @@ def _evaluated_ontology(cfg: Config):
 
 
 def _load_corpus(cfg: Config) -> cqgen.Corpus:
-    path = cfg.store_path("corpus")
-    if not path.exists():
-        raise CliError(f"corpus store missing: {path} (run generate first)")
-    records = store.read_ldjson(path, "corpus")
-    return cqgen.Corpus([cqgen.cq_from_record(r) for r in records], {})
-
-
-def _load_core_entries(cfg: Config):
-    path = cfg.store_path("core_mapping")
-    if not path.exists():
-        raise CliError(f"core mapping store missing: {path} (run propagate first)")
-    out = []
-    for rec in store.read_ldjson(path, "core_mapping"):
-        out.append(
-            coremap.PropagatedEntry(
-                synset=wordnet.SynsetId.from_key(rec["synset"]),
-                term=rec["term"],
-                relation=wordnet.MappingRelation(rec["relation"]),
-                origin_term=rec["origin_term"],
-                depth=int(rec["depth"]),
-            )
-        )
-    return out
+    return cqgen.Corpus(cfg.read_store("corpus"), {})
 
 
 def _verdicts(journal_path: Path, corpus: cqgen.Corpus):
-    from .verdict import classify_all
-
     journaled = runner.read_journal(journal_path)
-    return classify_all(corpus, sorted(journaled.items()))
+    return verdict.classify_all(corpus, sorted(journaled.items()))
 
 
 # --------------------------------------------------------------------------
@@ -176,19 +184,22 @@ def _verdicts(journal_path: Path, corpus: cqgen.Corpus):
 def cmd_ingest(args) -> int:
     cfg = Config.load(args.config)
     data_cfg = cfg.get("wordnet", "data", default={}) or {}
+    mapping_cfg = cfg.get("mappings", default={}) or {}
+    for section, listed in (("wordnet.data", data_cfg), ("mappings", mapping_cfg)):
+        unknown = sorted(set(listed) - set(POS_BY_NAME))
+        if unknown:
+            raise CliError(f"unknown part of speech {unknown[0]!r} in {section}")
+    if not any(data_cfg.values()) and not any(mapping_cfg.values()):
+        raise CliError("no input files")
     corpus = wordnet.WordNetCorpus({}, frozenset())
-    n_inputs = 0
     for posname, rel in sorted(data_cfg.items()):
         if not rel:
             continue
-        if posname not in POS_BY_NAME:
-            raise CliError(f"unknown part of speech {posname!r} in wordnet.data")
         corpus = corpus.merged_with(
-            wordnet.parse_wn_data(cfg.read_text(rel), POS_BY_NAME[posname])
+            wordnet.parse_wn_data(cfg.input_path(rel).read_text(encoding="utf-8"),
+                                  POS_BY_NAME[posname])
         )
-        n_inputs += 1
 
-    mapping_cfg = cfg.get("mappings", default={}) or {}
     entries = []
     skipped = 0
     warnings: list = []
@@ -196,15 +207,11 @@ def cmd_ingest(args) -> int:
         if not rel:
             continue
         parsed = wordnet.parse_mapping_file(
-            cfg.read_text(rel), POS_BY_NAME[posname], cfg.suffixes()
+            cfg.input_path(rel).read_text(encoding="utf-8"), POS_BY_NAME[posname], cfg.suffixes()
         )
         entries.extend(parsed.entries)
         skipped += parsed.skipped
         warnings.extend(f"{rel}: {w}" for w in parsed.warnings)
-        n_inputs += 1
-
-    if n_inputs == 0:
-        raise CliError("no input files")
 
     links = []
     sense_rel = cfg.get("wordnet", "sense_index")
@@ -212,38 +219,15 @@ def cmd_ingest(args) -> int:
     if morph_rel:
         if not sense_rel:
             raise CliError("morphosemantic links need wordnet.sense_index")
-        sense_index = wordnet.parse_sense_index(cfg.read_text(sense_rel))
-        links = wordnet.parse_morphosemantic(cfg.read_text(morph_rel), sense_index)
+        sense_index = wordnet.parse_sense_index(
+            cfg.input_path(sense_rel).read_text(encoding="utf-8"))
+        links = wordnet.parse_morphosemantic(
+            cfg.input_path(morph_rel).read_text(encoding="utf-8"), sense_index)
 
-    store.write_ldjson(
-        cfg.store_path("synsets"),
-        "synsets",
-        (
-            {"id": s.id.key, "words": list(s.words), "gloss": s.gloss}
-            for s in sorted(corpus.synsets.values(), key=lambda s: s.id)
-        ),
-    )
-    store.write_ldjson(
-        cfg.store_path("antonyms"),
-        "antonyms",
-        ({"a": a.key, "b": b.key} for a, b in sorted(corpus.antonym_pairs)),
-    )
-    store.write_ldjson(
-        cfg.store_path("mapping"),
-        "mapping",
-        (
-            {"synset": e.synset.key, "term": e.term, "relation": e.relation.value}
-            for e in entries
-        ),
-    )
-    store.write_ldjson(
-        cfg.store_path("morphlinks"),
-        "morphlinks",
-        (
-            {"verb": ln.verb.key, "relation": ln.relation, "noun": ln.noun.key}
-            for ln in links
-        ),
-    )
+    cfg.write_store("synsets", sorted(corpus.synsets.values(), key=lambda s: s.id))
+    cfg.write_store("antonyms", sorted(corpus.antonym_pairs))
+    cfg.write_store("mapping", entries)
+    cfg.write_store("morphlinks", links)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(
@@ -255,34 +239,9 @@ def cmd_ingest(args) -> int:
 
 def cmd_propagate(args) -> int:
     cfg = Config.load(args.config)
-    mapping_path = cfg.store_path("mapping")
-    if not mapping_path.exists():
-        raise CliError(f"mapping store missing: {mapping_path} (run ingest first)")
-    entries = [
-        wordnet.MappingEntry(
-            wordnet.SynsetId.from_key(r["synset"]),
-            r["term"],
-            wordnet.MappingRelation(r["relation"]),
-        )
-        for r in store.read_ldjson(mapping_path, "mapping")
-    ]
-    core, extras = _load_ontologies(cfg)
-    idx = _build_index(cfg, core, extras)
-    result = coremap.propagate_to_core(entries, idx)
-    store.write_ldjson(
-        cfg.store_path("core_mapping"),
-        "core_mapping",
-        (
-            {
-                "synset": p.synset.key,
-                "term": p.term,
-                "relation": p.relation.value,
-                "origin_term": p.origin_term,
-                "depth": p.depth,
-            }
-            for p in result.entries
-        ),
-    )
+    entries = cfg.read_store("mapping")
+    result = coremap.propagate_to_core(entries, _build_index(cfg))
+    cfg.write_store("core_mapping", result.entries)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     # one count per reason; the entries dropped are the mapping store's
@@ -297,36 +256,14 @@ def cmd_propagate(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = Config.load(args.config)
-    antonyms_path = cfg.store_path("antonyms")
-    links_path = cfg.store_path("morphlinks")
-    for p in (antonyms_path, links_path):
-        if not p.exists():
-            raise CliError(f"store missing: {p} (run ingest first)")
-    pairs = [
-        (wordnet.SynsetId.from_key(r["a"]), wordnet.SynsetId.from_key(r["b"]))
-        for r in store.read_ldjson(antonyms_path, "antonyms")
-    ]
-    links = [
-        wordnet.MorphLink(
-            wordnet.SynsetId.from_key(r["verb"]),
-            r["relation"],
-            wordnet.SynsetId.from_key(r["noun"]),
-        )
-        for r in store.read_ldjson(links_path, "morphlinks")
-    ]
-    core_entries = _load_core_entries(cfg)
-    core, extras = _load_ontologies(cfg)
-    idx = _build_index(cfg, core, extras)
+    pairs = cfg.read_store("antonyms")
+    links = cfg.read_store("morphlinks")
+    core_entries = cfg.read_store("core_mapping")
+    idx = _build_index(cfg)
     creative_rel = cfg.get("creative")
-    creative_path = cfg.resolve(creative_rel) if creative_rel else None
-    if creative_rel:
-        cfg.read_text(creative_rel)
+    creative_path = cfg.input_path(creative_rel) if creative_rel else None
     corpus = cqgen.generate_corpus(pairs, links, core_entries, idx, creative_path)
-    store.write_ldjson(
-        cfg.store_path("corpus"),
-        "corpus",
-        (cqgen.cq_to_record(cq) for cq in corpus.questions),
-    )
+    cfg.write_store("corpus", corpus.questions)
     counts = corpus.counts()
     for family in cqgen.FAMILIES:
         t = counts.get(("truth", family), 0)
@@ -355,7 +292,7 @@ def cmd_emit(args) -> int:
     cfg = Config.load(args.config)
     corpus = _load_corpus(cfg)
     axioms = tptp.render_axioms(_evaluated_ontology(cfg))
-    problems_dir = cfg.resolve(cfg.get("problems_dir", default="problems"))
+    problems_dir = cfg.problems_dir()
     mode = args.mode or cfg.get("emit_mode", default="inline")
     axiom_file = None
     if mode == "include":
@@ -363,7 +300,6 @@ def cmd_emit(args) -> int:
         problems_dir.mkdir(parents=True, exist_ok=True)
         tptp.write_axiom_file(axioms, axiom_file)
         axiom_file = Path("axioms.ax")  # include paths are problem-relative
-    count = 0
     for cq in corpus.questions:
         tptp.write_problem(
             cq,
@@ -373,31 +309,33 @@ def cmd_emit(args) -> int:
             axiom_file=axiom_file,
             warn=lambda msg: print(f"warning: {msg}", file=sys.stderr),
         )
-        count += 1
-    print(f"wrote {count} problems to {problems_dir}")
+    print(f"wrote {len(corpus.questions)} problems to {problems_dir}")
     return 0
 
 
 def _runner_config(cfg: Config, args) -> runner.RunnerConfig:
-    prover_cmd = (
-        args.prover_cmd
-        or os.environ.get("CQEVAL_PROVER_CMD")
-        or cfg.get("prover_cmd", default=runner.BUILTIN)
-    )
-    jobs = args.jobs if args.jobs is not None else (
-        os.environ.get("CQEVAL_JOBS") or cfg.get("jobs", default=1))
-    timeout = args.timeout if args.timeout is not None else cfg.get("timeout_seconds", default=600)
-    journal = args.journal or cfg.get("journal", default="journal.ldjson")
+    # each setting from its flag, else its environment variable, else the
+    # config, an empty value counting as none; one that none of them gives
+    # keeps RunnerConfig's default
+    given = {
+        "prover_cmd": (args.prover_cmd, os.environ.get("CQEVAL_PROVER_CMD"),
+                       cfg.get("prover_cmd")),
+        "max_parallel": (args.jobs, os.environ.get("CQEVAL_JOBS"), cfg.get("jobs")),
+        "timeout_seconds": (args.timeout, cfg.get("timeout_seconds")),
+        "builtin_max_literals": (cfg.get("builtin_max_literals"),),
+        "builtin_max_clauses": (cfg.get("builtin_max_clauses"),),
+    }
+    types = typing.get_type_hints(runner.RunnerConfig)
     try:
+        settings = {}
+        for field, values in given.items():
+            value = next((v for v in values if v is not None and v != ""), None)
+            if value is not None:
+                settings[field] = types[field](value)
         return runner.RunnerConfig(
             output_dir=cfg.resolve(cfg.get("outputs_dir", default="outputs")),
-            journal_path=cfg.resolve(journal),
-            prover_cmd=prover_cmd,
-            timeout_seconds=float(timeout),
-            max_parallel=int(jobs),
-            grace_seconds=float(cfg.get("grace_seconds", default=2.0)),
-            builtin_max_literals=int(cfg.get("builtin_max_literals", default=12)),
-            builtin_max_clauses=int(cfg.get("builtin_max_clauses", default=50000)),
+            journal_path=cfg.journal_path(args.journal),
+            **settings,
         )
     except (TypeError, ValueError) as e:
         raise CliError(f"bad run setting: {e}") from None
@@ -405,7 +343,7 @@ def _runner_config(cfg: Config, args) -> runner.RunnerConfig:
 
 def cmd_run(args) -> int:
     cfg = Config.load(args.config)
-    problems_dir = args.corpus or cfg.resolve(cfg.get("problems_dir", default="problems"))
+    problems_dir = args.corpus or cfg.problems_dir()
     problems = runner.discover_problems(problems_dir)
     if not problems:
         raise CliError(f"no problem files in {problems_dir}")
@@ -414,9 +352,7 @@ def cmd_run(args) -> int:
         results = runner.run_corpus(problems, rcfg)
     except BrokenExecutor as e:
         raise CliError(f"{e} Finished results are journaled; run again to resume.") from None
-    histogram: dict = {}
-    for _, r in results:
-        histogram[r.szs.value] = histogram.get(r.szs.value, 0) + 1
+    histogram = Counter(r.szs.value for _, r in results)
     print(" ".join(f"{k}={v}" for k, v in sorted(histogram.items())))
     print(f"journal: {rcfg.journal_path} ({len(results)} results)")
     return 0
@@ -425,15 +361,8 @@ def cmd_run(args) -> int:
 def cmd_report(args) -> int:
     cfg = Config.load(args.config)
     corpus = _load_corpus(cfg)
-    journal_path = cfg.resolve(args.journal or cfg.get("journal", default="journal.ldjson"))
-    verdicts = _verdicts(journal_path, corpus)
-    rep = report.summarize(verdicts, corpus)
-    renderers = {
-        "text": report.render_text,
-        "csv": report.render_csv,
-        "json": report.render_json,
-    }
-    text = renderers[args.format](rep)
+    verdicts = _verdicts(cfg.journal_path(args.journal), corpus)
+    text = getattr(report, f"render_{args.format}")(report.summarize(verdicts, corpus))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
@@ -483,22 +412,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_config(p):
-        p.add_argument("--config", default="cqeval.json", help="campaign config file")
+    def command(name, handler, help, config=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if config:
+            p.add_argument("--config", default="cqeval.json", help="campaign config file")
         return p
 
-    with_config(sub.add_parser("ingest", help="parse lexicon, mapping and link files"))
-    with_config(sub.add_parser("propagate", help="rewrite mappings onto the core vocabulary"))
-    with_config(sub.add_parser("generate", help="generate the question corpus"))
+    command("ingest", cmd_ingest, "parse lexicon, mapping and link files")
+    command("propagate", cmd_propagate, "rewrite mappings onto the core vocabulary")
+    command("generate", cmd_generate, "generate the question corpus")
 
-    p = sub.add_parser("translate", help="translate a KIF ontology to a TPTP axiom file")
+    p = command("translate", cmd_translate, "translate a KIF ontology to a TPTP axiom file",
+                config=False)
     p.add_argument("input")
     p.add_argument("output")
 
-    p = with_config(sub.add_parser("emit", help="write one TPTP problem per question"))
+    p = command("emit", cmd_emit, "write one TPTP problem per question")
     p.add_argument("--mode", choices=("inline", "include"), default=None)
 
-    p = with_config(sub.add_parser("run", help="run the prover campaign"))
+    p = command("run", cmd_run, "run the prover campaign")
     p.add_argument("--corpus", default=None, help="problem directory (default from config)")
     p.add_argument("--prover-cmd", default=None,
                    help="external prover template with {problem} and {timeout}, or 'builtin'")
@@ -506,49 +439,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None, help="parallel workers")
     p.add_argument("--journal", default=None, help="journal file path")
 
-    p = with_config(sub.add_parser("report", help="summarize verdicts"))
+    p = command("report", cmd_report, "summarize verdicts")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--journal", default=None)
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
 
-    p = with_config(sub.add_parser("diff", help="compare two campaign journals"))
+    p = command("diff", cmd_diff, "compare two campaign journals")
     p.add_argument("old_journal")
     p.add_argument("new_journal")
 
-    p = with_config(sub.add_parser("check-cqs", help="flag questions that prove themselves"))
+    p = command("check-cqs", cmd_check_cqs, "flag questions that prove themselves")
     p.add_argument("--timeout", type=float, default=5.0,
                    help="seconds per triviality check (default 5)")
 
     return parser
 
 
-_HANDLERS = {
-    "ingest": cmd_ingest,
-    "propagate": cmd_propagate,
-    "generate": cmd_generate,
-    "translate": cmd_translate,
-    "emit": cmd_emit,
-    "run": cmd_run,
-    "report": cmd_report,
-    "diff": cmd_diff,
-    "check-cqs": cmd_check_cqs,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return args.handler(args)
     except (
+        CliError,
         OSError,
         store.StoreError,
         ontology.OntologyError,
         wordnet.WordNetError,
         cqgen.CqGenError,
         report.ReportError,
+        verdict.UnresolvedCqId,
         tptp.TptpError,
         json.JSONDecodeError,
     ) as e:

@@ -23,10 +23,6 @@ class ReportError(Exception):
     pass
 
 
-class UnresolvedCqId(ReportError):
-    pass
-
-
 class CorpusMismatch(ReportError):
     pass
 
@@ -85,16 +81,12 @@ def _row(polarity: str, family: str, verdicts) -> ReportRow:
 
 
 def summarize(verdicts, corpus: Corpus) -> Report:
-    """Aggregate verdicts over a question corpus.
-
-    Every verdict must name a corpus question; corpus questions without a
-    verdict are counted unknown so the table never quietly shrinks.
+    """Aggregate verdicts, from ``verdict.classify_all``, over a question
+    corpus.  Corpus questions without a verdict are counted unknown so the
+    table never quietly shrinks.
     """
     by_id = {v.cq_id: v for v in verdicts}
     corpus_ids = {cq.id for cq in corpus.questions}
-    stray = sorted(set(by_id) - corpus_ids)
-    if stray:
-        raise UnresolvedCqId(f"verdicts for unknown questions: {stray}")
     missing = tuple(sorted(corpus_ids - set(by_id)))
 
     cells: dict = {}

@@ -8,11 +8,11 @@ collecting output from the dying process.  The bundled prover checks
 its limit itself.  Either way the output is archived, and the result is
 read back from its SZS lines.
 
-With one job, problems run one after another in the calling thread.
-With more, each runs in a pool of worker processes forked from this
-one (POSIX ``fork``), at most one per job, per problem left and per
-CPU.  A worker exits once the process that forked it is gone, so none
-outlives a killed run.
+Problems run on a pool of worker processes forked from this one (POSIX
+``fork``), at most one per job, per problem left and per CPU.  When
+that bound is one they run one after another in the calling thread
+instead, since a one-worker pool is slower.  A worker exits once the
+process that forked it is gone, so none outlives a killed run.
 
 This process is the only writer of the journal: every result is
 appended as one line of JSON as soon as it arrives, so no lock is
@@ -38,6 +38,7 @@ from . import prover_cli, tptp
 from .tptp import ProblemFile, ProverResult, SearchCounts, SzsStatus
 
 BUILTIN = "builtin"
+GRACE_SECONDS = 2.0  # to collect the output of a prover killed at its limit
 
 
 @dataclass
@@ -47,7 +48,6 @@ class RunnerConfig:
     prover_cmd: str = BUILTIN
     timeout_seconds: float = 600.0
     max_parallel: int = 1
-    grace_seconds: float = 2.0
     builtin_max_literals: int = 12
     builtin_max_clauses: int = 50000
 
@@ -166,7 +166,7 @@ def _run_external(problem: ProblemFile, cfg: RunnerConfig) -> tuple[str, SzsStat
         except (ProcessLookupError, PermissionError):
             proc.kill()
         try:
-            out, _ = proc.communicate(timeout=cfg.grace_seconds)
+            out, _ = proc.communicate(timeout=GRACE_SECONDS)
         except subprocess.TimeoutExpired:
             out = b""
     return (out or b"").decode("utf-8", errors="replace"), silent
@@ -211,25 +211,25 @@ def run_corpus(problems, cfg: RunnerConfig):
             journal.flush()
             results[cq_id] = r
 
-        if cfg.max_parallel == 1:
+        workers = min(cfg.max_parallel, len(todo), os.cpu_count() or 1)
+        if workers > 1:
+            _run_pool(todo, cfg, workers, record)
+        else:
             for problem in todo:
                 record(problem.cq_id, run_one(problem, cfg))
-        elif todo:
-            _run_pool(todo, cfg, record)
 
     return sorted(results.items(), key=lambda kv: kv[0])
 
 
-def _run_pool(todo, cfg: RunnerConfig, record) -> None:
-    """Run ``todo`` on forked worker processes and record each result as it
-    arrives.  Every result that finished is recorded before an error from
+def _run_pool(todo, cfg: RunnerConfig, workers: int, record) -> None:
+    """Run ``todo`` on ``workers`` forked processes, recording each result
+    as it arrives.  Every finished result is recorded before an error from
     another problem, such as a dead worker's BrokenProcessPool, is raised."""
     # imported here: multiprocessing costs about 2 MB of RSS, which a
     # one-job run need not pay
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    workers = min(cfg.max_parallel, len(todo), os.cpu_count() or 1)
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_exit_with_parent, initargs=(os.getpid(),))
     try:

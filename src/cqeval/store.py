@@ -1,18 +1,23 @@
 """Line-delimited JSON stores with a one-line header.
 
-Used for the question corpus, propagated mappings, and verdict dumps.
-Writes go through a temp file and an atomic rename so a crash never
-leaves a half-written store behind.  The run journal is different: it
-is append-only and headerless, and lives in the runner module.
+Used for the records each pipeline stage hands to the next.  Writes go
+through a temp file and an atomic rename so a crash never leaves a
+half-written store behind.  The run journal is different: it is
+append-only and headerless, and lives in the runner module.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import tempfile
+import typing
+from enum import Enum
 from pathlib import Path
+
+from .wordnet import SynsetId
 
 SCHEMA_VERSION = 1
 
@@ -70,3 +75,31 @@ def sha256_file(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def record_codec(cls):
+    """``(encode, decode)`` between instances of the dataclass ``cls`` and
+    store records.  A record has one key per field; a synset id is stored
+    as its key and an enum member as its value.  ``decode`` converts the
+    record it is given in place."""
+    getters, typers = [], []
+    for name, hint in typing.get_type_hints(cls).items():
+        if hint is SynsetId:
+            getters.append((name, operator.attrgetter(f"{name}.key")))
+            typers.append((name, SynsetId.from_key))
+        elif isinstance(hint, type) and issubclass(hint, Enum):
+            getters.append((name, operator.attrgetter(f"{name}.value")))
+            # a dict lookup: calling the enum costs more per record
+            typers.append((name, {m.value: m for m in hint}.__getitem__))
+        else:
+            getters.append((name, operator.attrgetter(name)))
+
+    def encode(obj) -> dict:
+        return {name: get(obj) for name, get in getters}
+
+    def decode(rec: dict):
+        for name, typed in typers:
+            rec[name] = typed(rec[name])
+        return cls(**rec)
+
+    return encode, decode

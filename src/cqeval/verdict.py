@@ -17,6 +17,10 @@ from .cqgen import Corpus, Polarity
 from .tptp import ProverResult, SzsStatus
 
 
+class UnresolvedCqId(ValueError):
+    """A prover result names a question that is not in the corpus."""
+
+
 class Classification(Enum):
     PASSING = "passing"
     NON_PASSING = "non_passing"
@@ -54,12 +58,10 @@ def classify(polarity: Polarity, result: ProverResult, cq_id: str) -> Verdict:
 
 
 def classify_all(corpus: Corpus, results) -> list:
-    """Verdicts for [(cq_id, ProverResult)] against a question corpus."""
+    """Verdicts for [(cq_id, ProverResult)] against a question corpus.
+    Every result must name a question of the corpus."""
     by_id = corpus.by_id()
-    out = []
-    for cq_id, result in results:
-        cq = by_id.get(cq_id)
-        if cq is None:
-            raise KeyError(f"result for unknown question {cq_id!r}")
-        out.append(classify(cq.polarity, result, cq_id))
-    return out
+    stray = sorted({cq_id for cq_id, _ in results if cq_id not in by_id})
+    if stray:
+        raise UnresolvedCqId(f"results for questions not in the corpus: {stray}")
+    return [classify(by_id[cq_id].polarity, result, cq_id) for cq_id, result in results]

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from conftest import ONT, base_config, run_cli, write_config
-from cqeval import ontology, store, tptp
+from cqeval import cli, ontology, runner, store, tptp
 
 # --------------------------------------------------------------------------
 # pinned pipeline output
@@ -40,6 +40,21 @@ def test_ingest_writes_stores(pipeline):
     synsets = store.read_ldjson(stores / "synsets.ldjson", "synsets")
     assert len(synsets) == 27
     assert all({"id", "words", "gloss"} <= set(r) for r in synsets)
+
+
+@pytest.mark.parametrize("name, record", [
+    ("synsets", {"id": "n:00300505", "words": ["frying"], "gloss": "cooking in hot fat"}),
+    ("antonyms", {"a": "n:00300505", "b": "n:00300606"}),
+    ("mapping", {"synset": "n:00300505", "term": "Frying", "relation": "="}),
+    ("morphlinks", {"verb": "v:02200200", "relation": "result", "noun": "n:01400707"}),
+    ("core_mapping", {"synset": "n:00300505", "term": "Cooking", "relation": "+",
+                      "origin_term": "Frying", "depth": 1}),
+])
+def test_store_records_are_pinned(pipeline, name, record):
+    """One exact record of each store the pipeline passes between stages."""
+    records = store.read_ldjson(pipeline.root / "stores" / f"{name}.ldjson", name)
+    assert record in records
+    assert all(set(r) == set(record) for r in records)
 
 
 def test_propagate_output(pipeline):
@@ -127,6 +142,29 @@ def test_diff_same_journal_is_quiet(pipeline):
     code, out, err = run_cli("diff", "--config", str(pipeline.config), journal, journal)
     assert code == 0, err
     assert out == "no changes\n"
+
+
+def _journal_naming_a_stray_question(pipeline, tmp_path):
+    journal = tmp_path / "journal.ldjson"
+    stray = {"cq_id": "cq_made_up", "szs": "GaveUp", "wall_seconds": 1.0}
+    journal.write_text(
+        (pipeline.root / "journal.ldjson").read_text(encoding="utf-8")
+        + json.dumps(stray) + "\n",
+        encoding="utf-8",
+    )
+    return str(journal)
+
+
+def test_report_rejects_a_result_for_an_unknown_question(pipeline, tmp_path):
+    journal = _journal_naming_a_stray_question(pipeline, tmp_path)
+    _expect_error(["report", "--config", str(pipeline.config), "--journal", journal],
+                  "'cq_made_up'")
+
+
+def test_diff_rejects_a_result_for_an_unknown_question(pipeline, tmp_path):
+    journal = _journal_naming_a_stray_question(pipeline, tmp_path)
+    _expect_error(["diff", "--config", str(pipeline.config),
+                   str(pipeline.root / "journal.ldjson"), journal], "'cq_made_up'")
 
 
 def test_check_cqs_none_trivial(pipeline):
@@ -263,6 +301,13 @@ def test_jobs_env_is_honored(mini_campaign, monkeypatch):
     assert out.splitlines()[0] == "Theorem=1"
 
 
+def test_unset_run_settings_keep_the_runner_defaults(tmp_path):
+    cfg = cli.Config({}, tmp_path)
+    rcfg = cli._runner_config(cfg, cli.build_parser().parse_args(["run"]))
+    defaults = runner.RunnerConfig(tmp_path / "outputs", tmp_path / "journal.ldjson")
+    assert rcfg == defaults
+
+
 def test_run_corpus_flag_overrides_problems_dir(mini_campaign, tmp_path):
     root, config = mini_campaign
     other = tmp_path / "elsewhere"
@@ -312,6 +357,14 @@ def test_ingest_unknown_pos(tmp_path):
     _expect_error(["ingest", "--config", str(config)], "unknown part of speech 'plural'")
 
 
+def test_ingest_unknown_mapping_pos(tmp_path):
+    raw = base_config()
+    raw["mappings"]["plural"] = raw["mappings"]["noun"]
+    config = write_config(tmp_path, raw)
+    _expect_error(["ingest", "--config", str(config)],
+                  "unknown part of speech 'plural' in mappings")
+
+
 def test_checksum_mismatch(tmp_path):
     raw = base_config()
     noun_path = raw["wordnet"]["data"]["noun"]
@@ -321,11 +374,42 @@ def test_checksum_mismatch(tmp_path):
     assert "config pins 000" in err
 
 
+def _vocabulary_from_domain(tmp_path, pin=None):
+    # a copy, so that no other input names the file
+    vocabulary = shutil.copy(ONT / "domain.kif", tmp_path / "vocabulary.kif")
+    raw = base_config()
+    raw["ontology"]["vocabulary_source"] = "vocabulary.kif"
+    raw["checksums"] = {"vocabulary.kif": pin or store.sha256_file(vocabulary)}
+    config = write_config(tmp_path, raw)
+    assert run_cli("ingest", "--config", str(config))[0] == 0
+    return config
+
+
+def test_vocabulary_source_is_honoured(tmp_path):
+    # the domain extension names only two of the mapped terms' core ancestors
+    code, out, err = run_cli("propagate", "--config", str(_vocabulary_from_domain(tmp_path)))
+    assert code == 0, err
+    assert out == "input=22 core=2 dropped=20\n"
+
+
+def test_vocabulary_source_checksum_mismatch(tmp_path):
+    config = _vocabulary_from_domain(tmp_path, pin="0" * 64)
+    err = _expect_error(["propagate", "--config", str(config)], "checksum mismatch")
+    assert "vocabulary.kif" in err
+
+
 def test_propagate_before_ingest(tmp_path):
     config = write_config(tmp_path)
     _expect_error(
         ["propagate", "--config", str(config)], "mapping store missing"
     )
+
+
+def test_generate_before_propagate(tmp_path):
+    config = write_config(tmp_path)
+    assert run_cli("ingest", "--config", str(config))[0] == 0
+    err = _expect_error(["generate", "--config", str(config)], "core_mapping store missing")
+    assert "run propagate first" in err
 
 
 def test_generate_before_ingest(tmp_path):

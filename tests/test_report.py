@@ -11,7 +11,6 @@ from cqeval.cqgen import Corpus, Pattern, Polarity
 from cqeval.report import (
     FOOTNOTE,
     CorpusMismatch,
-    UnresolvedCqId,
     diff_reports,
     render_csv,
     render_delta,
@@ -20,7 +19,7 @@ from cqeval.report import (
     summarize,
 )
 from cqeval.tptp import ProverResult, SzsStatus
-from cqeval.verdict import Classification, classify, classify_all
+from cqeval.verdict import Classification, UnresolvedCqId, classify, classify_all
 
 _FORMULA = kif.parse_kif("(instance a B)")[0]
 
@@ -78,11 +77,10 @@ def test_missing_verdicts_count_as_unknown(session_report, corpus):
     assert "missing verdicts: 2 (counted unknown)" in render_text(report)
 
 
-def test_stray_verdict_rejected(session_report, corpus):
-    _, verdicts = session_report
-    stray = _verdict("cq_not_in_corpus", Polarity.TRUTH, SzsStatus.GAVE_UP)
+def test_stray_verdict_rejected(journal, corpus):
+    stray = ("cq_not_in_corpus", ProverResult(SzsStatus.GAVE_UP, 1.0, ()))
     with pytest.raises(UnresolvedCqId, match="cq_not_in_corpus"):
-        summarize(list(verdicts) + [stray], corpus)
+        classify_all(corpus, sorted(journal.items()) + [stray])
 
 
 def test_small_synthetic_table():

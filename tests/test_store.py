@@ -82,3 +82,21 @@ def test_sha256_file(tmp_path):
     path = tmp_path / "blob.bin"
     path.write_bytes(b"competency")
     assert sha256_file(path) == hashlib.sha256(b"competency").hexdigest()
+
+
+def test_record_codec_round_trips_synset_ids_and_enums():
+    from cqeval.coremap import PropagatedEntry
+    from cqeval.store import record_codec
+    from cqeval.wordnet import MappingRelation, Synset, SynsetId
+
+    encode, decode = record_codec(PropagatedEntry)
+    entry = PropagatedEntry(SynsetId.from_key("n:00300505"), "Cooking",
+                            MappingRelation.SUBSUMPTION, "Frying", 1)
+    rec = encode(entry)
+    assert rec == {"synset": "n:00300505", "term": "Cooking", "relation": "+",
+                   "origin_term": "Frying", "depth": 1}
+    assert decode(json.loads(json.dumps(rec))) == entry
+
+    encode, decode = record_codec(Synset)
+    synset = Synset(SynsetId.from_key("v:02300300"), ("repair", "fix"), "mend")
+    assert decode(json.loads(json.dumps(encode(synset)))) == synset
