@@ -57,6 +57,57 @@ def test_store_records_are_pinned(pipeline, name, record):
     assert all(set(r) == set(record) for r in records)
 
 
+CORPUS_IDS = [
+    "cq_antclass_freezing_melting", "cq_antclass_freezing_melting_falsity",
+    "cq_antattr_asleep_awake", "cq_antattr_asleep_awake_falsity",
+    "cq_antclass_speaking_vocalizing", "cq_antclass_speaking_vocalizing_falsity",
+    "cq_relresult_composingmusic_musicalcomposition",
+    "cq_relresult_composingmusic_musicalcomposition_falsity",
+    "cq_relagent_teacher_teaching", "cq_relagent_teacher_teaching_falsity",
+    "cq_relinstrument_cutting_knife", "cq_relinstrument_cutting_knife_falsity",
+    "cq_event1_death_killing", "cq_event1_death_killing_falsity",
+    "cq_event2_pretending_repairing", "cq_event2_pretending_repairing_falsity",
+    "cq_event3_comparing_judging", "cq_event3_comparing_judging_falsity",
+    "cq_creative_boys_domestic", "cq_creative_man_pregnant", "cq_creative_organisms_dead",
+]
+
+
+def _cq_record(cq_id, polarity, pattern, kif_text, synsets, terms, morph_relation):
+    return {"id": cq_id, "polarity": polarity, "pattern": pattern, "kif_text": kif_text,
+            "provenance": {"synsets": synsets, "terms": terms,
+                           "morph_relation": morph_relation}}
+
+
+@pytest.mark.parametrize("record", [
+    _cq_record("cq_antclass_freezing_melting", "truth", "antclass",
+               "(not (exists (?X) (and (instance ?X Melting) (instance ?X Freezing))))",
+               ["n:00100101", "n:00100202"], ["Freezing", "Melting"], None),
+    _cq_record("cq_relresult_composingmusic_musicalcomposition", "truth", "relresult",
+               "(exists (?X ?Y) (and (instance ?X ComposingMusic) (result ?X ?Y) "
+               "(instance ?Y MusicalComposition)))",
+               ["v:02200200", "n:01400707"], ["ComposingMusic", "MusicalComposition"],
+               "result"),
+    _cq_record("cq_event1_death_killing", "truth", "event1", "(not (equal Death Killing))",
+               ["v:02100100", "n:01500808"], ["Death", "Killing"], "event"),
+    _cq_record("cq_event2_pretending_repairing", "truth", "event2",
+               "(not (subclass Repairing Pretending))",
+               ["v:02300300", "n:01600909"], ["Pretending", "Repairing"], "event"),
+    _cq_record("cq_event3_comparing_judging", "truth", "event3",
+               "(not (or (subclass Judging Comparing) (subclass Comparing Judging)))",
+               ["v:02400400", "n:01701010"], ["Judging", "Comparing"], "event"),
+    _cq_record("cq_relagent_teacher_teaching_falsity", "falsity", "relagent",
+               "(forall (?X ?Y) (or (not (instance ?X Teaching)) (not (agent ?X ?Y)) "
+               "(not (instance ?Y Teacher))))",
+               ["v:02700700", "n:01801111"], ["Teaching", "Teacher"], "agent"),
+], ids=lambda r: r["pattern"] + "-" + r["polarity"])
+def test_corpus_records_are_pinned(pipeline, record):
+    """The corpus store's question order, and one exact record of each
+    generated family plus a falsity twin."""
+    records = store.read_ldjson(pipeline.root / "stores" / "corpus.ldjson", "corpus")
+    assert [r["id"] for r in records] == CORPUS_IDS
+    assert record in records
+
+
 def test_propagate_output(pipeline):
     step = pipeline.steps["propagate"]
     assert step.out == "input=22 core=21 dropped=1\n"
