@@ -123,7 +123,7 @@ class Config:
         path = self.store_path(name)
         if not path.exists():
             raise CliError(f"{name} store missing: {path} (run {stage} first)")
-        return [decode(rec) for rec in store.read_ldjson(path, name)]
+        return store.read_ldjson(path, name, decode)
 
     def problems_dir(self) -> Path:
         return self.resolve(self.get("problems_dir", default="problems"))
@@ -169,7 +169,7 @@ def _evaluated_ontology(cfg: Config):
 
 
 def _load_corpus(cfg: Config) -> cqgen.Corpus:
-    return cqgen.Corpus(cfg.read_store("corpus"), {})
+    return cqgen.Corpus(cfg.read_store("corpus"))
 
 
 def _verdicts(journal_path: Path, corpus: cqgen.Corpus):
@@ -266,14 +266,10 @@ def cmd_generate(args) -> int:
     cfg.write_store("corpus", corpus.questions)
     counts = corpus.counts()
     for family in cqgen.FAMILIES:
-        t = counts.get(("truth", family), 0)
-        f = counts.get(("falsity", family), 0)
+        t, f = counts[("truth", family)], counts[("falsity", family)]
         if t or f:
             print(f"{family} truth={t} falsity={f}")
-    print(
-        f"total truth={counts.get(('truth', 'total'), 0)} "
-        f"falsity={counts.get(('falsity', 'total'), 0)}"
-    )
+    print(f"total truth={counts[('truth', 'total')]} falsity={counts[('falsity', 'total')]}")
     if corpus.skipped:
         parts = " ".join(f"{k}={v}" for k, v in sorted(corpus.skipped.items()))
         print(f"skipped {parts}")

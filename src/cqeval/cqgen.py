@@ -9,6 +9,12 @@ Three generators mine question candidates from lexical facts:
 * event links, where verb and noun map to classes that should relate in
   a specific way (distinct, not a subclass, or possibly a subclass).
 
+The three share one driver.  It looks up the core entries of both
+synsets of an item, skipping an unmapped one; asks the family's rule
+for a skip reason or the question's pattern and formula; drops a repeat
+of an earlier question's pattern and terms; builds the question's id
+and provenance; and counts every skip by reason.
+
 Each generated truth question has a falsity twin obtained by negating
 the formula into negation normal form.  Hand-written questions load from
 an annotated KIF file and keep whatever polarity they declare.
@@ -17,7 +23,8 @@ an annotated KIF file and keep whatever polarity they declare.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -115,60 +122,97 @@ def negate_cq(cq: CompetencyQuestion) -> CompetencyQuestion:
     )
 
 
-def _entry_map(core_entries) -> dict:
+@dataclass
+class Corpus:
+    questions: list
+    skipped: Counter = field(default_factory=Counter)  # reason -> count
+
+    def by_id(self) -> dict:
+        return {cq.id: cq for cq in self.questions}
+
+    def counts(self) -> dict:
+        """{(polarity value, family): count} plus per-polarity totals."""
+        out: Counter = Counter()
+        for cq in self.questions:
+            out[(cq.polarity.value, cq.pattern.family)] += 1
+            out[(cq.polarity.value, "total")] += 1
+        return out
+
+
+# --------------------------------------------------------------------------
+# the generators' shared driver
+
+
+def _generate(items, core_entries, rule, skipped=()) -> Corpus:
+    """Truth questions from ``(synset, synset, link relation)`` items.
+
+    Both synsets must be mapped into the core; ``rule(entry, entry, link
+    relation)`` then returns a skip reason or the question's ``(pattern,
+    formula)``.  A question whose pattern and terms an earlier one has
+    is a duplicate.  ``skipped`` holds counts taken before the lookup.
+    """
     by_synset: dict = {}
     for e in core_entries:
         by_synset.setdefault(e.synset, e)
-    return by_synset
+    out = Corpus([], Counter(skipped))
+    seen: set = set()
+    for a, b, morph in items:
+        ea, eb = by_synset.get(a), by_synset.get(b)
+        if ea is None or eb is None:
+            out.skipped["unmapped"] += 1
+            continue
+        made = rule(ea, eb, morph)
+        if isinstance(made, str):
+            out.skipped[made] += 1
+            continue
+        pattern, formula = made
+        # an antonym pair is unordered, so its terms are listed sorted; a
+        # link's run from verb to noun
+        terms = (ea.term, eb.term) if morph else tuple(sorted((ea.term, eb.term)))
+        key = (pattern, tuple(sorted(terms)))
+        if key in seen:
+            out.skipped["duplicate"] += 1
+            continue
+        seen.add(key)
+        out.questions.append(CompetencyQuestion(
+            id=make_cq_id(pattern, terms, Polarity.TRUTH),
+            polarity=Polarity.TRUTH,
+            pattern=pattern,
+            formula=formula,
+            provenance=Provenance(synsets=(a.key, b.key), terms=terms, morph_relation=morph),
+        ))
+    return out
 
 
-@dataclass
-class GenResult:
-    questions: list
-    skipped: dict  # reason -> count
+_EQ = MappingRelation.EQUIVALENCE
 
-    def _skip(self, reason: str):
-        self.skipped[reason] = self.skipped.get(reason, 0) + 1
+_POSITIVE = (MappingRelation.EQUIVALENCE, MappingRelation.SUBSUMPTION)
+
+
+def _link_order(ln):
+    return (ln.verb.key, ln.relation, ln.noun.key)
 
 
 # --------------------------------------------------------------------------
 # antonym patterns
 
 
-def gen_antonym(pairs, core_entries, idx: OntologyIndex) -> GenResult:
+def gen_antonym(pairs, core_entries, idx: OntologyIndex) -> Corpus:
     """Truth questions from antonym pairs mapped by equivalence on both
     sides.  Attribute terms use the attribute pattern, class terms the
     instance pattern; a mixed pair means the mapping itself is suspect and
     is skipped rather than guessed at."""
-    by_synset = _entry_map(core_entries)
-    res = GenResult([], {})
-    seen: set = set()
-    for a, b in sorted(pairs):
-        ea, eb = by_synset.get(a), by_synset.get(b)
-        if ea is None or eb is None:
-            res._skip("unmapped")
-            continue
-        if (
-            ea.relation is not MappingRelation.EQUIVALENCE
-            or eb.relation is not MappingRelation.EQUIVALENCE
-        ):
-            res._skip("non_equivalence")
-            continue
+
+    def rule(ea, eb, _):
+        if ea.relation is not _EQ or eb.relation is not _EQ:
+            return "non_equivalence"
         if ea.term == eb.term:
-            res._skip("identical_terms")
-            continue
-        attr_a, attr_b = idx.is_attribute(ea.term), idx.is_attribute(eb.term)
-        if attr_a != attr_b:
-            res._skip("mixed_kind")
-            continue
-        pattern = Pattern.ANTONYM_ATTRIBUTE if attr_a else Pattern.ANTONYM_CLASS
-        key = (pattern, tuple(sorted((ea.term, eb.term))))
-        if key in seen:
-            res._skip("duplicate")
-            continue
-        seen.add(key)
+            return "identical_terms"
+        attr = idx.is_attribute(ea.term)
+        if attr != idx.is_attribute(eb.term):
+            return "mixed_kind"
         hi, lo = sorted((ea.term, eb.term), reverse=True)
-        pred = "attribute" if attr_a else "instance"
+        pred = "attribute" if attr else "instance"
         x = Variable("X")
         formula = Not(
             Exists(
@@ -176,18 +220,9 @@ def gen_antonym(pairs, core_entries, idx: OntologyIndex) -> GenResult:
                 And((Atom(pred, (x, Constant(hi))), Atom(pred, (x, Constant(lo))))),
             )
         )
-        res.questions.append(
-            CompetencyQuestion(
-                id=make_cq_id(pattern, (ea.term, eb.term), Polarity.TRUTH),
-                polarity=Polarity.TRUTH,
-                pattern=pattern,
-                formula=formula,
-                provenance=Provenance(
-                    synsets=(a.key, b.key), terms=tuple(sorted((ea.term, eb.term)))
-                ),
-            )
-        )
-    return res
+        return Pattern.ANTONYM_ATTRIBUTE if attr else Pattern.ANTONYM_CLASS, formula
+
+    return _generate(((a, b, None) for a, b in sorted(pairs)), core_entries, rule)
 
 
 # --------------------------------------------------------------------------
@@ -200,126 +235,68 @@ _RELATION_PATTERNS = {
     "instrument": Pattern.RELATION_INSTRUMENT,
 }
 
-_POSITIVE = (MappingRelation.EQUIVALENCE, MappingRelation.SUBSUMPTION)
+
+def _relation_rule(ev, en, relation):
+    if ev.relation not in _POSITIVE or en.relation not in _POSITIVE:
+        return "complement_mapping"
+    x, y = Variable("X"), Variable("Y")
+    return _RELATION_PATTERNS[relation], Exists(
+        ("X", "Y"),
+        And((
+            Atom("instance", (x, Constant(ev.term))),
+            Atom(relation, (x, y)),
+            Atom("instance", (y, Constant(en.term))),
+        )),
+    )
 
 
-def _link_order(ln):
-    return (ln.verb.key, ln.relation, ln.noun.key)
-
-
-def gen_relation(links, core_entries) -> GenResult:
+def gen_relation(links, core_entries) -> Corpus:
     """Existence questions for agent, result and instrument links: some
     event of the verb's class stands in the relation to something of the
     noun's class.  Subsumption-mapped endpoints are fine here."""
-    by_synset = _entry_map(core_entries)
-    res = GenResult([], {})
-    seen: set = set()
+    items, skipped = [], Counter()
     for ln in sorted(links, key=_link_order):
-        if ln.relation == "event":
-            continue  # gen_event's link
-        pattern = _RELATION_PATTERNS.get(ln.relation)
-        if pattern is None:
-            res._skip("other_relation")
-            continue
-        ev, en = by_synset.get(ln.verb), by_synset.get(ln.noun)
-        if ev is None or en is None:
-            res._skip("unmapped")
-            continue
-        if ev.relation not in _POSITIVE or en.relation not in _POSITIVE:
-            res._skip("complement_mapping")
-            continue
-        key = (pattern, tuple(sorted((ev.term, en.term))))
-        if key in seen:
-            res._skip("duplicate")
-            continue
-        seen.add(key)
-        x, y = Variable("X"), Variable("Y")
-        formula = Exists(
-            ("X", "Y"),
-            And((
-                Atom("instance", (x, Constant(ev.term))),
-                Atom(ln.relation, (x, y)),
-                Atom("instance", (y, Constant(en.term))),
-            )),
-        )
-        res.questions.append(
-            CompetencyQuestion(
-                id=make_cq_id(pattern, (ev.term, en.term), Polarity.TRUTH),
-                polarity=Polarity.TRUTH,
-                pattern=pattern,
-                formula=formula,
-                provenance=Provenance(
-                    synsets=(ln.verb.key, ln.noun.key),
-                    terms=(ev.term, en.term),
-                    morph_relation=ln.relation,
-                ),
-            )
-        )
-    return res
+        if ln.relation in _RELATION_PATTERNS:
+            items.append((ln.verb, ln.noun, ln.relation))
+        elif ln.relation != "event":  # an event link is gen_event's
+            skipped["other_relation"] += 1
+    return _generate(items, core_entries, _relation_rule, skipped)
 
 
 # --------------------------------------------------------------------------
 # event patterns
 
 
-def gen_event(links, core_entries) -> GenResult:
+def _event_rule(ev, en, _):
+    if ev.relation not in _POSITIVE or en.relation not in _POSITIVE:
+        return "complement_mapping"
+    vt, nt = ev.term, en.term
+    if vt == nt:
+        return "same_constant"
+    if ev.relation is _EQ and en.relation is _EQ:
+        return Pattern.EVENT_DISTINCT, Not(Equal(Constant(vt), Constant(nt)))
+    if ev.relation is _EQ or en.relation is _EQ:
+        # the equivalent term must not sit under the subsuming one
+        child, parent = (vt, nt) if ev.relation is _EQ else (nt, vt)
+        return Pattern.EVENT_NOT_SUBCLASS, Not(
+            Atom("subclass", (Constant(child), Constant(parent)))
+        )
+    return Pattern.EVENT_EITHER_SUBCLASS, Not(
+        Or((
+            Atom("subclass", (Constant(vt), Constant(nt))),
+            Atom("subclass", (Constant(nt), Constant(vt))),
+        ))
+    )
+
+
+def gen_event(links, core_entries) -> Corpus:
     """Event links probe the mapping itself.  Doubly-equivalent endpoints
     must name distinct classes; an equivalent class must not sit under a
     merely subsuming one; two subsuming classes may relate either way, so
     the question asks whether neither subclass direction holds."""
-    by_synset = _entry_map(core_entries)
-    res = GenResult([], {})
-    seen: set = set()
-    for ln in sorted(links, key=_link_order):
-        if ln.relation != "event":
-            continue  # gen_relation's link, or skipped there
-        ev, en = by_synset.get(ln.verb), by_synset.get(ln.noun)
-        if ev is None or en is None:
-            res._skip("unmapped")
-            continue
-        if ev.relation not in _POSITIVE or en.relation not in _POSITIVE:
-            res._skip("complement_mapping")
-            continue
-        vt, nt = ev.term, en.term
-        if vt == nt:
-            res._skip("same_constant")
-            continue
-        eq = MappingRelation.EQUIVALENCE
-        if ev.relation is eq and en.relation is eq:
-            pattern = Pattern.EVENT_DISTINCT
-            formula: Formula = Not(Equal(Constant(vt), Constant(nt)))
-        elif ev.relation is eq or en.relation is eq:
-            pattern = Pattern.EVENT_NOT_SUBCLASS
-            child = vt if ev.relation is eq else nt  # the equivalent term
-            parent = nt if ev.relation is eq else vt
-            formula = Not(Atom("subclass", (Constant(child), Constant(parent))))
-        else:
-            pattern = Pattern.EVENT_EITHER_SUBCLASS
-            formula = Not(
-                Or((
-                    Atom("subclass", (Constant(vt), Constant(nt))),
-                    Atom("subclass", (Constant(nt), Constant(vt))),
-                ))
-            )
-        key = (pattern, tuple(sorted((vt, nt))))
-        if key in seen:
-            res._skip("duplicate")
-            continue
-        seen.add(key)
-        res.questions.append(
-            CompetencyQuestion(
-                id=make_cq_id(pattern, (vt, nt), Polarity.TRUTH),
-                polarity=Polarity.TRUTH,
-                pattern=pattern,
-                formula=formula,
-                provenance=Provenance(
-                    synsets=(ln.verb.key, ln.noun.key),
-                    terms=(vt, nt),
-                    morph_relation="event",
-                ),
-            )
-        )
-    return res
+    items = [(ln.verb, ln.noun, "event")
+             for ln in sorted(links, key=_link_order) if ln.relation == "event"]
+    return _generate(items, core_entries, _event_rule)
 
 
 # --------------------------------------------------------------------------
@@ -392,25 +369,6 @@ def check_nontriviality(cq: CompetencyQuestion, prove) -> bool:
 # whole-corpus orchestration
 
 
-@dataclass
-class Corpus:
-    questions: list
-    skipped: dict  # reason -> count
-
-    def by_id(self) -> dict:
-        return {cq.id: cq for cq in self.questions}
-
-    def counts(self) -> dict:
-        """{(polarity value, family): count} plus per-polarity totals."""
-        out: dict = {}
-        for cq in self.questions:
-            k = (cq.polarity.value, cq.pattern.family)
-            out[k] = out.get(k, 0) + 1
-            t = (cq.polarity.value, "total")
-            out[t] = out.get(t, 0) + 1
-        return out
-
-
 def generate_corpus(
     antonym_pairs,
     links,
@@ -420,33 +378,20 @@ def generate_corpus(
 ) -> Corpus:
     """Run every generator, twin each truth question with its negation,
     and append the hand-written corpus verbatim."""
-    skipped: dict = {}
-    questions: list = []
-
     parts = [
         gen_antonym(antonym_pairs, core_entries, idx),
         gen_relation(links, core_entries),
         gen_event(links, core_entries),
     ]
-    for part in parts:
-        for reason, n in part.skipped.items():
-            skipped[reason] = skipped.get(reason, 0) + n
-        for cq in part.questions:
-            questions.append(cq)
-            questions.append(negate_cq(cq))
+    questions = [q for part in parts for cq in part.questions for q in (cq, negate_cq(cq))]
 
     if creative_path is not None:
         questions.extend(load_creative(creative_path))
 
-    seen: set = set()
-    dupes: set = set()
-    for cq in questions:
-        if cq.id in seen:
-            dupes.add(cq.id)
-        seen.add(cq.id)
+    dupes = sorted(cq_id for cq_id, n in Counter(cq.id for cq in questions).items() if n > 1)
     if dupes:
-        raise CqGenError(f"duplicate question ids: {sorted(dupes)}")
-    return Corpus(questions, skipped)
+        raise CqGenError(f"duplicate question ids: {dupes}")
+    return Corpus(questions, sum((part.skipped for part in parts), Counter()))
 
 
 # --------------------------------------------------------------------------
@@ -471,7 +416,7 @@ def cq_from_record(rec: dict) -> CompetencyQuestion:
     prov = rec.get("provenance", {})
     formulas = kif.parse_kif(rec["kif_text"])
     if len(formulas) != 1:
-        raise CqGenError(f"record {rec.get('id')!r} must hold exactly one formula")
+        raise ValueError(f"record {rec.get('id')!r} must hold exactly one formula")
     return CompetencyQuestion(
         id=rec["id"],
         polarity=Polarity(rec["polarity"]),

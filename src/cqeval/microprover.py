@@ -70,6 +70,11 @@ from .tptp import ProverResult, SearchCounts, SzsStatus
 NEGATED_CONJECTURE = "negated_conjecture"
 EQUALITY_ORIGIN = "eq"
 
+# the default limits of a proof attempt, wherever the prover is run
+LIMIT_SECONDS = 600.0
+MAX_LITERALS = 12
+MAX_CLAUSES = 50000
+
 
 class Clause:
     """Identity-based clause node; parents link the derivation tree.  Its
@@ -514,9 +519,9 @@ def _used_axioms(empty: Clause) -> tuple:
 def prove(
     axioms,
     conjecture: Formula,
-    limit_seconds: float = 600.0,
-    max_literals: int = 12,
-    max_clauses: int = 50000,
+    limit_seconds: float = LIMIT_SECONDS,
+    max_literals: int = MAX_LITERALS,
+    max_clauses: int = MAX_CLAUSES,
 ) -> ProverResult:
     """Refute the negated conjecture against labeled axioms.
 

@@ -1,10 +1,13 @@
 """Ontology loading and the structural index over taxonomy edges.
 
 An ontology here is a labeled list of axioms plus the ground structural
-facts (instance, subclass, subrelation, subAttribute) mined from them.
-Axioms keep their formulas when the source is parseable and fall back to
-opaque text for TPTP units outside the supported grammar; opaque units
-still travel into emitted problems verbatim.
+facts (instance, subclass, subrelation, subAttribute) and the vocabulary
+mined from them.  ``load_ontology`` reads a KIF or TPTP file and
+``merge_ontologies`` joins several ontologies; both build the result in
+one constructor, which also rejects a repeated label.  Axioms keep their
+formulas when the source is parseable and fall back to opaque text for
+TPTP units outside the supported grammar; opaque units still travel
+into emitted problems verbatim, and only they need their text.
 
 The index built over one core ontology plus any number of extension
 sources answers the hierarchy questions the rest of the pipeline asks:
@@ -45,7 +48,7 @@ STRUCTURAL_RELATIONS = ("instance", "subclass", "subrelation", "subAttribute")
 class OntologyAxiom:
     label: str
     formula: Formula | None
-    text: str
+    text: str | None = None  # the verbatim TPTP unit; read only when formula is None
 
 
 @dataclass(frozen=True)
@@ -56,105 +59,59 @@ class Ontology:
     vocabulary: frozenset[str]
 
 
-def _fact_from(f: Formula | None):
-    if (
-        isinstance(f, Atom)
-        and f.predicate in STRUCTURAL_RELATIONS
-        and len(f.args) == 2
-        and all(isinstance(a, Constant) for a in f.args)
-    ):
-        return (f.predicate, f.args[0].name, f.args[1].name)
-    return None
-
-
-def _facts_of(axioms) -> tuple[tuple[str, str, str], ...]:
-    out = []
-    for ax in axioms:
-        fact = _fact_from(ax.formula)
-        if fact is not None:
-            out.append(fact)
-    return tuple(out)
-
-
-def _vocabulary_of(axioms) -> frozenset[str]:
-    acc: set[str] = set()
-    for ax in axioms:
-        if ax.formula is not None:
-            acc |= kif.symbols(ax.formula)
-    return frozenset(acc)
-
-
-def load_kif_ontology(path: str | Path, name: str | None = None) -> Ontology:
-    """Load a SUO-KIF file.  ``;; label: name`` comments name the next form;
-    unnamed forms get sequential ax<N> labels."""
-    path = Path(path)
-    forms = kif.parse_annotated(path.read_text(encoding="utf-8"))
+def _ontology(name: str, parts) -> Ontology:
+    """The ontology over the axioms of ``parts``, ``(source, axioms)``
+    pairs, with its structural facts and vocabulary mined from the
+    formulas.  A repeated label raises, naming the source that repeats it."""
     axioms: list[OntologyAxiom] = []
     seen: set[str] = set()
-    for i, form in enumerate(forms, start=1):
-        label = form.annotations.get("label", f"ax{i}")
-        if label in seen:
-            raise DuplicateLabel(label, str(path))
-        seen.add(label)
-        axioms.append(OntologyAxiom(label, form.formula, kif.print_kif(form.formula)))
-    axioms = tuple(axioms)
-    return Ontology(
-        name=name or path.stem,
-        axioms=axioms,
-        structural_facts=_facts_of(axioms),
-        vocabulary=_vocabulary_of(axioms),
-    )
-
-
-def load_tptp_ontology(path: str | Path, name: str | None = None) -> Ontology:
-    """Load a TPTP axiom file.  Units the FOF parser cannot digest are kept
-    opaque; a conjecture unit in an ontology file is an error."""
-    path = Path(path)
-    axioms: list[OntologyAxiom] = []
-    seen: set[str] = set()
-    for unit in tptp.read_units(path):
-        if unit.role == "conjecture":
-            raise OntologyError(f"{unit.where}: conjecture unit in an ontology file")
-        if unit.name in seen:
-            raise DuplicateLabel(unit.name, str(path))
-        seen.add(unit.name)
-        axioms.append(OntologyAxiom(unit.name, unit.formula, unit.text))
-    axioms = tuple(axioms)
-    return Ontology(
-        name=name or path.stem,
-        axioms=axioms,
-        structural_facts=_facts_of(axioms),
-        vocabulary=_vocabulary_of(axioms),
-    )
+    facts: list[tuple[str, str, str]] = []
+    vocab: set[str] = set()
+    for source, group in parts:
+        for ax in group:
+            if ax.label in seen:
+                raise DuplicateLabel(ax.label, source)
+            seen.add(ax.label)
+            axioms.append(ax)
+            f = ax.formula
+            if f is None:
+                continue
+            vocab |= kif.symbols(f)
+            if (
+                isinstance(f, Atom)
+                and f.predicate in STRUCTURAL_RELATIONS
+                and len(f.args) == 2
+                and all(isinstance(a, Constant) for a in f.args)
+            ):
+                facts.append((f.predicate, f.args[0].name, f.args[1].name))
+    return Ontology(name, tuple(axioms), tuple(facts), frozenset(vocab))
 
 
 def load_ontology(path: str | Path, name: str | None = None) -> Ontology:
+    """Load a TPTP axiom file (``.p``, ``.ax`` or ``.tptp``) or a SUO-KIF file.
+
+    TPTP units the FOF parser cannot digest are kept opaque; a conjecture
+    unit in an ontology file is an error.  In KIF, a ``;; label: name``
+    comment names the next form; unnamed forms get sequential ax<N> labels.
+    """
     path = Path(path)
     if path.suffix in (".p", ".ax", ".tptp"):
-        return load_tptp_ontology(path, name)
-    return load_kif_ontology(path, name)
+        axioms = []
+        for unit in tptp.read_units(path):
+            if unit.role == "conjecture":
+                raise OntologyError(f"{unit.where}: conjecture unit in an ontology file")
+            axioms.append(OntologyAxiom(unit.name, unit.formula, unit.text))
+    else:
+        forms = kif.parse_annotated(path.read_text(encoding="utf-8"))
+        axioms = [OntologyAxiom(form.annotations.get("label", f"ax{i}"), form.formula)
+                  for i, form in enumerate(forms, start=1)]
+    return _ontology(name or path.stem, [(str(path), axioms)])
 
 
 def merge_ontologies(name: str, *sources: Ontology) -> Ontology:
     """Concatenate several ontologies into one axiom set.  Labels must be
-    globally unique; vocabulary is the union."""
-    axioms: list = []
-    seen: set = set()
-    vocab: set = set()
-    for src in sources:
-        for ax in src.axioms:
-            if ax.label in seen:
-                raise DuplicateLabel(ax.label, src.name)
-            seen.add(ax.label)
-            axioms.append(ax)
-        vocab |= src.vocabulary
-    axioms = tuple(axioms)
-    return Ontology(
-        name=name,
-        axioms=axioms,
-        structural_facts=_facts_of(axioms),
-        vocabulary=frozenset(vocab),
-    )
+    globally unique."""
+    return _ontology(name, [(src.name, src.axioms) for src in sources])
 
 
 # --------------------------------------------------------------------------

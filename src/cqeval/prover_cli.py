@@ -46,12 +46,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="cqeval-prover",
                                      description="refute one TPTP problem")
     parser.add_argument("problem", help="TPTP problem file with one conjecture")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="wall-clock limit in seconds (default 600)")
-    parser.add_argument("--max-clauses", type=int, default=50000,
+    parser.add_argument("--timeout", type=float, default=microprover.LIMIT_SECONDS,
+                        help="wall-clock limit in seconds (default %(default)g)")
+    parser.add_argument("--max-clauses", type=int, default=microprover.MAX_CLAUSES,
                         help="give up after keeping more than this many derived "
                              "clauses; input clauses do not count")
-    parser.add_argument("--max-literals", type=int, default=12,
+    parser.add_argument("--max-literals", type=int, default=microprover.MAX_LITERALS,
                         help="discard derived clauses longer than this")
     args = parser.parse_args(argv)
     text = prove_problem(args.problem, args.timeout, args.max_literals, args.max_clauses)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .cqgen import FAMILIES, Corpus, Polarity
 from .verdict import Classification
@@ -46,9 +46,14 @@ class ReportRow:
     mean_passing: float | None
     mean_non_passing: float | None
 
-    @property
-    def label(self) -> str:
-        return TOTAL_LABELS[self.polarity] if self.family == "total" else self.family
+
+# the CSV and JSON column of each ReportRow field; a mean is in seconds
+_COLUMNS = tuple(f.name + "_seconds" if f.name.startswith("mean_") else f.name
+                 for f in fields(ReportRow))
+
+
+def _label(polarity: str, family: str) -> str:
+    return TOTAL_LABELS[polarity] if family == "total" else family
 
 
 @dataclass
@@ -117,7 +122,7 @@ def render_text(report: Report) -> str:
     table = [headers]
     for row in report.rows:
         table.append((
-            row.label,
+            _label(row.polarity, row.family),
             str(row.total),
             str(row.passing),
             str(row.non_passing),
@@ -141,39 +146,21 @@ def render_text(report: Report) -> str:
 def render_csv(report: Report) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow([
-        "polarity", "family", "total", "passing", "non_passing", "unknown",
-        "mean_passing_seconds", "mean_non_passing_seconds",
-    ])
+    w.writerow(_COLUMNS)
     for row in report.rows:
-        w.writerow([
-            row.polarity,
-            row.family,
-            row.total,
-            row.passing,
-            row.non_passing,
-            row.unknown,
-            "" if row.mean_passing is None else f"{row.mean_passing:.6f}",
-            "" if row.mean_non_passing is None else f"{row.mean_non_passing:.6f}",
-        ])
+        w.writerow(_csv_cell(v) for v in vars(row).values())
     return buf.getvalue()
+
+
+def _csv_cell(value):
+    if value is None:
+        return ""
+    return f"{value:.6f}" if isinstance(value, float) else value
 
 
 def render_json(report: Report) -> str:
     doc = {
-        "rows": [
-            {
-                "polarity": r.polarity,
-                "family": r.family,
-                "total": r.total,
-                "passing": r.passing,
-                "non_passing": r.non_passing,
-                "unknown": r.unknown,
-                "mean_passing_seconds": r.mean_passing,
-                "mean_non_passing_seconds": r.mean_non_passing,
-            }
-            for r in report.rows
-        ],
+        "rows": [dict(zip(_COLUMNS, vars(r).values())) for r in report.rows],
         "missing": list(report.missing),
         "flagged": list(report.flagged),
         "note": FOOTNOTE,
@@ -238,13 +225,12 @@ def render_delta(delta: Delta) -> str:
         return "no changes\n"
     lines = []
     for rd in delta.row_deltas:
-        label = TOTAL_LABELS[rd.polarity] if rd.family == "total" else rd.family
         parts = []
         for name, d in (("passing", rd.d_passing), ("non-passing", rd.d_non_passing),
                         ("unknown", rd.d_unknown)):
             if d:
                 parts.append(f"{name} {d:+d}")
-        lines.append(f"{rd.polarity}/{label}: " + ", ".join(parts))
+        lines.append(f"{rd.polarity}/{_label(rd.polarity, rd.family)}: " + ", ".join(parts))
     for cq_id, before, after in delta.flips:
         lines.append(f"flip {cq_id}: {before.value} -> {after.value}")
     return "\n".join(lines) + "\n"

@@ -34,7 +34,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import prover_cli, tptp
+from . import microprover, prover_cli, tptp
 from .tptp import ProblemFile, ProverResult, SearchCounts, SzsStatus
 
 BUILTIN = "builtin"
@@ -46,10 +46,10 @@ class RunnerConfig:
     output_dir: Path
     journal_path: Path
     prover_cmd: str = BUILTIN
-    timeout_seconds: float = 600.0
+    timeout_seconds: float = microprover.LIMIT_SECONDS
     max_parallel: int = 1
-    builtin_max_literals: int = 12
-    builtin_max_clauses: int = 50000
+    builtin_max_literals: int = microprover.MAX_LITERALS
+    builtin_max_clauses: int = microprover.MAX_CLAUSES
 
     def __post_init__(self):
         self.output_dir = Path(self.output_dir)

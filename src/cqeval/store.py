@@ -17,6 +17,7 @@ import typing
 from enum import Enum
 from pathlib import Path
 
+from .kif import KifError
 from .wordnet import SynsetId
 
 SCHEMA_VERSION = 1
@@ -46,7 +47,10 @@ def write_ldjson(path: str | Path, store_name: str, records) -> Path:
     return path
 
 
-def read_ldjson(path: str | Path, store_name: str) -> list:
+def read_ldjson(path: str | Path, store_name: str, decode=None) -> list:
+    """The records of a store, each turned into an object by ``decode`` if
+    given.  A record that is not JSON, or that ``decode`` rejects, raises a
+    StoreError naming its line."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -63,9 +67,11 @@ def read_ldjson(path: str | Path, store_name: str) -> list:
         if not line.strip():
             continue
         try:
-            out.append(json.loads(line))
-        except json.JSONDecodeError as e:
-            raise StoreError(f"{path}:{i}: bad record: {e}") from None
+            rec = json.loads(line)
+            out.append(rec if decode is None else decode(rec))
+        except (LookupError, TypeError, ValueError, AttributeError, KifError) as e:
+            detail = f"no field {e}" if isinstance(e, KeyError) else e
+            raise StoreError(f"{path}:{i}: bad record: {detail}") from None
     return out
 
 
@@ -81,9 +87,12 @@ def record_codec(cls):
     """``(encode, decode)`` between instances of the dataclass ``cls`` and
     store records.  A record has one key per field; a synset id is stored
     as its key and an enum member as its value.  ``decode`` converts the
-    record it is given in place."""
+    record it is given in place, and raises ValueError on a record with
+    other keys or an unknown enum value."""
+    hints = typing.get_type_hints(cls)
+    fields = hints.keys()
     getters, typers = [], []
-    for name, hint in typing.get_type_hints(cls).items():
+    for name, hint in hints.items():
         if hint is SynsetId:
             getters.append((name, operator.attrgetter(f"{name}.key")))
             typers.append((name, SynsetId.from_key))
@@ -98,8 +107,13 @@ def record_codec(cls):
         return {name: get(obj) for name, get in getters}
 
     def decode(rec: dict):
+        if rec.keys() != fields:
+            raise ValueError(f"fields {sorted(rec)}, expected {sorted(fields)}")
         for name, typed in typers:
-            rec[name] = typed(rec[name])
+            try:
+                rec[name] = typed(rec[name])
+            except KeyError:  # the enum lookup
+                raise ValueError(f"{name} {rec[name]!r} is not a {hints[name].__name__}") from None
         return cls(**rec)
 
     return encode, decode

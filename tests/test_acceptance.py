@@ -127,7 +127,7 @@ def test_criterion_1_generation_counts(capsys):
             morph.read_text(encoding="utf-8"), sense_index
         )
 
-        core = ontology.load_kif_ontology(base / "Merge.kif")
+        core = ontology.load_ontology(base / "Merge.kif")
         idx = ontology.build_index(core)
         propagated = coremap.propagate_to_core(entries, idx)
 

@@ -475,6 +475,30 @@ def test_emit_before_generate(tmp_path):
     assert "run generate first" in err
 
 
+def _stores_with_bad_record(pipeline, tmp_path, name, edit):
+    """A campaign over a copy of the pipeline's stores in which ``edit``
+    has changed the first record of store ``name``."""
+    shutil.copytree(pipeline.root / "stores", tmp_path / "stores")
+    path = tmp_path / "stores" / f"{name}.ldjson"
+    header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(first)
+    edit(rec)
+    path.write_text("\n".join([header, json.dumps(rec), *rest]) + "\n", encoding="utf-8")
+    return write_config(tmp_path), path
+
+
+@pytest.mark.parametrize("stage, name, edit, needle", [
+    ("propagate", "mapping", lambda r: r.pop("term"), "bad record: fields"),
+    ("propagate", "mapping", lambda r: r.update(relation="?"),
+     "bad record: relation '?' is not a MappingRelation"),
+    ("emit", "corpus", lambda r: r.update(kif_text="(not (p a)"), "bad record: "),
+], ids=["mapping-missing-field", "mapping-bad-enum", "corpus-bad-formula"])
+def test_bad_store_record_names_its_line(pipeline, tmp_path, stage, name, edit, needle):
+    config, path = _stores_with_bad_record(pipeline, tmp_path, name, edit)
+    err = _expect_error([stage, "--config", str(config)], f"{path}:2: {needle}")
+    assert err.count("\n") == 1  # one line, no traceback
+
+
 def test_run_without_problems(tmp_path):
     config = write_config(tmp_path)
     _expect_error(["run", "--config", str(config)], "no problem files in")

@@ -19,11 +19,7 @@ def _sid(n: int) -> SynsetId:
 def _index_from(facts, vocabulary):
     """An index over explicit structural facts, bypassing file loading."""
     axioms = tuple(
-        OntologyAxiom(
-            f"ax{k}",
-            kif.Atom(rel, (kif.Constant(c), kif.Constant(p))),
-            f"({rel} {c} {p})",
-        )
+        OntologyAxiom(f"ax{k}", kif.Atom(rel, (kif.Constant(c), kif.Constant(p))))
         for k, (rel, c, p) in enumerate(facts)
     )
     core = ontology.Ontology(

@@ -11,21 +11,19 @@ from cqeval.ontology import (
     DuplicateLabel,
     OntologyError,
     build_index,
-    load_kif_ontology,
     load_ontology,
-    load_tptp_ontology,
     merge_ontologies,
 )
 
 
 def test_load_kif_fixture_core():
-    core = load_kif_ontology(ONT / "core.kif")
+    core = load_ontology(ONT / "core.kif")
     assert core.name == "core"
     (ax,) = [ax for ax in core.axioms if ax.label == "ax_subclass_instances"]
     assert kif.print_kif(ax.formula) == (
         "(=> (and (subclass ?SUB ?SUPER) (instance ?X ?SUB)) (instance ?X ?SUPER))"
     )
-    assert ax.text == kif.print_kif(ax.formula)
+    assert ax.text is None  # only an opaque TPTP unit needs its text
     assert {"instance", "subclass", "Entity", "Process", "Awake"} <= core.vocabulary
     assert ("subclass", "Speaking", "Vocalizing") in core.structural_facts
 
@@ -33,7 +31,7 @@ def test_load_kif_fixture_core():
 def test_load_kif_unlabeled_forms_get_sequential_names(tmp_path):
     p = tmp_path / "three.kif"
     p.write_text("(p a)\n;; label: ax_named\n(q b)\n(r c)\n")
-    ont = load_kif_ontology(p)
+    ont = load_ontology(p)
     assert [ax.label for ax in ont.axioms] == ["ax1", "ax_named", "ax3"]
 
 
@@ -41,7 +39,7 @@ def test_load_kif_duplicate_label_rejected(tmp_path):
     p = tmp_path / "dup.kif"
     p.write_text(";; label: ax_x\n(p a)\n;; label: ax_x\n(q b)\n")
     with pytest.raises(DuplicateLabel):
-        load_kif_ontology(p)
+        load_ontology(p)
 
 
 def test_load_tptp_axiom_file(tmp_path):
@@ -50,7 +48,7 @@ def test_load_tptp_axiom_file(tmp_path):
         "fof(ax_one, axiom, s__p(s__a)).\n"
         "fof(ax_two, axiom, ! [VX] : (s__p(VX) => s__q(VX))).\n"
     )
-    ont = load_tptp_ontology(p)
+    ont = load_ontology(p)
     assert [ax.label for ax in ont.axioms] == ["ax_one", "ax_two"]
     assert kif.print_kif(ont.axioms[0].formula) == "(p a)"
 
@@ -63,7 +61,7 @@ def test_load_tptp_keeps_opaque_units_verbatim(tmp_path):
         "fof('ax quoted', axiom,\n    s__p(\"a distinct object\")).\n"
         "fof(ax_fof, axiom, s__p(s__a)).\n"
     )
-    ont = load_tptp_ontology(p)
+    ont = load_ontology(p)
     assert [ax.label for ax in ont.axioms] == ["ax_cnf", "ax quoted", "ax_fof"]
     assert [ax.formula is None for ax in ont.axioms] == [True, True, False]
     assert ont.axioms[0].text == "cnf(ax_cnf, axiom, ~ s__p(X) | s__q(X))."
@@ -75,7 +73,7 @@ def test_load_tptp_rejects_conjecture(tmp_path):
     p = tmp_path / "bad.ax"
     p.write_text("fof(c, conjecture, s__p(s__a)).\n")
     with pytest.raises(OntologyError, match="conjecture"):
-        load_tptp_ontology(p)
+        load_ontology(p)
 
 
 def test_load_ontology_dispatches_on_suffix(tmp_path):
@@ -97,7 +95,7 @@ def without(ont, *labels):
 
 
 def test_without_removes_axiom_and_refreshes_facts():
-    dead = load_kif_ontology(ONT / "deadliving.kif")
+    dead = load_ontology(ONT / "deadliving.kif")
     ablated = without(dead, "ax_dead_unconscious")
     assert len(ablated.axioms) == len(dead.axioms) - 1
     assert "ax_dead_unconscious" not in {ax.label for ax in ablated.axioms}
@@ -110,8 +108,8 @@ def test_without_removes_axiom_and_refreshes_facts():
 
 
 def test_merge_ontologies_unions_vocabulary():
-    core = load_kif_ontology(ONT / "core.kif")
-    extra = load_kif_ontology(ONT / "domain.kif")
+    core = load_ontology(ONT / "core.kif")
+    extra = load_ontology(ONT / "domain.kif")
     merged = merge_ontologies("joint", core, extra)
     assert len(merged.axioms) == len(core.axioms) + len(extra.axioms)
     assert "CookingFat" in merged.vocabulary
@@ -154,7 +152,7 @@ def test_is_attribute(core_index):
 def test_build_index_detects_subclass_cycle(tmp_path):
     p = tmp_path / "loop.kif"
     p.write_text("(subclass A B)\n(subclass B C)\n(subclass C A)\n")
-    ont = load_kif_ontology(p)
+    ont = load_ontology(p)
     with pytest.raises(CycleDetected) as e:
         build_index(ont)
     assert e.value.relation == "subclass"
@@ -164,5 +162,5 @@ def test_build_index_allows_instance_edges_without_cycle_check(tmp_path):
     # only the taxonomy relations are checked for cycles
     p = tmp_path / "inst.kif"
     p.write_text("(instance a b)\n(instance b a)\n")
-    idx = build_index(load_kif_ontology(p))
+    idx = build_index(load_ontology(p))
     assert idx.up["instance"] == {"a": ("b",), "b": ("a",)}

@@ -2,6 +2,7 @@
 worker processes."""
 
 import concurrent.futures
+import inspect
 import json
 import os
 import signal
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import base_config, run_cli, write_config
-from cqeval import prover_cli
+from cqeval import microprover, prover_cli
 from cqeval.runner import (
     RunnerConfig,
     discover_problems,
@@ -470,3 +471,16 @@ def test_killed_run_leaves_no_workers_and_resumes(pipeline, journal, tmp_path):
     assert sorted(ids) == sorted(journal)
     assert {k: r.szs for k, r in read_journal(journal_path).items()} == \
         {k: r.szs for k, r in journal.items()}
+
+
+def test_prover_limits_default_to_those_of_prove(monkeypatch, capsys, tmp_path):
+    params = inspect.signature(microprover.prove).parameters
+    limits = tuple(params[name].default
+                   for name in ("limit_seconds", "max_literals", "max_clauses"))
+    given = []
+    monkeypatch.setattr(prover_cli, "prove_problem",
+                        lambda path, *args: given.append(args) or "% SZS status Theorem\n")
+    assert prover_cli.main(["problem.p"]) == 0
+    assert given == [limits]
+    cfg = RunnerConfig(tmp_path / "outputs", tmp_path / "journal.ldjson")
+    assert (cfg.timeout_seconds, cfg.builtin_max_literals, cfg.builtin_max_clauses) == limits

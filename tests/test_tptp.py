@@ -84,7 +84,7 @@ AWKWARD_LABELS = ("ax_o'brien", "ax\\back", "ax_\\'both'")
 @pytest.mark.parametrize("mode", ["inline", "include"])
 def test_quoted_labels_round_trip_through_problem_files(tmp_path, mode):
     axioms = tuple(
-        ontology.OntologyAxiom(label, kif.parse_kif(f"(p a{i})")[0], f"(p a{i})")
+        ontology.OntologyAxiom(label, kif.parse_kif(f"(p a{i})")[0])
         for i, label in enumerate(AWKWARD_LABELS)
     )
     ont = dataclasses.replace(_mini_ontology(), axioms=axioms,
@@ -111,9 +111,8 @@ def test_unit_round_trip_random(tmp_path):
 
 def _mini_ontology():
     axioms = (
-        ontology.OntologyAxiom("ax_a", kif.parse_kif("(p a)")[0], "(p a)"),
-        ontology.OntologyAxiom("ax_b", kif.parse_kif("(=> (p ?X) (q ?X))")[0],
-                               "(=> (p ?X) (q ?X))"),
+        ontology.OntologyAxiom("ax_a", kif.parse_kif("(p a)")[0]),
+        ontology.OntologyAxiom("ax_b", kif.parse_kif("(=> (p ?X) (q ?X))")[0]),
     )
     return ontology.Ontology(
         name="mini",
@@ -167,7 +166,7 @@ def test_write_problem_checks_conjecture_against_axiom_symbols(tmp_path, mode):
     # the axioms use the symbol "a"; "a" and "a-" never collide, but the
     # conjecture symbol "a_" mangles onto the axiom symbol "a-"
     onto = _mini_ontology()
-    clash = ontology.OntologyAxiom("ax_c", kif.parse_kif("(p a-)")[0], "(p a-)")
+    clash = ontology.OntologyAxiom("ax_c", kif.parse_kif("(p a-)")[0])
     axioms = tptp.render_axioms(dataclasses.replace(onto, axioms=onto.axioms + (clash,)))
     with pytest.raises(MangleCollision):
         write_problem(_cq(formula="(q a_)"), axioms, tmp_path, mode=mode,
