@@ -39,12 +39,7 @@ class CliError(Exception):
     pass
 
 
-POS_BY_NAME = {
-    "noun": wordnet.Pos.NOUN,
-    "verb": wordnet.Pos.VERB,
-    "adj": wordnet.Pos.ADJ,
-    "adv": wordnet.Pos.ADV,
-}
+POS_NAMES = frozenset({"noun", "verb", "adj", "adv"})  # the sections of wordnet.data and mappings
 
 _PAIR = ("a", "b")  # the keys of an antonym pair's record
 
@@ -60,7 +55,6 @@ def _pair(rec: dict) -> tuple:
 # each store, kept as <name>.ldjson in stores_dir: the stage that writes it,
 # and the functions that turn one of its objects into a record and back
 STORES = {
-    "synsets": ("ingest", *store.record_codec(wordnet.Synset)),
     "antonyms": ("ingest", _pair_record, _pair),
     "mapping": ("ingest", *store.record_codec(wordnet.MappingEntry)),
     "morphlinks": ("ingest", *store.record_codec(wordnet.MorphLink)),
@@ -177,6 +171,16 @@ def _verdicts(journal_path: Path, corpus: cqgen.Corpus):
     return verdict.classify_all(corpus, sorted(journaled.items()))
 
 
+def _parse_input(cfg: Config, rel: str, parse, *args):
+    """``parse`` applied to the text of the WordNet input ``rel``; an error
+    in the text names the input."""
+    text = cfg.input_path(rel).read_text(encoding="utf-8")
+    try:
+        return parse(text, *args)
+    except wordnet.WordNetError as e:
+        raise CliError(f"{rel}: {e}") from None
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -186,29 +190,23 @@ def cmd_ingest(args) -> int:
     data_cfg = cfg.get("wordnet", "data", default={}) or {}
     mapping_cfg = cfg.get("mappings", default={}) or {}
     for section, listed in (("wordnet.data", data_cfg), ("mappings", mapping_cfg)):
-        unknown = sorted(set(listed) - set(POS_BY_NAME))
+        unknown = sorted(set(listed) - POS_NAMES)
         if unknown:
             raise CliError(f"unknown part of speech {unknown[0]!r} in {section}")
     if not any(data_cfg.values()) and not any(mapping_cfg.values()):
         raise CliError("no input files")
-    corpus = wordnet.WordNetCorpus({}, frozenset())
-    for posname, rel in sorted(data_cfg.items()):
-        if not rel:
-            continue
-        corpus = corpus.merged_with(
-            wordnet.parse_wn_data(cfg.input_path(rel).read_text(encoding="utf-8"),
-                                  POS_BY_NAME[posname])
-        )
+    corpus = wordnet.WordNetCorpus(frozenset(), frozenset())
+    for _, rel in sorted(data_cfg.items()):
+        if rel:
+            corpus = corpus.merged_with(_parse_input(cfg, rel, wordnet.parse_wn_data))
 
     entries = []
     skipped = 0
     warnings: list = []
-    for posname, rel in sorted(mapping_cfg.items()):
+    for _, rel in sorted(mapping_cfg.items()):
         if not rel:
             continue
-        parsed = wordnet.parse_mapping_file(
-            cfg.input_path(rel).read_text(encoding="utf-8"), POS_BY_NAME[posname], cfg.suffixes()
-        )
+        parsed = _parse_input(cfg, rel, wordnet.parse_mapping_file, cfg.suffixes())
         entries.extend(parsed.entries)
         skipped += parsed.skipped
         warnings.extend(f"{rel}: {w}" for w in parsed.warnings)
@@ -219,12 +217,9 @@ def cmd_ingest(args) -> int:
     if morph_rel:
         if not sense_rel:
             raise CliError("morphosemantic links need wordnet.sense_index")
-        sense_index = wordnet.parse_sense_index(
-            cfg.input_path(sense_rel).read_text(encoding="utf-8"))
-        links = wordnet.parse_morphosemantic(
-            cfg.input_path(morph_rel).read_text(encoding="utf-8"), sense_index)
+        sense_index = _parse_input(cfg, sense_rel, wordnet.parse_sense_index)
+        links = _parse_input(cfg, morph_rel, wordnet.parse_morphosemantic, sense_index)
 
-    cfg.write_store("synsets", sorted(corpus.synsets.values(), key=lambda s: s.id))
     cfg.write_store("antonyms", sorted(corpus.antonym_pairs))
     cfg.write_store("mapping", entries)
     cfg.write_store("morphlinks", links)

@@ -309,7 +309,11 @@ def load_creative(path: str | Path) -> list:
     path = Path(path)
     out: list = []
     seen: set = set()
-    for form in kif.parse_annotated(path.read_text(encoding="utf-8")):
+    try:
+        forms = kif.parse_annotated(path.read_text(encoding="utf-8"))
+    except kif.KifError as e:
+        raise CqGenError(e.at(path)) from None
+    for form in forms:
         if "id" not in form.annotations:
             raise CqGenError(f"{path}:{form.line}: form lacks an id annotation")
         if "polarity" not in form.annotations:

@@ -7,6 +7,12 @@ variables, quoted strings, variables in predicate or function position,
 typed quantifier bindings) is rejected with a positioned error so the
 caller knows the input needs a pre-translated form.
 
+The reader makes one pass over the source with one compiled pattern and
+builds the nested forms as it goes; each token keeps its line and
+column, so every error names both (:meth:`KifError.at` adds the file).
+Faults of the s-expression layer (parens, quotes, row variables) are
+reported in source order, before any fault of the fragment's grammar.
+
 Conventions baked into the AST:
 
 * variable names are stored without the leading ``?``;
@@ -19,28 +25,37 @@ Conventions baked into the AST:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
 class KifError(Exception):
-    """Base class for everything this parser can raise."""
+    """Base class for everything this parser can raise: ``reason``, found
+    at ``line`` and ``col`` of the source."""
+
+    def __init__(self, line: int, col: int, reason: str, message: str):
+        self.line = line
+        self.col = col
+        self.reason = reason
+        super().__init__(message)
+
+    def at(self, path) -> str:
+        """The error as ``<path>:<line>:<col>: <reason>``."""
+        return f"{path}:{self.line}:{self.col}: {self.reason}"
 
 
 class KifSyntaxError(KifError):
     def __init__(self, line: int, col: int, reason: str):
-        self.line = line
-        self.col = col
-        self.reason = reason
-        super().__init__(f"{line}:{col}: {reason}")
+        super().__init__(line, col, reason, f"{line}:{col}: {reason}")
 
 
 class UnsupportedConstruct(KifError):
     """Input is well-formed SUO-KIF but outside the first-order fragment."""
 
-    def __init__(self, line: int, construct: str):
-        self.line = line
+    def __init__(self, line: int, col: int, construct: str):
         self.construct = construct
-        super().__init__(f"line {line}: unsupported construct: {construct}")
+        reason = f"unsupported construct: {construct}"
+        super().__init__(line, col, reason, f"line {line}: {reason}")
 
 
 def _check_name(name: str, what: str) -> None:
@@ -180,80 +195,50 @@ class Exists(Formula):
 
 
 # --------------------------------------------------------------------------
-# tokenizer
+# reader
+
+# One match per token of a line: a comment, a paren, a quote, or a symbol
+# running to the next blank or one of those.  Blanks match nothing, so
+# finditer steps over them.
+_TOKEN = re.compile(r';.*|[()"]|[^ \t\r();"]+')
 
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    col: int
+def _read_sexprs(source: str) -> list:
+    """Group the source into nested lists in one pass over its tokens.
 
-
-def _tokenize(source: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col, i, n = 1, 1, 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            start = i
-            while i < n and source[i] != "\n":
-                i += 1
-            toks.append(_Tok(source[start:i], line, col))
-        elif ch in "()":
-            toks.append(_Tok(ch, line, col))
-            col += 1
-            i += 1
-        elif ch == '"':
-            raise UnsupportedConstruct(line, "quoted term")
-        else:
-            start, scol = i, col
-            while i < n and source[i] not in ' \t\r\n();"':
-                i += 1
-                col += 1
-            text = source[start:i]
-            if text.startswith("@"):
-                raise UnsupportedConstruct(line, f"row variable {text}")
-            toks.append(_Tok(text, line, scol))
-    return toks
-
-
-def _read_sexprs(toks: list[_Tok]):
-    """Group a token stream into nested lists; leaves stay _Tok.
-
-    Comments inside a form are dropped; top-level comments stay in the
-    result as leaves, in source order between the forms.
+    A leaf is a ``(text, line, col)`` tuple; a list starts with the leaf of
+    its opening paren, for positions.  Comments inside a form are dropped;
+    top-level comments stay in the result as leaves, in source order
+    between the forms.
     """
-    exprs = []
-    stack: list[list] = []
-    for t in toks:
-        if t.text[0] == ";":
-            if not stack:
-                exprs.append(t)
-        elif t.text == "(":
-            stack.append([t])  # keep the opener for positions
-        elif t.text == ")":
-            if not stack:
-                raise KifSyntaxError(t.line, t.col, "unbalanced ')'")
-            done = stack.pop()
-            if stack:
-                stack[-1].append(done)
+    exprs: list = []
+    stack: list[list] = []  # the forms still open, innermost last
+    for line, text in enumerate(source.split("\n"), start=1):
+        for m in _TOKEN.finditer(text):
+            word, col = m.group(), m.start() + 1
+            ch = word[0]
+            if ch == "(":
+                form = [(word, line, col)]
+                (stack[-1] if stack else exprs).append(form)
+                stack.append(form)
+            elif ch == ")":
+                if not stack:
+                    raise KifSyntaxError(line, col, "unbalanced ')'")
+                stack.pop()
+            elif ch == ";":
+                if not stack:
+                    exprs.append((word, line, col))
+            elif ch == '"':
+                raise UnsupportedConstruct(line, col, "quoted term")
+            elif ch == "@":
+                raise UnsupportedConstruct(line, col, f"row variable {word}")
+            elif stack:
+                stack[-1].append((word, line, col))
             else:
-                exprs.append(done)
-        else:
-            if not stack:
-                raise KifSyntaxError(t.line, t.col, "expected '(' at top level")
-            stack[-1].append(t)
+                raise KifSyntaxError(line, col, "expected '(' at top level")
     if stack:
-        opener = stack[-1][0]
-        raise KifSyntaxError(opener.line, opener.col, "unclosed '('")
+        _, line, col = stack[-1][0]
+        raise KifSyntaxError(line, col, "unclosed '('")
     return exprs
 
 
@@ -263,91 +248,93 @@ def _read_sexprs(toks: list[_Tok]):
 CONNECTIVES = frozenset({"=>", "<=>", "and", "or", "not", "forall", "exists", "equal", "="})
 
 
-def _pos(sx) -> _Tok:
-    return sx[0] if isinstance(sx, list) else sx
-
-
 def _parse_term(sx) -> Term:
-    if isinstance(sx, _Tok):
-        if sx.text.startswith("?"):
-            if len(sx.text) < 2:
-                raise KifSyntaxError(sx.line, sx.col, "empty variable name")
-            return Variable(sx.text[1:])
-        return Constant(sx.text)
-    opener = sx[0]
+    if isinstance(sx, tuple):
+        text, line, col = sx
+        if text[0] == "?":
+            if len(text) < 2:
+                raise KifSyntaxError(line, col, "empty variable name")
+            return Variable(text[1:])
+        return Constant(text)
+    _, line, col = sx[0]
     if len(sx) < 2:
-        raise KifSyntaxError(opener.line, opener.col, "empty function application")
+        raise KifSyntaxError(line, col, "empty function application")
     head = sx[1]
     if isinstance(head, list):
-        raise KifSyntaxError(opener.line, opener.col, "expected function name")
-    if head.text.startswith("?"):
-        raise UnsupportedConstruct(head.line, "variable in function position")
-    if head.text in CONNECTIVES:
-        raise KifSyntaxError(head.line, head.col, f"connective {head.text!r} in term position")
-    return Function(head.text, tuple(_parse_term(a) for a in sx[2:]))
+        raise KifSyntaxError(line, col, "expected function name")
+    name, line, col = head
+    if name[0] == "?":
+        raise UnsupportedConstruct(line, col, "variable in function position")
+    if name in CONNECTIVES:
+        raise KifSyntaxError(line, col, f"connective {name!r} in term position")
+    return Function(name, tuple(_parse_term(a) for a in sx[2:]))
 
 
 def _parse_quantifier(sx, cls):
-    opener, head = sx[0], sx[1]
+    kw, line, col = sx[1]
     if len(sx) != 4:
-        raise KifSyntaxError(head.line, head.col, f"{head.text} needs a variable list and a body")
+        raise KifSyntaxError(line, col, f"{kw} needs a variable list and a body")
     varlist = sx[2]
-    if isinstance(varlist, _Tok):
-        raise KifSyntaxError(varlist.line, varlist.col, "quantifier needs a variable list")
+    if isinstance(varlist, tuple):
+        raise KifSyntaxError(varlist[1], varlist[2], "quantifier needs a variable list")
     names = []
     for v in varlist[1:]:
         if isinstance(v, list):
-            raise UnsupportedConstruct(_pos(v).line, "typed quantifier binding")
-        if not v.text.startswith("?") or len(v.text) < 2:
-            raise KifSyntaxError(v.line, v.col, f"expected a variable, found {v.text!r}")
-        names.append(v.text[1:])
+            _, line, col = v[0]
+            raise UnsupportedConstruct(line, col, "typed quantifier binding")
+        text, line, col = v
+        if text[0] != "?" or len(text) < 2:
+            raise KifSyntaxError(line, col, f"expected a variable, found {text!r}")
+        names.append(text[1:])
     if not names:
-        raise KifSyntaxError(_pos(varlist).line, _pos(varlist).col, "empty variable list")
+        _, line, col = varlist[0]
+        raise KifSyntaxError(line, col, "empty variable list")
     return cls(tuple(names), _parse_formula(sx[3]))
 
 
 def _parse_formula(sx) -> Formula:
-    if isinstance(sx, _Tok):
-        raise KifSyntaxError(sx.line, sx.col, f"expected a formula, found {sx.text!r}")
-    opener = sx[0]
+    if isinstance(sx, tuple):
+        text, line, col = sx
+        raise KifSyntaxError(line, col, f"expected a formula, found {text!r}")
+    _, line, col = sx[0]
     if len(sx) < 2:
-        raise KifSyntaxError(opener.line, opener.col, "empty expression")
+        raise KifSyntaxError(line, col, "empty expression")
     head = sx[1]
     if isinstance(head, list):
-        raise KifSyntaxError(opener.line, opener.col, "expected an operator or predicate symbol")
-    if head.text.startswith("?"):
-        raise UnsupportedConstruct(head.line, "variable in predicate position")
+        raise KifSyntaxError(line, col, "expected an operator or predicate symbol")
+    kw, line, col = head
+    if kw[0] == "?":
+        raise UnsupportedConstruct(line, col, "variable in predicate position")
     body = sx[2:]
-    kw = head.text
     if kw == "=>":
         if len(body) != 2:
-            raise KifSyntaxError(head.line, head.col, "=> takes exactly two formulas")
+            raise KifSyntaxError(line, col, "=> takes exactly two formulas")
         return Implies(_parse_formula(body[0]), _parse_formula(body[1]))
     if kw == "<=>":
         if len(body) != 2:
-            raise KifSyntaxError(head.line, head.col, "<=> takes exactly two formulas")
+            raise KifSyntaxError(line, col, "<=> takes exactly two formulas")
         return Iff(_parse_formula(body[0]), _parse_formula(body[1]))
     if kw in ("and", "or"):
         if len(body) < 2:
-            raise KifSyntaxError(head.line, head.col, f"{kw} takes at least two formulas")
+            raise KifSyntaxError(line, col, f"{kw} takes at least two formulas")
         parts = tuple(_parse_formula(b) for b in body)
         return And(parts) if kw == "and" else Or(parts)
     if kw == "not":
         if len(body) != 1:
-            raise KifSyntaxError(head.line, head.col, "not takes exactly one formula")
+            raise KifSyntaxError(line, col, "not takes exactly one formula")
         return Not(_parse_formula(body[0]))
     if kw in ("forall", "exists"):
         return _parse_quantifier(sx, Forall if kw == "forall" else Exists)
     if kw in ("equal", "="):
         if len(body) != 2:
-            raise KifSyntaxError(head.line, head.col, "equal takes exactly two terms")
+            raise KifSyntaxError(line, col, "equal takes exactly two terms")
         return Equal(_parse_term(body[0]), _parse_term(body[1]))
     return Atom(kw, tuple(_parse_term(b) for b in body))
 
 
 def parse_kif(source: str) -> list[Formula]:
     """Parse SUO-KIF text into a list of formulas (one per top-level form)."""
-    return [_parse_formula(sx) for sx in _read_sexprs(_tokenize(source)) if isinstance(sx, list)]
+    return [_parse_formula(sx) for sx in _read_sexprs(source) if isinstance(sx, list)]
 
 
 # --------------------------------------------------------------------------
@@ -369,12 +356,12 @@ def parse_annotated(source: str) -> list[AnnotatedForm]:
     """
     out: list[AnnotatedForm] = []
     pending: dict = {}
-    for sx in _read_sexprs(_tokenize(source)):
+    for sx in _read_sexprs(source):
         if isinstance(sx, list):
-            out.append(AnnotatedForm(_parse_formula(sx), pending, sx[0].line))
+            out.append(AnnotatedForm(_parse_formula(sx), pending, sx[0][1]))
             pending = {}
-        elif sx.text.startswith(";;"):
-            key, colon, value = sx.text[2:].partition(":")
+        elif sx[0].startswith(";;"):
+            key, colon, value = sx[0][2:].partition(":")
             if colon and key.strip():
                 pending[key.strip()] = value.strip()
     return out

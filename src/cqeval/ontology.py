@@ -17,6 +17,7 @@ taxonomy acyclic.
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,7 +103,10 @@ def load_ontology(path: str | Path, name: str | None = None) -> Ontology:
                 raise OntologyError(f"{unit.where}: conjecture unit in an ontology file")
             axioms.append(OntologyAxiom(unit.name, unit.formula, unit.text))
     else:
-        forms = kif.parse_annotated(path.read_text(encoding="utf-8"))
+        try:
+            forms = kif.parse_annotated(path.read_text(encoding="utf-8"))
+        except kif.KifError as e:
+            raise OntologyError(e.at(path)) from None
         axioms = [OntologyAxiom(form.annotations.get("label", f"ax{i}"), form.formula)
                   for i, form in enumerate(forms, start=1)]
     return _ontology(name or path.stem, [(str(path), axioms)])
@@ -123,38 +127,6 @@ def _adjacency(pairs) -> dict[str, tuple[str, ...]]:
     for child, parent in pairs:
         up.setdefault(child, set()).add(parent)
     return {c: tuple(sorted(ps)) for c, ps in sorted(up.items())}
-
-
-def _find_cycle(up: dict[str, tuple[str, ...]]):
-    """DFS for a cycle in the parent graph; returns a path or None."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in up}
-    for root in sorted(up):
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(up.get(root, ())))]
-        color[root] = GRAY
-        trail = [root]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for parent in it:
-                if parent not in up:
-                    continue
-                if color[parent] == GRAY:
-                    cut = trail.index(parent)
-                    return trail[cut:] + [parent]
-                if color[parent] == WHITE:
-                    color[parent] = GRAY
-                    trail.append(parent)
-                    stack.append((parent, iter(up.get(parent, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                trail.pop()
-                stack.pop()
-    return None
 
 
 @dataclass(frozen=True)
@@ -203,7 +175,9 @@ def build_index(core: Ontology, extra_sources=()) -> OntologyIndex:
         by_rel[rel].add((child, parent))
     ups = {rel: _adjacency(pairs) for rel, pairs in by_rel.items()}
     for rel in ("subclass", "subAttribute"):
-        cycle = _find_cycle(ups[rel])
-        if cycle:
-            raise CycleDetected(rel, cycle)
+        try:
+            graphlib.TopologicalSorter(ups[rel]).prepare()
+        except graphlib.CycleError as e:
+            # graphlib lists each parent before its child
+            raise CycleDetected(rel, e.args[1][::-1]) from None
     return OntologyIndex(vocabulary=core.vocabulary, up=ups)

@@ -71,7 +71,6 @@ def journal_record(cq_id: str, r: ProverResult) -> dict:
         "wall_seconds": r.wall_seconds,
         "used_axioms": list(r.used_axioms),
         "output_file": r.raw_output_path,
-        "reported_seconds": r.reported_seconds,
     }
     if r.search is not None:
         rec["search"] = asdict(r.search)
@@ -85,7 +84,6 @@ def result_from_record(rec: dict) -> ProverResult:
         wall_seconds=float(rec["wall_seconds"]),
         used_axioms=tuple(rec.get("used_axioms", ())),
         raw_output_path=rec.get("output_file"),
-        reported_seconds=rec.get("reported_seconds"),
         search=None if search is None else SearchCounts(**search),
     )
 
@@ -186,8 +184,7 @@ def run_one(problem: ProblemFile, cfg: RunnerConfig) -> ProverResult:
     status, used = tptp.parse_szs(text)
     if status is SzsStatus.NO_STATUS:
         status = silent
-    return ProverResult(status, wall, used, out_path, tptp.parse_reported_seconds(text),
-                        tptp.parse_search(text))
+    return ProverResult(status, wall, used, out_path, tptp.parse_search(text))
 
 
 # --------------------------------------------------------------------------
@@ -269,5 +266,5 @@ def discover_problems(corpus_dir: str | Path):
     corpus_dir = Path(corpus_dir)
     out = []
     for path in sorted(corpus_dir.glob("*.p")):
-        out.append(ProblemFile(path=path, cq_id=path.stem, conjecture_name=path.stem))
+        out.append(ProblemFile(path=path, cq_id=path.stem))
     return out

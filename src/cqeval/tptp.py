@@ -148,7 +148,6 @@ def render_fof(name: str, role: str, f: Formula, table: dict | None = None) -> s
 class ProblemFile:
     path: Path
     cq_id: str
-    conjecture_name: str
 
 
 @dataclass(frozen=True)
@@ -223,7 +222,7 @@ def write_problem(
         conj_name = renamed
     lines.append(render_fof(conj_name, "conjecture", cq.formula, dict(axioms.table)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return ProblemFile(path=path, cq_id=cq.id, conjecture_name=conj_name)
+    return ProblemFile(path=path, cq_id=cq.id)
 
 
 # --------------------------------------------------------------------------
@@ -576,23 +575,6 @@ def render_szs_output(status: SzsStatus, used_axioms=(), problem: str = "") -> s
     return "\n".join(lines) + "\n"
 
 
-_REPORTED_RES = (
-    re.compile(r"Time elapsed:\s*([0-9.]+)"),
-    re.compile(r"Total time\s*[:=]?\s*([0-9.]+)"),
-)
-
-
-def parse_reported_seconds(output: str) -> float | None:
-    for pat in _REPORTED_RES:
-        m = pat.search(output)
-        if m:
-            try:
-                return float(m.group(1))
-            except ValueError:
-                continue
-    return None
-
-
 @dataclass(frozen=True)
 class SearchCounts:
     """Work done by one run of the bundled prover."""
@@ -625,7 +607,6 @@ class ProverResult:
     wall_seconds: float
     used_axioms: tuple[str, ...] = ()
     raw_output_path: str | None = None
-    reported_seconds: float | None = None
     search: SearchCounts | None = None
 
     def __post_init__(self):

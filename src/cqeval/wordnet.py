@@ -2,17 +2,19 @@
 
 Four file families are understood:
 
-* ``data.{noun,verb,adj,adv}``: synset records, from which words, glosses
-  and antonym pointers are taken;
+* ``data.{noun,verb,adj,adv}``: synset records, from which the synset
+  ids and antonym pointers are taken;
 * mapping files: the same records re-annotated with ``&%Term=`` style
-  tags tying a synset to an ontology term;
+  tags tying a synset to an ontology term; one reader opens the records
+  of both;
 * ``index.sense``: sense keys to synset offsets, needed to resolve the
   morphosemantic links;
 * morphosemantic link tables (TSV or CSV): verb sense, relation name,
   noun sense.
 
 Everything returns plain frozen records; no global state, no lexicon
-singletons.
+singletons.  Malformed input raises a WordNetError naming the line;
+every synset offset and type read is checked the same way.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class Pos(Enum):
 
 
 _SS_TYPE = {"n": Pos.NOUN, "v": Pos.VERB, "a": Pos.ADJ, "s": Pos.ADJ, "r": Pos.ADV}
-_SENSE_POS = {"1": Pos.NOUN, "2": Pos.VERB, "3": Pos.ADJ, "4": Pos.ADV, "5": Pos.ADJ}
+_SENSE_SS_TYPE = {"1": "n", "2": "v", "3": "a", "4": "r", "5": "s"}  # by a sense key's digit
 
 _OFFSET_RE = re.compile(r"^\d{8}$")
 
@@ -91,63 +93,62 @@ class SynsetId:
         return cls(Pos(pos_value), offset)
 
 
-@dataclass(frozen=True)
-class Synset:
-    id: SynsetId
-    words: tuple[str, ...]
-    gloss: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "words", tuple(self.words))
-
-
 @dataclass
 class WordNetCorpus:
-    synsets: dict
+    synsets: frozenset  # of SynsetId
     antonym_pairs: frozenset
 
     def merged_with(self, other: "WordNetCorpus") -> "WordNetCorpus":
-        synsets = dict(self.synsets)
-        synsets.update(other.synsets)
-        return WordNetCorpus(synsets, self.antonym_pairs | other.antonym_pairs)
+        return WordNetCorpus(self.synsets | other.synsets,
+                             self.antonym_pairs | other.antonym_pairs)
 
 
 def _antonym_pair(a: SynsetId, b: SynsetId):
     return (a, b) if a <= b else (b, a)
 
 
-def parse_wn_data(text: str, pos: Pos) -> WordNetCorpus:
-    """Parse one ``data.<pos>`` file.
+def _synset_id(line_no: int, ss_type: str, offset: str, where: str) -> SynsetId:
+    """The synset that ``ss_type`` and ``offset`` name; either one malformed
+    raises, naming the line and ``where`` on it the pair was read."""
+    if ss_type not in _SS_TYPE:
+        raise DataFormatError(line_no, f"{where} has unknown ss_type {ss_type!r}")
+    if not _OFFSET_RE.match(offset):
+        raise DataFormatError(line_no, f"{where} has offset {offset!r}, not 8 digits")
+    return SynsetId(_SS_TYPE[ss_type], offset)
 
-    Header lines (leading double space) are skipped.  Antonym pointers are
-    lemma-level in the source; they collapse here to unordered synset
-    pairs.
+
+def _records(text: str):
+    """``(line number, line, fields, synset)`` for each synset record of a
+    data or mapping file, where ``fields`` are those before the gloss.
+
+    Header lines (leading double space) and blank lines are skipped.
     """
-    synsets: dict = {}
-    antonyms: set = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.startswith("  "):
             continue
-        body, _, gloss = raw.partition("|")
-        fields = body.split()
+        fields = raw.partition("|")[0].split()
         if len(fields) < 4:
             raise DataFormatError(line_no, "truncated synset record")
-        offset, _lex_filenum, ss_type = fields[0], fields[1], fields[2]
-        if ss_type not in _SS_TYPE:
-            raise DataFormatError(line_no, f"unknown ss_type {ss_type!r}")
-        sid = SynsetId(_SS_TYPE[ss_type], offset)
+        yield line_no, raw, fields, _synset_id(line_no, fields[2], fields[0], "synset record")
+
+
+def parse_wn_data(text: str) -> WordNetCorpus:
+    """Parse one ``data.<pos>`` file.
+
+    Antonym pointers are lemma-level in the source; they collapse here to
+    unordered synset pairs.
+    """
+    synsets: set = set()
+    antonyms: set = set()
+    for line_no, _, fields, sid in _records(text):
         try:
             w_cnt = int(fields[3], 16)
         except ValueError:
             raise DataFormatError(line_no, f"bad word count {fields[3]!r}") from None
-        i = 4
-        words = []
-        for _ in range(w_cnt):
-            if i + 1 >= len(fields):
-                raise DataFormatError(line_no, "word list shorter than its count")
-            words.append(fields[i])
-            i += 2  # word then lex_id
-        if i >= len(fields):
+        i = 4 + 2 * max(w_cnt, 0)  # past the words, each followed by its lex_id
+        if i > len(fields):
+            raise DataFormatError(line_no, "word list shorter than its count")
+        if i == len(fields):
             raise DataFormatError(line_no, "missing pointer count")
         try:
             p_cnt = int(fields[i], 10)
@@ -160,14 +161,13 @@ def parse_wn_data(text: str, pos: Pos) -> WordNetCorpus:
             symbol, tgt_offset, tgt_pos = fields[i], fields[i + 1], fields[i + 2]
             i += 4  # symbol, offset, pos, source/target
             if symbol == "!":
-                if tgt_pos not in _SS_TYPE:
-                    raise DataFormatError(line_no, f"bad pointer pos {tgt_pos!r}")
-                antonyms.add(_antonym_pair(sid, SynsetId(_SS_TYPE[tgt_pos], tgt_offset)))
+                target = _synset_id(line_no, tgt_pos, tgt_offset, "pointer target")
+                antonyms.add(_antonym_pair(sid, target))
         # verb frames and anything else after the pointers are ignored
         if sid in synsets:
             raise DataFormatError(line_no, f"synset {sid} defined twice")
-        synsets[sid] = Synset(sid, tuple(words), gloss.strip())
-    return WordNetCorpus(synsets, frozenset(antonyms))
+        synsets.add(sid)
+    return WordNetCorpus(frozenset(synsets), frozenset(antonyms))
 
 
 # --------------------------------------------------------------------------
@@ -206,11 +206,7 @@ class MappingParse:
 _ANNOTATION_RE = re.compile(r"&%(\S+)")
 
 
-def parse_mapping_file(
-    text: str,
-    pos: Pos,
-    suffixes: frozenset = DEFAULT_SUFFIXES,
-) -> MappingParse:
+def parse_mapping_file(text: str, suffixes: frozenset = DEFAULT_SUFFIXES) -> MappingParse:
     """Extract ``&%Term<suffix>`` annotations from a mapping file.
 
     The first annotation on a line is the synset's mapping; later ones are
@@ -221,16 +217,7 @@ def parse_mapping_file(
     entries: list = []
     warnings: list = []
     skipped = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.startswith("  "):
-            continue
-        fields = raw.split()
-        if len(fields) < 3:
-            continue
-        offset, ss_type = fields[0], fields[2]
-        if not _OFFSET_RE.match(offset) or ss_type not in _SS_TYPE:
-            raise DataFormatError(line_no, "mapping line does not start with a synset record")
-        sid = SynsetId(_SS_TYPE[ss_type], offset)
+    for line_no, raw, _, sid in _records(text):
         tokens = _ANNOTATION_RE.findall(raw)
         if not tokens:
             skipped += 1
@@ -264,11 +251,12 @@ def parse_sense_index(text: str) -> dict:
             raise DataFormatError(line_no, "truncated sense index line")
         key, offset = fields[0], fields[1]
         m = re.search(r"%(\d)", key)
-        if not m or m.group(1) not in _SENSE_POS:
+        if not m or m.group(1) not in _SENSE_SS_TYPE:
             raise DataFormatError(line_no, f"sense key {key!r} has no part of speech")
         if key in index:
             raise DuplicateKey(f"line {line_no}: sense key {key!r} appears twice")
-        index[key] = SynsetId(_SENSE_POS[m.group(1)], offset)
+        index[key] = _synset_id(line_no, _SENSE_SS_TYPE[m.group(1)], offset,
+                                "sense index entry")
     return index
 
 
@@ -311,5 +299,8 @@ def parse_morphosemantic(text: str, sense_index: dict) -> list:
         for key in (verb_key, noun_key):
             if key not in sense_index:
                 raise UnresolvedSenseKey(f"line {line_no}: {key!r} not in the sense index")
-        links.append(MorphLink(sense_index[verb_key], relation, sense_index[noun_key]))
+        try:
+            links.append(MorphLink(sense_index[verb_key], relation, sense_index[noun_key]))
+        except ValueError as e:  # a sense of the wrong part of speech
+            raise DataFormatError(line_no, str(e)) from None
     return links

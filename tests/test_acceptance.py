@@ -29,7 +29,6 @@ import genformulas
 import oracles
 from conftest import run_cli, write_config
 from cqeval import coremap, cqgen, kif, ontology, report, runner, tptp, verdict, wordnet
-from cqeval.cli import POS_BY_NAME
 from cqeval.cqgen import Polarity
 from cqeval.kif import Constant, Function, Not
 from cqeval.microprover import prove
@@ -106,16 +105,15 @@ def test_criterion_1_generation_counts(capsys):
     base, morph = found
 
     with _criterion(1, capsys) as info:
-        wn = wordnet.WordNetCorpus({}, frozenset())
-        for posname, fname in sorted(WN30_DATA.items()):
+        wn = wordnet.WordNetCorpus(frozenset(), frozenset())
+        for _, fname in sorted(WN30_DATA.items()):
             text = (base / fname).read_text(encoding="utf-8")
-            wn = wn.merged_with(wordnet.parse_wn_data(text, POS_BY_NAME[posname]))
+            wn = wn.merged_with(wordnet.parse_wn_data(text))
 
         entries = []
-        for posname, fname in sorted(WN30_MAPPINGS.items()):
+        for _, fname in sorted(WN30_MAPPINGS.items()):
             parsed = wordnet.parse_mapping_file(
                 (base / fname).read_text(encoding="utf-8"),
-                POS_BY_NAME[posname],
                 wordnet.DEFAULT_SUFFIXES,
             )
             entries.extend(parsed.entries)
@@ -571,7 +569,7 @@ def test_criterion_5_campaign_resilience(pipeline, corpus, tmp_path, capsys):
             timeout_seconds=10.0,
         )
         t0 = time.monotonic()
-        result = runner.run_one(tptp.ProblemFile(problem_path, "cq_hang", "cq_hang"), cfg)
+        result = runner.run_one(tptp.ProblemFile(problem_path, "cq_hang"), cfg)
         elapsed = time.monotonic() - t0
         assert result.szs is SzsStatus.TIMEOUT
         assert elapsed <= 12.0, elapsed

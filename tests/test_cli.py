@@ -8,10 +8,11 @@ subcommands and error paths against fresh directories.
 import json
 import shutil
 import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import ONT, base_config, run_cli, write_config
+from conftest import CREATIVE, ONT, base_config, run_cli, write_config
 from cqeval import cli, ontology, runner, store, tptp
 
 # --------------------------------------------------------------------------
@@ -35,15 +36,10 @@ def test_ingest_writes_stores(pipeline):
         "corpus.ldjson",
         "mapping.ldjson",
         "morphlinks.ldjson",
-        "synsets.ldjson",
     ]
-    synsets = store.read_ldjson(stores / "synsets.ldjson", "synsets")
-    assert len(synsets) == 27
-    assert all({"id", "words", "gloss"} <= set(r) for r in synsets)
 
 
 @pytest.mark.parametrize("name, record", [
-    ("synsets", {"id": "n:00300505", "words": ["frying"], "gloss": "cooking in hot fat"}),
     ("antonyms", {"a": "n:00300505", "b": "n:00300606"}),
     ("mapping", {"synset": "n:00300505", "term": "Frying", "relation": "="}),
     ("morphlinks", {"verb": "v:02200200", "relation": "result", "noun": "n:01400707"}),
@@ -497,6 +493,55 @@ def test_bad_store_record_names_its_line(pipeline, tmp_path, stage, name, edit, 
     config, path = _stores_with_bad_record(pipeline, tmp_path, name, edit)
     err = _expect_error([stage, "--config", str(config)], f"{path}:2: {needle}")
     assert err.count("\n") == 1  # one line, no traceback
+
+
+def _with_fault(tmp_path, source, fault):
+    """A copy of ``source`` in ``tmp_path`` with the line ``fault`` appended,
+    and that line's number."""
+    text = source.read_text(encoding="utf-8")
+    bad = tmp_path / source.name
+    bad.write_text(text + fault + "\n", encoding="utf-8")
+    return bad, text.count("\n") + 1
+
+
+@pytest.mark.parametrize("keys, fault, reason", [
+    (("wordnet", "data", "noun"), "00000009 03 x 01 thing 0 000",
+     "synset record has unknown ss_type 'x'"),
+    (("wordnet", "data", "verb"), "00000009 03 v 01 go 0 001 ! 123 v 0000",
+     "pointer target has offset '123', not 8 digits"),
+    (("mappings", "verb"), "123 03 v 01 go 0 000 | g &%Motion=",
+     "synset record has offset '123', not 8 digits"),
+    (("wordnet", "sense_index"), "go%2:38:00:: 123 1 0",
+     "sense index entry has offset '123', not 8 digits"),
+], ids=["data", "pointer", "mapping", "sense-index"])
+def test_bad_wordnet_input_names_its_file(tmp_path, keys, fault, reason):
+    raw = base_config()
+    section = raw
+    for key in keys[:-1]:
+        section = section[key]
+    bad, line = _with_fault(tmp_path, Path(section[keys[-1]]), fault)
+    section[keys[-1]] = bad.name  # as the config names it
+    code, _, err = run_cli("ingest", "--config", str(write_config(tmp_path, raw)))
+    assert (code, err) == (2, f"error: {bad.name}: line {line}: {reason}\n")
+
+
+def test_bad_core_ontology_names_its_file(pipeline, tmp_path):
+    bad, line = _with_fault(tmp_path, ONT / "core.kif", "(subclass A")
+    shutil.copytree(pipeline.root / "stores", tmp_path / "stores")
+    raw = base_config()
+    raw["ontology"]["core"] = str(bad)
+    code, _, err = run_cli("propagate", "--config", str(write_config(tmp_path, raw)))
+    assert (code, err) == (2, f"error: {bad}:{line}:1: unclosed '('\n")
+
+
+def test_bad_creative_file_names_its_file(pipeline, tmp_path):
+    bad, line = _with_fault(tmp_path, CREATIVE, "(instance ?X @ROW)")
+    shutil.copytree(pipeline.root / "stores", tmp_path / "stores")
+    raw = base_config()
+    raw["creative"] = str(bad)
+    code, _, err = run_cli("generate", "--config", str(write_config(tmp_path, raw)))
+    reason = "unsupported construct: row variable @ROW"
+    assert (code, err) == (2, f"error: {bad}:{line}:14: {reason}\n")
 
 
 def test_run_without_problems(tmp_path):

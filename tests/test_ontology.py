@@ -151,11 +151,16 @@ def test_is_attribute(core_index):
 
 def test_build_index_detects_subclass_cycle(tmp_path):
     p = tmp_path / "loop.kif"
-    p.write_text("(subclass A B)\n(subclass B C)\n(subclass C A)\n")
+    edges = {("A", "B"), ("B", "C"), ("C", "A"), ("C", "D")}
+    p.write_text("".join(f"(subclass {c} {u})\n" for c, u in sorted(edges)))
     ont = load_ontology(p)
     with pytest.raises(CycleDetected) as e:
         build_index(ont)
     assert e.value.relation == "subclass"
+    path = e.value.path
+    assert len(path) == 4 and path[0] == path[-1]
+    # read from child to parent, each step an input edge
+    assert all(step in edges for step in zip(path, path[1:]))
 
 
 def test_build_index_allows_instance_edges_without_cycle_check(tmp_path):

@@ -87,7 +87,7 @@ def test_sha256_file(tmp_path):
 def test_record_codec_round_trips_synset_ids_and_enums():
     from cqeval.coremap import PropagatedEntry
     from cqeval.store import record_codec
-    from cqeval.wordnet import MappingRelation, Synset, SynsetId
+    from cqeval.wordnet import MappingRelation, SynsetId
 
     encode, decode = record_codec(PropagatedEntry)
     entry = PropagatedEntry(SynsetId.from_key("n:00300505"), "Cooking",
@@ -96,7 +96,3 @@ def test_record_codec_round_trips_synset_ids_and_enums():
     assert rec == {"synset": "n:00300505", "term": "Cooking", "relation": "+",
                    "origin_term": "Frying", "depth": 1}
     assert decode(json.loads(json.dumps(rec))) == entry
-
-    encode, decode = record_codec(Synset)
-    synset = Synset(SynsetId.from_key("v:02300300"), ("repair", "fix"), "mend")
-    assert decode(json.loads(json.dumps(encode(synset)))) == synset

@@ -17,7 +17,6 @@ from cqeval.tptp import (
     demangle_variable,
     mangle_symbol,
     mangle_variable,
-    parse_reported_seconds,
     parse_szs,
     read_problem,
     read_units,
@@ -177,7 +176,7 @@ def test_write_problem_renames_colliding_conjecture(tmp_path):
     warnings = []
     pf = write_problem(_cq(cq_id="ax_a"), _mini_axioms(), tmp_path,
                        warn=warnings.append)
-    assert pf.conjecture_name == "ax_a_conj"
+    assert "\nfof(ax_a_conj, conjecture, " in pf.path.read_text(encoding="utf-8")
     assert warnings and "collides" in warnings[0]
     axioms, (conj_name, _) = read_problem(pf.path)
     assert conj_name == "ax_a_conj"
@@ -320,9 +319,3 @@ def test_szs_round_trip_quoted_names():
     text = render_szs_output(SzsStatus.THEOREM, used)
     assert "fof('ax_o\\'brien', axiom, $true)." in text
     assert parse_szs(text) == (SzsStatus.THEOREM, used)
-
-
-def test_parse_reported_seconds():
-    assert parse_reported_seconds("% Time elapsed: 1.234 s\n") == 1.234
-    assert parse_reported_seconds("# Total time : 0.020 s\n") == 0.020
-    assert parse_reported_seconds("nothing here\n") is None

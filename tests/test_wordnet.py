@@ -40,41 +40,39 @@ def test_synset_id_ordering_is_pos_then_offset():
 
 
 def test_parse_wn_data_fixture_noun():
-    corpus = parse_wn_data((WN / "data.noun").read_text(), Pos.NOUN)
+    corpus = parse_wn_data((WN / "data.noun").read_text())
     assert len(corpus.synsets) == 15
-    entity = corpus.synsets[SynsetId(Pos.NOUN, "00001740")]
-    assert entity.words == ("entity",)
-    sleeping = corpus.synsets[SynsetId(Pos.NOUN, "00200404")]
-    assert sleeping.words == ("sleeping", "slumber")
+    assert SynsetId(Pos.NOUN, "00001740") in corpus.synsets
+    assert SynsetId(Pos.NOUN, "00200404") in corpus.synsets
     assert len(corpus.antonym_pairs) == 3
 
 
 def test_parse_wn_data_antonym_pairs_are_unordered():
     # whisper and shout point at each other; one pair, not two
-    corpus = parse_wn_data((WN / "data.verb").read_text(), Pos.VERB)
+    corpus = parse_wn_data((WN / "data.verb").read_text())
     assert len(corpus.antonym_pairs) == 1
     ((a, b),) = corpus.antonym_pairs
     assert (a.offset, b.offset) == ("02500500", "02600600")
 
 
 def test_parse_wn_data_satellite_adjectives():
-    corpus = parse_wn_data((WN / "data.adj").read_text(), Pos.ADJ)
-    arid = corpus.synsets[SynsetId(Pos.ADJ, "03000300")]
-    assert arid.words == ("arid",)
+    corpus = parse_wn_data((WN / "data.adj").read_text())
+    assert SynsetId(Pos.ADJ, "03000300") in corpus.synsets
 
 
 def test_parse_wn_data_skips_license_header():
     text = "  1 this is a header line\n00000001 03 n 01 thing 0 000 | a gloss\n"
-    corpus = parse_wn_data(text, Pos.NOUN)
-    assert len(corpus.synsets) == 1
-    assert corpus.synsets[SynsetId(Pos.NOUN, "00000001")].gloss == "a gloss"
+    corpus = parse_wn_data(text)
+    assert corpus.synsets == {SynsetId(Pos.NOUN, "00000001")}
 
 
 def test_parse_wn_data_hex_word_count():
     words = " ".join(f"w{i} 0" for i in range(12))
-    text = f"00000002 03 n 0c {words} 000\n"
-    corpus = parse_wn_data(text, Pos.NOUN)
-    assert len(corpus.synsets[SynsetId(Pos.NOUN, "00000002")].words) == 12
+    # the antonym pointer is found only past all twelve words
+    text = f"00000002 03 n 0c {words} 001 ! 00000003 n 0000\n"
+    corpus = parse_wn_data(text)
+    assert corpus.antonym_pairs == {(SynsetId(Pos.NOUN, "00000002"),
+                                     SynsetId(Pos.NOUN, "00000003"))}
 
 
 @pytest.mark.parametrize(
@@ -85,11 +83,15 @@ def test_parse_wn_data_hex_word_count():
         ("00000001 03 n zz thing 0 000", "word count"),
         ("00000001 03 n 02 thing 0 000", "shorter than its count"),
         ("00000001 03 n 01 thing 0 001 ! 00000002", "pointer list"),
+        ("123 03 n 01 thing 0 000", "synset record has offset '123'"),
+        ("00000001 03 n 01 thing 0 001 ! 123 n 0000", "pointer target has offset '123'"),
+        ("00000001 03 n 01 thing 0 001 ! 00000002 x 0000", "pointer target has unknown ss_type"),
     ],
 )
 def test_parse_wn_data_rejects_malformed(line, reason):
-    with pytest.raises(DataFormatError, match=reason):
-        parse_wn_data(line + "\n", Pos.NOUN)
+    with pytest.raises(DataFormatError, match=reason) as e:
+        parse_wn_data("  header\n" + line + "\n")
+    assert e.value.line_no == 2
 
 
 def test_parse_wn_data_rejects_duplicate_synset():
@@ -98,12 +100,12 @@ def test_parse_wn_data_rejects_duplicate_synset():
         "00000001 03 n 01 item 0 000 | two\n"
     )
     with pytest.raises(DataFormatError, match="twice"):
-        parse_wn_data(text, Pos.NOUN)
+        parse_wn_data(text)
 
 
 def test_merged_with_combines_corpora():
-    nouns = parse_wn_data((WN / "data.noun").read_text(), Pos.NOUN)
-    verbs = parse_wn_data((WN / "data.verb").read_text(), Pos.VERB)
+    nouns = parse_wn_data((WN / "data.noun").read_text())
+    verbs = parse_wn_data((WN / "data.verb").read_text())
     merged = nouns.merged_with(verbs)
     assert len(merged.synsets) == 15 + 8
     assert len(merged.antonym_pairs) == 4
@@ -114,7 +116,7 @@ def test_merged_with_combines_corpora():
 
 
 def test_parse_mapping_fixture_noun():
-    parsed = parse_mapping_file((WN / "WordNetMappings30-noun.txt").read_text(), Pos.NOUN)
+    parsed = parse_mapping_file((WN / "WordNetMappings30-noun.txt").read_text())
     assert len(parsed.entries) == 14
     assert parsed.skipped == 1  # the pebble row has no annotation
     assert len(parsed.warnings) == 1
@@ -128,7 +130,7 @@ def test_parse_mapping_fixture_noun():
 
 def test_parse_mapping_first_annotation_wins():
     line = "00100101 00 n 01 frozen 0 000 | g &%First= &%Second+\n"
-    parsed = parse_mapping_file(line, Pos.NOUN)
+    parsed = parse_mapping_file(line)
     assert [e.term for e in parsed.entries] == ["First"]
     assert parsed.warnings == ["line 1: extra annotation &%Second+ ignored"]
 
@@ -136,14 +138,20 @@ def test_parse_mapping_first_annotation_wins():
 def test_parse_mapping_rejects_unlisted_suffix():
     line = "00100101 00 n 01 frozen 0 000 | g &%Thing:\n"
     with pytest.raises(UnknownSuffix):
-        parse_mapping_file(line, Pos.NOUN)
-    parsed = parse_mapping_file(line, Pos.NOUN, suffixes=ALL_SUFFIXES)
+        parse_mapping_file(line)
+    parsed = parse_mapping_file(line, suffixes=ALL_SUFFIXES)
     assert parsed.entries[0].relation is MappingRelation.NOT_EQUIVALENCE
 
 
 def test_parse_mapping_rejects_non_synset_line():
     with pytest.raises(DataFormatError, match="synset record"):
-        parse_mapping_file("here is &%Prose= about mappings\n", Pos.NOUN)
+        parse_mapping_file("here is &%Prose= about mappings\n")
+
+
+def test_parse_mapping_rejects_truncated_record():
+    # the data files' rule: a record needs offset, lex_filenum, ss_type, w_cnt
+    with pytest.raises(DataFormatError, match="line 2: truncated synset record"):
+        parse_mapping_file("00100101 00 n 01 frozen 0 000 | g &%Freezing=\n00100202 26\n")
 
 
 def test_parse_mapping_skips_headers_and_counts_bare_lines():
@@ -151,7 +159,7 @@ def test_parse_mapping_skips_headers_and_counts_bare_lines():
         "  leading double space header\n"
         "00100101 00 n 01 frozen 0 000 | no annotation here\n"
     )
-    parsed = parse_mapping_file(text, Pos.NOUN)
+    parsed = parse_mapping_file(text)
     assert parsed.entries == []
     assert parsed.skipped == 1
 
@@ -177,6 +185,11 @@ def test_parse_sense_index_needs_pos_digit():
         parse_sense_index("catnosense 00000001 1 1\n")
 
 
+def test_parse_sense_index_rejects_bad_offset():
+    with pytest.raises(DataFormatError, match="line 2: sense index entry has offset '123'"):
+        parse_sense_index("cat%1:05:00:: 00000001 1 1\ndog%1:05:00:: 123 1 1\n")
+
+
 def test_parse_morphosemantic_fixture():
     index = parse_sense_index((WN / "index.sense").read_text())
     links = parse_morphosemantic((WN / "morphosemantic.tsv").read_text(), index)
@@ -199,6 +212,13 @@ def test_parse_morphosemantic_rejects_unknown_relation():
 def test_parse_morphosemantic_rejects_unresolved_key():
     with pytest.raises(UnresolvedSenseKey):
         parse_morphosemantic("a%2:00:00::\tagent\tb%1:00:00::\n", {})
+
+
+def test_parse_morphosemantic_rejects_a_noun_as_verb():
+    index = {"a%1:00:00::": SynsetId(Pos.NOUN, "00000001"),
+             "b%1:00:00::": SynsetId(Pos.NOUN, "00000002")}
+    with pytest.raises(DataFormatError, match="line 1: morphosemantic source n:00000001"):
+        parse_morphosemantic("a%1:00:00::\tagent\tb%1:00:00::\n", index)
 
 
 def test_parse_morphosemantic_comma_separated():
