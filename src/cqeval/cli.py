@@ -279,27 +279,24 @@ def cmd_translate(args) -> int:
     return 0
 
 
+EMIT_MODES = ("inline", "include")  # axioms copied into each problem, or in axioms.ax
+
+
 def cmd_emit(args) -> int:
     cfg = Config.load(args.config)
+    mode = args.mode or cfg.get("emit_mode", default="inline")
+    if mode not in EMIT_MODES:
+        raise CliError(f"unknown emit_mode {mode!r}: expected one of {', '.join(EMIT_MODES)}")
     corpus = _load_corpus(cfg)
     axioms = tptp.render_axioms(_evaluated_ontology(cfg))
     problems_dir = cfg.problems_dir()
-    mode = args.mode or cfg.get("emit_mode", default="inline")
-    axiom_file = None
-    if mode == "include":
-        axiom_file = problems_dir / "axioms.ax"
-        problems_dir.mkdir(parents=True, exist_ok=True)
-        tptp.write_axiom_file(axioms, axiom_file)
-        axiom_file = Path("axioms.ax")  # include paths are problem-relative
+    problems_dir.mkdir(parents=True, exist_ok=True)
+    include = "axioms.ax" if mode == "include" else None  # problem-relative
+    if include:
+        tptp.write_axiom_file(axioms, problems_dir / include)
     for cq in corpus.questions:
-        tptp.write_problem(
-            cq,
-            axioms,
-            problems_dir,
-            mode=mode,
-            axiom_file=axiom_file,
-            warn=lambda msg: print(f"warning: {msg}", file=sys.stderr),
-        )
+        tptp.write_problem(cq, axioms, problems_dir, include,
+                           warn=lambda msg: print(f"warning: {msg}", file=sys.stderr))
     print(f"wrote {len(corpus.questions)} problems to {problems_dir}")
     return 0
 
@@ -420,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
 
     p = command("emit", cmd_emit, "write one TPTP problem per question")
-    p.add_argument("--mode", choices=("inline", "include"), default=None)
+    p.add_argument("--mode", choices=EMIT_MODES, default=None)
 
     p = command("run", cmd_run, "run the prover campaign")
     p.add_argument("--corpus", default=None, help="problem directory (default from config)")
@@ -460,7 +457,6 @@ def main(argv=None) -> int:
         report.ReportError,
         verdict.UnresolvedCqId,
         tptp.TptpError,
-        json.JSONDecodeError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -48,21 +48,6 @@ class PropagationResult:
     warnings: list
 
 
-def _bfs_to_core(parents, up: dict, vocabulary: frozenset):
-    """Nearest core term among ``parents`` or above them along ``up``:
-    minimum depth (``parents`` are depth one), lexicographic tie-break
-    within a depth level."""
-    layer, seen, depth = set(parents), set(), 1
-    while layer:
-        hits = sorted(t for t in layer if t in vocabulary)
-        if hits:
-            return hits[0], depth
-        seen |= layer
-        layer = {p for node in layer for p in up.get(node, ()) if p not in seen}
-        depth += 1
-    return None
-
-
 # kind, the edge taken from the term, the relation climbed after it
 _CLIMBS = (
     ("class", "subclass", "subclass"),
@@ -73,12 +58,16 @@ _CLIMBS = (
 
 
 def _candidates(term: str, idx: OntologyIndex):
-    """(kind, core term, depth) for every kind that reaches core."""
+    """(kind, core term, depth) for every kind that reaches core: the least
+    of the nearest core terms, the parents across the first edge at depth one."""
     found = []
     for kind, first, climb in _CLIMBS:
-        result = _bfs_to_core(idx.up[first].get(term, ()), idx.up[climb], idx.vocabulary)
-        if result is not None:
-            found.append((kind, *result))
+        layers = idx.layers(idx.up[first].get(term, ()), climb)
+        for depth, layer in enumerate(layers, start=1):
+            hits = layer & idx.vocabulary
+            if hits:
+                found.append((kind, min(hits), depth))
+                break
     return found
 
 

@@ -31,12 +31,11 @@ predicate and sign and, for each argument position, by the top symbol
 there or as a variable.  Each literal of the given clause looks up its
 partners at the argument position where they are fewest: those with the
 same top symbol there, and those with a variable there.  Partners are
-met in processing order; a pair whose other arguments clash on their top
-symbols, or are distinct ground terms, is dropped before unification.
-Then the given clause is factored.  Resolvents that are tautologies,
-longer than the literal cap or renamings of a clause already seen are
-dropped.  The result counts the work: given clauses, partner pairs,
-unifications, derived clauses kept and duplicates dropped.
+met in processing order, and each pair's atoms are unified.  Then the
+given clause is factored.  Resolvents that are tautologies, longer than
+the literal cap or renamings of a clause already seen are dropped.  The
+result counts the work: given clauses, partner pairs, unifications,
+derived clauses kept and duplicates dropped.
 
 Terms are interned as ints over a per-run table, so comparing and
 hashing terms is O(1), and every walk over a term keeps its own stack,
@@ -347,18 +346,6 @@ class _Terms:
         fresh = _numbering()
         return list(dict.fromkeys(self.apply_lit(l, subst, memo, fresh) for l in lits))
 
-    def clash(self, a: int, b: int) -> bool:
-        """Whether two atoms of one predicate have an argument pair that
-        cannot unify on its face: distinct top symbols, or distinct ground
-        terms."""
-        functor, ground = self.functor, self.ground
-        for x, y in zip(self.args[a], self.args[b]):
-            if x != y and x >= 0 and y >= 0 and (
-                functor[x] != functor[y] or (ground[x] and ground[y])
-            ):
-                return True
-        return False
-
     def pred_sign(self, lit: int) -> int:
         """``2 * predicate + positive``; its complement is ``^ 1``."""
         return 2 * self.functor[lit >> 1] + (lit & 1)
@@ -603,7 +590,7 @@ def prove(
                     copy = terms.rename(glits)
                 plits = copy
             a, b = glits[i] >> 1, plits[j] >> 1
-            subst = None if terms.clash(a, b) else terms.unify(a, b)
+            subst = terms.unify(a, b)
             if subst is not None:
                 unifications += 1
                 rest = glits[:i] + glits[i + 1:] + plits[:j] + plits[j + 1:]

@@ -141,20 +141,20 @@ class OntologyIndex:
     vocabulary: frozenset[str]
     up: dict[str, dict[str, tuple[str, ...]]]
 
+    def layers(self, terms, relation: str):
+        """Breadth-first walk up ``relation``: the set of ``terms`` first,
+        then at each step the parents of the last set met for the first
+        time, until none are."""
+        up = self.up[relation]
+        layer, seen = set(terms), set()
+        while layer:
+            yield layer
+            seen |= layer
+            layer = {p for node in layer for p in up.get(node, ()) if p not in seen}
+
     def closure(self, term: str, relation: str) -> frozenset[str]:
         """Reflexive-transitive ancestors of ``term`` along ``relation``."""
-        up = self.up[relation]
-        seen = {term}
-        frontier = [term]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for parent in up.get(node, ()):
-                    if parent not in seen:
-                        seen.add(parent)
-                        nxt.append(parent)
-            frontier = nxt
-        return frozenset(seen)
+        return frozenset().union(*self.layers((term,), relation))
 
     def is_attribute(self, term: str) -> bool:
         """True when some subAttribute ancestor is an instance of a class

@@ -34,7 +34,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import microprover, prover_cli, tptp
+from . import microprover, prover_cli, store, tptp
 from .tptp import ProblemFile, ProverResult, SearchCounts, SzsStatus
 
 BUILTIN = "builtin"
@@ -90,43 +90,33 @@ def result_from_record(rec: dict) -> ProverResult:
 
 def read_journal(path: str | Path) -> dict:
     """{cq_id: ProverResult} from an append-only journal.  A torn final
-    line (interrupted write) is tolerated; anything else malformed is not."""
+    line (interrupted write: no newline, not JSON) is tolerated, as
+    ``_end_journal_tail`` cuts it; any other line that is not a journal
+    record raises a StoreError naming it."""
     path = Path(path)
-    out: dict = {}
     if not path.exists():
-        return out
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            if i == len(lines) - 1:
-                break
-            raise json.JSONDecodeError(f"{path}: malformed journal line {i + 1}: {e.msg}",
-                                       e.doc, e.pos) from None
-        out[rec["cq_id"]] = result_from_record(rec)
-    return out
+        return {}
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    if lines and not text.endswith("\n") and not store.is_json(lines[-1]):
+        lines.pop()
+    return dict(store.decode_lines(path, lines, 1,
+                                   lambda rec: (rec["cq_id"], result_from_record(rec))))
 
 
 def _end_journal_tail(path: Path) -> None:
     """Make the journal end in a newline before the next append: a torn
     last line (interrupted write) is cut, a whole one is terminated."""
-    if not path.exists():
-        return
-    data = path.read_bytes()
+    data = path.read_bytes() if path.exists() else b""
     if not data or data.endswith(b"\n"):
         return
     cut = data.rfind(b"\n") + 1
-    try:
-        json.loads(data[cut:])
-    except ValueError:
-        with open(path, "r+b") as fh:
-            fh.truncate(cut)
-    else:
+    if store.is_json(data[cut:]):
         with open(path, "ab") as fh:
             fh.write(b"\n")
+    else:
+        with open(path, "r+b") as fh:
+            fh.truncate(cut)
 
 
 # --------------------------------------------------------------------------

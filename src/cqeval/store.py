@@ -3,7 +3,9 @@
 Used for the records each pipeline stage hands to the next.  Writes go
 through a temp file and an atomic rename so a crash never leaves a
 half-written store behind.  The run journal is different: it is
-append-only and headerless, and lives in the runner module.
+append-only and headerless, and lives in the runner module.  Both read
+their lines through ``decode_lines``, so a line that is not JSON, or not
+a record of its kind, is an error naming its file and line.
 """
 
 from __future__ import annotations
@@ -47,23 +49,21 @@ def write_ldjson(path: str | Path, store_name: str, records) -> Path:
     return path
 
 
-def read_ldjson(path: str | Path, store_name: str, decode=None) -> list:
-    """The records of a store, each turned into an object by ``decode`` if
-    given.  A record that is not JSON, or that ``decode`` rejects, raises a
-    StoreError naming its line."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise StoreError(f"{path}: empty store file")
-    header = json.loads(lines[0])
-    if header.get("store") != store_name:
-        raise StoreError(
-            f"{path}: expected a {store_name!r} store, found {header.get('store')!r}"
-        )
-    if header.get("schema_version") != SCHEMA_VERSION:
-        raise StoreError(f"{path}: unsupported schema version {header.get('schema_version')!r}")
+def is_json(text) -> bool:
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
+def decode_lines(path: Path, lines, first: int, decode=None) -> list:
+    """The JSON value of each non-blank line of ``lines``, the first of
+    which is line ``first`` of ``path``, turned into an object by ``decode``
+    if given.  A line that is not JSON, or that ``decode`` rejects, raises
+    a StoreError naming its file and line."""
     out = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in enumerate(lines, start=first):
         if not line.strip():
             continue
         try:
@@ -73,6 +73,24 @@ def read_ldjson(path: str | Path, store_name: str, decode=None) -> list:
             detail = f"no field {e}" if isinstance(e, KeyError) else e
             raise StoreError(f"{path}:{i}: bad record: {detail}") from None
     return out
+
+
+def read_ldjson(path: str | Path, store_name: str, decode=None) -> list:
+    """The records of a store, each turned into an object by ``decode`` if
+    given, after its header is checked."""
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise StoreError(f"{path}: empty store file")
+    # the header must be an object; a blank one names no store
+    [header] = decode_lines(path, lines[:1], 1, dict) or [{}]
+    if header.get("store") != store_name:
+        raise StoreError(
+            f"{path}: expected a {store_name!r} store, found {header.get('store')!r}"
+        )
+    if header.get("schema_version") != SCHEMA_VERSION:
+        raise StoreError(f"{path}: unsupported schema version {header.get('schema_version')!r}")
+    return decode_lines(path, lines[1:], 2, decode)
 
 
 def sha256_file(path: str | Path) -> str:

@@ -3,12 +3,15 @@
 Handles three jobs around external refutation provers:
 
 * render formulas to TPTP first-order form, mangling symbols so that
-  ontology names survive TPTP's lexical rules;
+  ontology names survive TPTP's lexical rules, and variables one to one,
+  so that distinct KIF variables stay distinct;
 * read TPTP files back with one scanner: unit boundaries, include
   directives and comments for every unit, and enough of the FOF grammar
   for our own output, so the bundled prover can consume the same files
   external provers do;
-* scan prover output for SZS status and used-axiom lines.
+* scan prover output for its SZS status and, in a proof, the axioms it
+  used: each unit with an axiom role names its ``file(_, name)`` source,
+  or else itself.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ class MangleCollision(TptpError):
 
 
 _SAFE = re.compile(r"[^A-Za-z0-9_]")
+_VAR_ESCAPE = re.compile(r"[^A-Za-z0-9]")
 
 
 def mangle_symbol(name: str) -> str:
@@ -52,8 +56,9 @@ def mangle_symbol(name: str) -> str:
 
 
 def mangle_variable(name: str) -> str:
-    """TPTP variable for a KIF variable name (without the ``?``)."""
-    return "V" + _SAFE.sub("_", name)
+    """TPTP variable for a KIF variable name (without the ``?``); one to
+    one, as any character but a letter or digit becomes ``_<hex code>_``."""
+    return "V" + _VAR_ESCAPE.sub(lambda m: f"_{ord(m.group()):x}_", name)
 
 
 def demangle_symbol(name: str) -> str:
@@ -116,28 +121,27 @@ def render_unit(f: Formula, table: dict | None = None) -> str:
         return f"({render_unit(f.antecedent, table)} => {render_unit(f.consequent, table)})"
     if isinstance(f, Iff):
         return f"({render_unit(f.left, table)} <=> {render_unit(f.right, table)})"
-    if isinstance(f, Forall):
+    if isinstance(f, (Forall, Exists)):
         vs = ", ".join(mangle_variable(v) for v in f.variables)
-        return f"! [{vs}] : " + render_unit(f.body, table)
-    if isinstance(f, Exists):
-        vs = ", ".join(mangle_variable(v) for v in f.variables)
-        return f"? [{vs}] : " + render_unit(f.body, table)
+        return f"{'!' if isinstance(f, Forall) else '?'} [{vs}] : " + render_unit(f.body, table)
     raise TypeError(f"not a formula: {f!r}")
 
 
 _NAME_OK = re.compile(r"^[a-z][A-Za-z0-9_]*$")
 
 
-def _quote(name: str) -> str:
-    """A single-quoted TPTP name, with its backslashes and quotes escaped."""
+def _unit_name(name: str) -> str:
+    """``name`` as a TPTP unit name: bare if it is a lower word, else
+    single-quoted with its backslashes and quotes escaped."""
+    if _NAME_OK.match(name):
+        return name
     return "'" + name.replace("\\", "\\\\").replace("'", "\\'") + "'"
 
 
 def render_fof(name: str, role: str, f: Formula, table: dict | None = None) -> str:
     """One complete fof unit; free variables are closed universally first."""
-    unit_name = name if _NAME_OK.match(name) else _quote(name)
     closed = kif.universal_closure(f)
-    return f"fof({unit_name}, {role}, {render_unit(closed, table)})."
+    return f"fof({_unit_name(name)}, {role}, {render_unit(closed, table)})."
 
 
 # --------------------------------------------------------------------------
@@ -180,38 +184,27 @@ def write_axiom_file(axioms: RenderedAxioms, path: str | Path) -> Path:
     return path
 
 
-def write_problem(
-    cq,
-    axioms: RenderedAxioms,
-    out_dir: str | Path,
-    mode: str = "inline",
-    axiom_file: str | Path | None = None,
-    warn=None,
-) -> ProblemFile:
-    """Write ``<cq.id>.p`` containing the axioms and one conjecture.
+def write_problem(cq, axioms: RenderedAxioms, out_dir: str | Path,
+                  include: str | Path | None = None, warn=None) -> ProblemFile:
+    """Write ``<cq.id>.p``, in the existing ``out_dir``, containing the
+    axioms and one conjecture.
 
-    ``mode`` is ``inline`` (axioms copied into the problem) or ``include``
-    (a TPTP include directive pointing at ``axiom_file``).  Either way the
-    conjecture's symbols are checked against the axioms' mangle table.  If
-    an axiom label collides with the conjecture name the conjecture is
-    renamed and ``warn`` is called with a message.
+    The axioms are copied into the problem, or with ``include`` (a path
+    relative to the problem) named by a TPTP include directive.  Either
+    way the conjecture's symbols are checked against the axioms' mangle
+    table.  If an axiom label collides with the conjecture name the
+    conjecture is renamed and ``warn`` is called with a message.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{cq.id}.p"
+    path = Path(out_dir) / f"{cq.id}.p"
     lines = [
         f"% cq: {cq.id}",
         f"% pattern: {cq.pattern.value}",
         f"% polarity: {cq.polarity.value}",
     ]
-    if mode == "include":
-        if axiom_file is None:
-            raise ValueError("include mode needs an axiom_file")
-        lines.append(f"include('{Path(axiom_file)}').")
-    elif mode == "inline":
+    if include is None:
         lines.extend(axioms.units)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        lines.append(f"include('{Path(include)}').")
     conj_name = cq.id
     if conj_name in axioms.labels:
         renamed = conj_name + "_conj"
@@ -458,6 +451,9 @@ def read_units(path: str | Path):
     yield from units(Path(path), 0)
 
 
+AXIOM_ROLES = ("axiom", "hypothesis", "definition", "lemma")  # the roles read as axioms
+
+
 def read_problem(path: str | Path):
     """Read a problem file: ([(name, formula), ...] axioms, (name, formula) conjecture).
 
@@ -474,7 +470,7 @@ def read_problem(path: str | Path):
             if conjecture is not None:
                 raise TptpError(f"{unit.where}: second conjecture {unit.name!r}")
             conjecture = (unit.name, unit.formula)
-        elif unit.role in ("axiom", "hypothesis", "definition", "lemma"):
+        elif unit.role in AXIOM_ROLES:
             axioms.append((unit.name, unit.formula))
         else:
             raise TptpError(f"{unit.where}: unsupported role {unit.role!r}")
@@ -515,19 +511,17 @@ _STATUS_WORDS = {
 }
 
 _STATUS_RE = re.compile(r"SZS status\s+(\S+)")
-_OUTPUT_START_RE = re.compile(r"SZS output start")
-_OUTPUT_END_RE = re.compile(r"SZS output end")
-_PROOF_AXIOM_RE = re.compile(
-    r"\b(?:fof|cnf|tff)\s*\(\s*([A-Za-z0-9_]+|'(?:[^'\\]|\\.)*')\s*,\s*axiom\b"
-)
-_FILE_REF_RE = re.compile(r"\bfile\s*\(\s*[^,()]+,\s*([A-Za-z0-9_]+|'(?:[^'\\]|\\.)*')\s*\)")
+_PROOF_BLOCK_RE = re.compile(r"SZS output start(.*?)SZS output end", re.DOTALL)
+_NAME = r"([A-Za-z0-9_]+|'(?:[^'\\]|\\.)*')"  # a unit name, bare or quoted
+_PROOF_UNIT_RE = re.compile(rf"\b(?:fof|cnf|tff)\s*\(\s*{_NAME}\s*,\s*(\w+)")
+_FILE_REF_RE = re.compile(rf"\bfile\s*\(\s*[^,()]+,\s*{_NAME}\s*\)")
 
 
 _ESCAPE_RE = re.compile(r"\\([\\'])")
 
 
 def _unquote(name: str) -> str:
-    """Dual of ``_quote``; a bare name comes back unchanged."""
+    """Dual of ``_unit_name``; a bare name comes back unchanged."""
     if name.startswith("'") and name.endswith("'"):
         return _ESCAPE_RE.sub(r"\1", name[1:-1])
     return name
@@ -538,7 +532,10 @@ def parse_szs(output: str) -> tuple[SzsStatus, tuple[str, ...]]:
 
     The first SZS status line wins.  Axiom names are collected from the
     proof block only when the status maps to Theorem; order of first
-    appearance, deduplicated.
+    appearance, deduplicated.  Each unit of the block with a role in
+    ``AXIOM_ROLES`` names one axiom: the one its ``file(_, name)`` source
+    gives, or else itself.  Units with other roles, the conjecture
+    included, name none.
     """
     m = _STATUS_RE.search(output)
     if not m:
@@ -546,18 +543,16 @@ def parse_szs(output: str) -> tuple[SzsStatus, tuple[str, ...]]:
     status = _STATUS_WORDS.get(m.group(1), SzsStatus.GAVE_UP)
     if status is not SzsStatus.THEOREM:
         return status, ()
-    start = _OUTPUT_START_RE.search(output)
-    end = _OUTPUT_END_RE.search(output)
-    if not start or not end or end.start() < start.end():
-        return status, ()
-    block = output[start.end() : end.start()]
-    seen: list[str] = []
-    for pat in (_PROOF_AXIOM_RE, _FILE_REF_RE):
-        for am in pat.finditer(block):
-            name = _unquote(am.group(1))
-            if name not in seen:
-                seen.append(name)
-    return status, tuple(seen)
+    proof = _PROOF_BLOCK_RE.search(output)
+    block = proof.group(1) if proof else ""
+    heads = list(_PROOF_UNIT_RE.finditer(block))
+    used: dict = {}
+    for head, nxt in zip(heads, heads[1:] + [None]):
+        if head.group(2) in AXIOM_ROLES:
+            source = _FILE_REF_RE.search(block, head.end(),
+                                         len(block) if nxt is None else nxt.start())
+            used[_unquote((source or head).group(1))] = None
+    return status, tuple(used)
 
 
 def render_szs_output(status: SzsStatus, used_axioms=(), problem: str = "") -> str:
@@ -569,8 +564,7 @@ def render_szs_output(status: SzsStatus, used_axioms=(), problem: str = "") -> s
     if status is SzsStatus.THEOREM and used_axioms:
         lines.append(f"% SZS output start Proof{suffix}")
         for name in used_axioms:
-            unit_name = name if _NAME_OK.match(name) else _quote(name)
-            lines.append(f"fof({unit_name}, axiom, $true).")
+            lines.append(f"fof({_unit_name(name)}, axiom, $true).")
         lines.append(f"% SZS output end Proof{suffix}")
     return "\n".join(lines) + "\n"
 

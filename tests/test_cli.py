@@ -265,6 +265,16 @@ def test_translate_round_trips(tmp_path):
     assert [a.label for a in back.axioms] == [a.label for a in original.axioms]
 
 
+def test_emit_rejects_unknown_mode(pipeline, tmp_path):
+    shutil.copytree(pipeline.root / "stores", tmp_path / "stores")
+    raw = base_config()
+    raw["emit_mode"] = "inlin"
+    code, out, err = run_cli("emit", "--config", str(write_config(tmp_path, raw)))
+    assert (code, out) == (2, "")
+    assert err == "error: unknown emit_mode 'inlin': expected one of inline, include\n"
+    assert not (tmp_path / "problems").exists()
+
+
 def test_emit_include_mode(pipeline):
     raw = base_config()
     raw["problems_dir"] = "problems_include"
@@ -544,6 +554,36 @@ def test_bad_creative_file_names_its_file(pipeline, tmp_path):
     assert (code, err) == (2, f"error: {bad}:{line}:14: {reason}\n")
 
 
+def test_store_header_that_is_not_json_names_its_line(pipeline, tmp_path):
+    shutil.copytree(pipeline.root / "stores", tmp_path / "stores")
+    path = tmp_path / "stores" / "corpus.ldjson"
+    _, *records = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(["not json", *records]) + "\n", encoding="utf-8")
+    err = _expect_error(["emit", "--config", str(write_config(tmp_path))], f"{path}:1: bad record: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda r: r.update(szs="Bogus"), "'Bogus' is not a valid SzsStatus"),
+    (lambda r: r.pop("wall_seconds"), "no field 'wall_seconds'"),
+], ids=["bad-status", "no-wall-seconds"])
+@pytest.mark.parametrize("argv", [
+    ("run",), ("report",), ("diff", "journal.ldjson", "journal.ldjson"),
+], ids=["run", "report", "diff"])
+def test_bad_journal_record_names_its_line(pipeline, tmp_path, argv, edit, reason):
+    shutil.copytree(pipeline.root / "stores", tmp_path / "stores")
+    shutil.copytree(pipeline.root / "problems", tmp_path / "problems")
+    first, second, *_ = (pipeline.root / "journal.ldjson").read_text(encoding="utf-8").splitlines()
+    rec = json.loads(second)
+    edit(rec)
+    journal = tmp_path / "journal.ldjson"
+    # a good record after the bad one: it is no torn tail
+    journal.write_text("\n".join([first, json.dumps(rec), first]) + "\n", encoding="utf-8")
+    config = write_config(tmp_path)
+    code, _, err = run_cli(argv[0], "--config", str(config), *argv[1:])
+    assert (code, err) == (2, f"error: {journal}:2: bad record: {reason}\n")
+
+
 def test_run_without_problems(tmp_path):
     config = write_config(tmp_path)
     _expect_error(["run", "--config", str(config)], "no problem files in")
@@ -552,7 +592,7 @@ def test_run_without_problems(tmp_path):
 def test_run_with_malformed_journal(mini_campaign):
     root, config = mini_campaign
     (root / "journal.ldjson").write_text('not json\n{"cq_id": "cq_x"}\n', encoding="utf-8")
-    _expect_error(["run", "--config", str(config)], "malformed journal line 1")
+    _expect_error(["run", "--config", str(config)], f"{root / 'journal.ldjson'}:1: bad record")
 
 
 @pytest.mark.parametrize("flags, needle", [

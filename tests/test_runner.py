@@ -16,6 +16,7 @@ import pytest
 
 from conftest import base_config, run_cli, write_config
 from cqeval import microprover, prover_cli
+from cqeval.store import StoreError
 from cqeval.runner import (
     RunnerConfig,
     discover_problems,
@@ -116,11 +117,21 @@ def test_read_journal_tolerates_torn_tail(tmp_path):
     assert out["cq_a"].szs is SzsStatus.GAVE_UP
 
 
+def test_read_journal_rejects_a_bad_last_line_that_is_not_torn(tmp_path):
+    # a line that ends in a newline was written whole, and the next append
+    # would not cut it
+    good = json.dumps(journal_record("cq_a", ProverResult(SzsStatus.GAVE_UP, 0.1, ())))
+    path = tmp_path / "j.ldjson"
+    path.write_text(good + "\n" + '{"cq_id": "cq_b", "szs"\n', encoding="utf-8")
+    with pytest.raises(StoreError, match=":2: bad record"):
+        read_journal(path)
+
+
 def test_read_journal_rejects_malformed_middle(tmp_path):
     good = json.dumps(journal_record("cq_a", ProverResult(SzsStatus.GAVE_UP, 0.1, ())))
     path = tmp_path / "j.ldjson"
     path.write_text("not json at all\n" + good + "\n", encoding="utf-8")
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(StoreError):
         read_journal(path)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import genformulas
 from test_kif import alpha_equal
-from cqeval import kif, ontology, tptp
+from cqeval import kif, microprover, ontology, tptp
 from cqeval.cqgen import CompetencyQuestion, Pattern, Polarity
 from cqeval.tptp import (
     MangleCollision,
@@ -91,8 +91,8 @@ def test_quoted_labels_round_trip_through_problem_files(tmp_path, mode):
     rendered = tptp.render_axioms(ont)
     assert "fof('ax_o\\'brien', axiom," in "\n".join(rendered.units)
     tptp.write_axiom_file(rendered, tmp_path / "axioms.ax")
-    pf = write_problem(_cq(formula="(p a0)"), rendered, tmp_path, mode=mode,
-                       axiom_file=Path("axioms.ax"))
+    pf = write_problem(_cq(formula="(p a0)"), rendered, tmp_path,
+                       include=Path("axioms.ax") if mode == "include" else None)
     read_axioms, _ = read_problem(pf.path)
     assert tuple(name for name, _ in read_axioms) == AWKWARD_LABELS
 
@@ -152,8 +152,7 @@ def test_write_problem_inline(tmp_path):
 def test_write_problem_include_mode(tmp_path):
     ax_path = tmp_path / "axioms.ax"
     tptp.write_axiom_file(_mini_axioms(), ax_path)
-    pf = write_problem(_cq(), _mini_axioms(), tmp_path, mode="include",
-                       axiom_file=Path("axioms.ax"))
+    pf = write_problem(_cq(), _mini_axioms(), tmp_path, include=Path("axioms.ax"))
     assert "include('axioms.ax')." in pf.path.read_text()
     axioms, (conj_name, _) = read_problem(pf.path)
     assert len(axioms) == 2
@@ -168,8 +167,19 @@ def test_write_problem_checks_conjecture_against_axiom_symbols(tmp_path, mode):
     clash = ontology.OntologyAxiom("ax_c", kif.parse_kif("(p a-)")[0])
     axioms = tptp.render_axioms(dataclasses.replace(onto, axioms=onto.axioms + (clash,)))
     with pytest.raises(MangleCollision):
-        write_problem(_cq(formula="(q a_)"), axioms, tmp_path, mode=mode,
-                      axiom_file=Path("axioms.ax"))
+        write_problem(_cq(formula="(q a_)"), axioms, tmp_path,
+                      include=Path("axioms.ax") if mode == "include" else None)
+
+
+def test_distinct_kif_variables_stay_distinct(tmp_path):
+    # ?x-y and ?x_y once both became Vx_y, which turned this formula, not
+    # valid, into a tautology that proved
+    assert (mangle_variable("x-y"), mangle_variable("x_y")) == ("Vx_2d_y", "Vx_5f_y")
+    none = tptp.render_axioms(dataclasses.replace(_mini_ontology(), axioms=()))
+    pf = write_problem(_cq(formula="(forall (?x-y ?x_y) (or (p ?x-y) (not (p ?x_y))))"),
+                       none, tmp_path)
+    axioms, (_, conjecture) = read_problem(pf.path)
+    assert microprover.prove(axioms, conjecture, limit_seconds=10).szs is SzsStatus.GAVE_UP
 
 
 def test_write_problem_renames_colliding_conjecture(tmp_path):
@@ -229,6 +239,20 @@ def test_read_problem_resolves_includes_in_order(tmp_path):
     assert [n for n, _ in axioms] == ["ax_a", "ax_b", "ax_c"]
 
 
+def test_read_problem_reads_disequality(tmp_path):
+    p = tmp_path / "prob.p"
+    p.write_text("fof(ax_a, axiom, s__a != s__b).\nfof(c, conjecture, s__p).\n")
+    axioms, _ = read_problem(p)
+    assert axioms == [("ax_a", kif.Not(kif.Equal(kif.Constant("a"), kif.Constant("b"))))]
+
+
+def test_read_problem_rejects_question_role(tmp_path):
+    p = tmp_path / "bad.p"
+    p.write_text("fof(q1, question, s__p).\nfof(c, conjecture, s__p).\n")
+    with pytest.raises(TptpError, match="bad.p:1: unsupported role 'question'"):
+        read_problem(p)
+
+
 @pytest.mark.parametrize(
     "formula",
     [
@@ -254,6 +278,7 @@ def test_read_problem_rejects_unread_fof(tmp_path, formula):
         ("fof(a, axiom, s__p). /* open\n", "unterminated comment"),
         ("fof('a, axiom, s__p).\n", "unterminated quoted name"),
         ("stray fof(a, axiom, s__p).\n", "expected a unit"),
+        ("include('bad.ax').\n", "include chain too deep"),  # the file includes itself
     ],
 )
 def test_read_units_rejects_malformed_files(tmp_path, text, reason):
@@ -291,6 +316,22 @@ def test_parse_szs_used_axioms_from_proof_block():
     status, used = parse_szs(out)
     assert status is SzsStatus.THEOREM
     assert used == ("ax_b", "ax_a")
+
+
+@pytest.mark.parametrize("block", [
+    # E: each input unit keeps its name and cites its source
+    ["fof(ax1, axiom, s__p(s__a), file('/tmp/x.p', ax1)).",
+     "fof(cq_goal, conjecture, s__q(s__a), file('/tmp/x.p', cq_goal)).",
+     "cnf(c_0_2, negated_conjecture, ~s__q(s__a), inference(assume_negation, [], [cq_goal]))."],
+    # Vampire: input units get the prover's own names
+    ["fof(f1,axiom,(s__p(s__a)),file('/tmp/x.p',ax1)).",
+     "fof(f2,conjecture,(s__q(s__a)),file('/tmp/x.p',cq_goal)).",
+     "fof(f3,negated_conjecture,(~s__q(s__a)),inference(negated_conjecture,[],[f2]))."],
+], ids=["e", "vampire"])
+def test_parse_szs_names_source_axioms_only(block):
+    out = "\n".join(["% SZS status Theorem for x", "% SZS output start CNFRefutation for x",
+                     *block, "% SZS output end CNFRefutation for x"])
+    assert parse_szs(out) == (SzsStatus.THEOREM, ("ax1",))
 
 
 def test_parse_szs_ignores_block_without_theorem():
