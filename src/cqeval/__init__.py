@@ -9,6 +9,7 @@ __all__ = [
     "kif",
     "microprover",
     "ontology",
+    "prover_cli",
     "report",
     "runner",
     "store",

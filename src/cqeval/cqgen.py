@@ -117,7 +117,7 @@ def negate_cq(cq: CompetencyQuestion) -> CompetencyQuestion:
         id=_flip_id(cq.id),
         polarity=Polarity.FALSITY if cq.polarity is Polarity.TRUTH else Polarity.TRUTH,
         pattern=cq.pattern,
-        formula=kif.nnf(Not(cq.formula)),
+        formula=kif.nnf(cq.formula, positive=False),
         provenance=cq.provenance,
     )
 

@@ -13,14 +13,12 @@ column, so every error names both (:meth:`KifError.at` adds the file).
 Faults of the s-expression layer (parens, quotes, row variables) are
 reported in source order, before any fault of the fragment's grammar.
 
-Conventions baked into the AST:
-
-* variable names are stored without the leading ``?``;
-* ``and`` / ``or`` are n-ary; nested applications of the same connective
-  are flattened on construction, preserving source order;
-* ``equal`` and ``=`` both parse to :class:`Equal`, never to an atom;
-* free variables stay free in the AST and are closed universally only at
-  emission time (see :func:`universal_closure`).
+Conventions baked into the AST: variable names are stored without the
+leading ``?``; ``and`` / ``or`` (:class:`Junction`) flatten nested
+applications of the same connective on construction, in source order;
+``equal`` and ``=`` both parse to :class:`Equal`, never to an atom; free
+variables stay free until :func:`universal_closure` closes them at
+emission time.
 """
 
 from __future__ import annotations
@@ -31,35 +29,34 @@ from dataclasses import dataclass
 
 class KifError(Exception):
     """Base class for everything this parser can raise: ``reason``, found
-    at ``line`` and ``col`` of the source."""
+    at ``line`` and ``col`` of the source; it reads ``<line>:<col>: <reason>``."""
 
-    def __init__(self, line: int, col: int, reason: str, message: str):
-        self.line = line
-        self.col = col
-        self.reason = reason
-        super().__init__(message)
+    def __init__(self, line: int, col: int, reason: str):
+        self.line, self.col, self.reason = line, col, reason
+        super().__init__(f"{line}:{col}: {reason}")
 
     def at(self, path) -> str:
         """The error as ``<path>:<line>:<col>: <reason>``."""
-        return f"{path}:{self.line}:{self.col}: {self.reason}"
+        return f"{path}:{self}"
 
 
 class KifSyntaxError(KifError):
-    def __init__(self, line: int, col: int, reason: str):
-        super().__init__(line, col, reason, f"{line}:{col}: {reason}")
+    """Input that is not SUO-KIF, or not the fragment's grammar."""
 
 
 class UnsupportedConstruct(KifError):
     """Input is well-formed SUO-KIF but outside the first-order fragment."""
 
     def __init__(self, line: int, col: int, construct: str):
-        self.construct = construct
-        reason = f"unsupported construct: {construct}"
-        super().__init__(line, col, reason, f"line {line}: {reason}")
+        super().__init__(line, col, f"unsupported construct: {construct}")
+
+
+# a name: not empty, and without a blank, a paren or a quote
+_NAME = re.compile(r'[^ \t\n()"]+')
 
 
 def _check_name(name: str, what: str) -> None:
-    if not name or any(c in name for c in ' \t\n()"'):
+    if not _NAME.fullmatch(name):
         raise ValueError(f"bad {what} name: {name!r}")
 
 
@@ -69,32 +66,30 @@ def _check_name(name: str, what: str) -> None:
 
 @dataclass(frozen=True)
 class Term:
-    pass
+    """A variable, a constant or a function application; ``what`` names
+    the kind of name in the error for a bad ``name``."""
+
+    name: str
+
+    def __post_init__(self):
+        _check_name(self.name, self.what)
 
 
-@dataclass(frozen=True)
 class Variable(Term):
-    name: str
-
-    def __post_init__(self):
-        _check_name(self.name, "variable")
+    what = "variable"
 
 
-@dataclass(frozen=True)
 class Constant(Term):
-    name: str
-
-    def __post_init__(self):
-        _check_name(self.name, "constant")
+    what = "constant"
 
 
 @dataclass(frozen=True)
 class Function(Term):
-    name: str
     args: tuple[Term, ...]
+    what = "function"
 
     def __post_init__(self):
-        _check_name(self.name, "function")
+        super().__post_init__()
         object.__setattr__(self, "args", tuple(self.args))
 
 
@@ -128,36 +123,31 @@ class Not(Formula):
     body: Formula
 
 
-def _flatten(parts, cls) -> tuple:
-    flat: list[Formula] = []
-    for p in parts:
-        if isinstance(p, cls):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    return tuple(flat)
-
-
 @dataclass(frozen=True)
-class And(Formula):
+class Junction(Formula):
+    """``and`` / ``or``, by its ``keyword``: n-ary, nested applications of
+    the same connective flattened on construction, in source order."""
+
     parts: tuple[Formula, ...]
 
     def __post_init__(self):
-        flat = _flatten(self.parts, And)
+        flat: list[Formula] = []
+        for p in self.parts:
+            if isinstance(p, type(self)):
+                flat.extend(p.parts)
+            else:
+                flat.append(p)
         if len(flat) < 2:
-            raise ValueError("and needs at least two parts")
-        object.__setattr__(self, "parts", flat)
+            raise ValueError(f"{self.keyword} needs at least two parts")
+        object.__setattr__(self, "parts", tuple(flat))
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    parts: tuple[Formula, ...]
+class And(Junction):
+    keyword = "and"
 
-    def __post_init__(self):
-        flat = _flatten(self.parts, Or)
-        if len(flat) < 2:
-            raise ValueError("or needs at least two parts")
-        object.__setattr__(self, "parts", flat)
+
+class Or(Junction):
+    keyword = "or"
 
 
 @dataclass(frozen=True)
@@ -173,7 +163,10 @@ class Iff(Formula):
 
 
 @dataclass(frozen=True)
-class Forall(Formula):
+class Quantifier(Formula):
+    """``forall`` / ``exists``, by its ``keyword``, over one or more
+    variable names."""
+
     variables: tuple[str, ...]
     body: Formula
 
@@ -183,15 +176,12 @@ class Forall(Formula):
             raise ValueError("quantifier needs at least one variable")
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
-    variables: tuple[str, ...]
-    body: Formula
+class Forall(Quantifier):
+    keyword = "forall"
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        if not self.variables:
-            raise ValueError("quantifier needs at least one variable")
+
+class Exists(Quantifier):
+    keyword = "exists"
 
 
 # --------------------------------------------------------------------------
@@ -245,7 +235,31 @@ def _read_sexprs(source: str) -> list:
 # --------------------------------------------------------------------------
 # parser
 
-CONNECTIVES = frozenset({"=>", "<=>", "and", "or", "not", "forall", "exists", "equal", "="})
+# keyword -> (class, fewest formulas, most formulas or None for no bound, the
+# arity as its error states it); an unbounded one takes its parts as a tuple
+_CONNECTIVES = {
+    "=>": (Implies, 2, 2, "exactly two formulas"),
+    "<=>": (Iff, 2, 2, "exactly two formulas"),
+    "and": (And, 2, None, "at least two formulas"),
+    "or": (Or, 2, None, "at least two formulas"),
+    "not": (Not, 1, 1, "exactly one formula"),
+}
+_QUANTIFIERS = {q.keyword: q for q in (Forall, Exists)}
+CONNECTIVES = frozenset({*_CONNECTIVES, *_QUANTIFIERS, "equal", "="})
+
+
+def _head(sx, position: str, empty: str, nested: str) -> tuple:
+    """The head leaf of the form ``sx``, in the ``position`` of a predicate
+    or function; an ``empty`` form, a ``nested`` head or a variable fails."""
+    _, line, col = sx[0]
+    if len(sx) < 2:
+        raise KifSyntaxError(line, col, empty)
+    head = sx[1]
+    if isinstance(head, list):
+        raise KifSyntaxError(line, col, nested)
+    if head[0][0] == "?":
+        raise UnsupportedConstruct(head[1], head[2], f"variable in {position} position")
+    return head
 
 
 def _parse_term(sx) -> Term:
@@ -256,15 +270,7 @@ def _parse_term(sx) -> Term:
                 raise KifSyntaxError(line, col, "empty variable name")
             return Variable(text[1:])
         return Constant(text)
-    _, line, col = sx[0]
-    if len(sx) < 2:
-        raise KifSyntaxError(line, col, "empty function application")
-    head = sx[1]
-    if isinstance(head, list):
-        raise KifSyntaxError(line, col, "expected function name")
-    name, line, col = head
-    if name[0] == "?":
-        raise UnsupportedConstruct(line, col, "variable in function position")
+    name, line, col = _head(sx, "function", "empty function application", "expected function name")
     if name in CONNECTIVES:
         raise KifSyntaxError(line, col, f"connective {name!r} in term position")
     return Function(name, tuple(_parse_term(a) for a in sx[2:]))
@@ -296,35 +302,17 @@ def _parse_formula(sx) -> Formula:
     if isinstance(sx, tuple):
         text, line, col = sx
         raise KifSyntaxError(line, col, f"expected a formula, found {text!r}")
-    _, line, col = sx[0]
-    if len(sx) < 2:
-        raise KifSyntaxError(line, col, "empty expression")
-    head = sx[1]
-    if isinstance(head, list):
-        raise KifSyntaxError(line, col, "expected an operator or predicate symbol")
-    kw, line, col = head
-    if kw[0] == "?":
-        raise UnsupportedConstruct(line, col, "variable in predicate position")
+    kw, line, col = _head(sx, "predicate", "empty expression",
+                          "expected an operator or predicate symbol")
     body = sx[2:]
-    if kw == "=>":
-        if len(body) != 2:
-            raise KifSyntaxError(line, col, "=> takes exactly two formulas")
-        return Implies(_parse_formula(body[0]), _parse_formula(body[1]))
-    if kw == "<=>":
-        if len(body) != 2:
-            raise KifSyntaxError(line, col, "<=> takes exactly two formulas")
-        return Iff(_parse_formula(body[0]), _parse_formula(body[1]))
-    if kw in ("and", "or"):
-        if len(body) < 2:
-            raise KifSyntaxError(line, col, f"{kw} takes at least two formulas")
+    if kw in _CONNECTIVES:
+        cls, fewest, most, arity = _CONNECTIVES[kw]
+        if len(body) < fewest or most is not None and len(body) > most:
+            raise KifSyntaxError(line, col, f"{kw} takes {arity}")
         parts = tuple(_parse_formula(b) for b in body)
-        return And(parts) if kw == "and" else Or(parts)
-    if kw == "not":
-        if len(body) != 1:
-            raise KifSyntaxError(line, col, "not takes exactly one formula")
-        return Not(_parse_formula(body[0]))
-    if kw in ("forall", "exists"):
-        return _parse_quantifier(sx, Forall if kw == "forall" else Exists)
+        return cls(parts) if most is None else cls(*parts)
+    if kw in _QUANTIFIERS:
+        return _parse_quantifier(sx, _QUANTIFIERS[kw])
     if kw in ("equal", "="):
         if len(body) != 2:
             raise KifSyntaxError(line, col, "equal takes exactly two terms")
@@ -371,40 +359,38 @@ def parse_annotated(source: str) -> list[AnnotatedForm]:
 # printer
 
 
+def _form(*words: str) -> str:
+    """``(word …)``: the one shape of every printed application and list."""
+    return "(" + " ".join(words) + ")"
+
+
 def print_term(t: Term) -> str:
     if isinstance(t, Variable):
         return "?" + t.name
     if isinstance(t, Constant):
         return t.name
     if isinstance(t, Function):
-        inner = " ".join(print_term(a) for a in t.args)
-        return f"({t.name} {inner})" if inner else f"({t.name})"
+        return _form(t.name, *map(print_term, t.args))
     raise TypeError(f"not a term: {t!r}")
 
 
 def print_kif(f: Formula) -> str:
     """Render a formula back to canonical single-line SUO-KIF."""
     if isinstance(f, Atom):
-        inner = " ".join(print_term(a) for a in f.args)
-        return f"({f.predicate} {inner})" if inner else f"({f.predicate})"
+        return _form(f.predicate, *map(print_term, f.args))
     if isinstance(f, Equal):
-        return f"(equal {print_term(f.left)} {print_term(f.right)})"
+        return _form("equal", print_term(f.left), print_term(f.right))
     if isinstance(f, Not):
-        return f"(not {print_kif(f.body)})"
-    if isinstance(f, And):
-        return "(and " + " ".join(print_kif(p) for p in f.parts) + ")"
-    if isinstance(f, Or):
-        return "(or " + " ".join(print_kif(p) for p in f.parts) + ")"
+        return _form("not", print_kif(f.body))
+    if isinstance(f, Junction):
+        return _form(f.keyword, *map(print_kif, f.parts))
     if isinstance(f, Implies):
-        return f"(=> {print_kif(f.antecedent)} {print_kif(f.consequent)})"
+        return _form("=>", print_kif(f.antecedent), print_kif(f.consequent))
     if isinstance(f, Iff):
-        return f"(<=> {print_kif(f.left)} {print_kif(f.right)})"
-    if isinstance(f, Forall):
-        vs = " ".join("?" + v for v in f.variables)
-        return f"(forall ({vs}) {print_kif(f.body)})"
-    if isinstance(f, Exists):
-        vs = " ".join("?" + v for v in f.variables)
-        return f"(exists ({vs}) {print_kif(f.body)})"
+        return _form("<=>", print_kif(f.left), print_kif(f.right))
+    if isinstance(f, Quantifier):
+        variables = _form(*("?" + v for v in f.variables))
+        return _form(f.keyword, variables, print_kif(f.body))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -430,7 +416,7 @@ def _free_ordered(f: Formula, bound: set, acc: list) -> None:
         _term_vars(f.right, bound, acc)
     elif isinstance(f, Not):
         _free_ordered(f.body, bound, acc)
-    elif isinstance(f, (And, Or)):
+    elif isinstance(f, Junction):
         for p in f.parts:
             _free_ordered(p, bound, acc)
     elif isinstance(f, Implies):
@@ -439,7 +425,7 @@ def _free_ordered(f: Formula, bound: set, acc: list) -> None:
     elif isinstance(f, Iff):
         _free_ordered(f.left, bound, acc)
         _free_ordered(f.right, bound, acc)
-    elif isinstance(f, (Forall, Exists)):
+    elif isinstance(f, Quantifier):
         _free_ordered(f.body, bound | set(f.variables), acc)
     else:
         raise TypeError(f"not a formula: {f!r}")
@@ -482,13 +468,13 @@ def symbols(f: Formula) -> frozenset[str]:
             _term_symbols(g.right, acc)
         elif isinstance(g, Not):
             stack.append(g.body)
-        elif isinstance(g, (And, Or)):
+        elif isinstance(g, Junction):
             stack.extend(g.parts)
         elif isinstance(g, Implies):
             stack.extend((g.antecedent, g.consequent))
         elif isinstance(g, Iff):
             stack.extend((g.left, g.right))
-        elif isinstance(g, (Forall, Exists)):
+        elif isinstance(g, Quantifier):
             stack.append(g.body)
     return frozenset(acc)
 
@@ -497,44 +483,28 @@ def symbols(f: Formula) -> frozenset[str]:
 # negation normal form
 
 
-def nnf(f: Formula) -> Formula:
-    """Negation normal form: implications expanded, negation pushed to atoms."""
+_DUAL = {And: Or, Or: And, Forall: Exists, Exists: Forall}
+
+
+def nnf(f: Formula, positive: bool = True) -> Formula:
+    """Negation normal form of ``f`` if ``positive``, else of its negation,
+    by the rules ``microprover.clausify`` reads: ``not`` flips the polarity,
+    and under negative polarity each junction and quantifier is its dual."""
     if isinstance(f, (Atom, Equal)):
-        return f
-    if isinstance(f, And):
-        return And(tuple(nnf(p) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(nnf(p) for p in f.parts))
-    if isinstance(f, Implies):
-        return Or((nnf(Not(f.antecedent)), nnf(f.consequent)))
-    if isinstance(f, Iff):
-        return Or((
-            And((nnf(f.left), nnf(f.right))),
-            And((nnf(Not(f.left)), nnf(Not(f.right)))),
-        ))
-    if isinstance(f, Forall):
-        return Forall(f.variables, nnf(f.body))
-    if isinstance(f, Exists):
-        return Exists(f.variables, nnf(f.body))
+        return f if positive else Not(f)
     if isinstance(f, Not):
-        g = f.body
-        if isinstance(g, (Atom, Equal)):
-            return f
-        if isinstance(g, Not):
-            return nnf(g.body)
-        if isinstance(g, And):
-            return Or(tuple(nnf(Not(p)) for p in g.parts))
-        if isinstance(g, Or):
-            return And(tuple(nnf(Not(p)) for p in g.parts))
-        if isinstance(g, Implies):
-            return And((nnf(g.antecedent), nnf(Not(g.consequent))))
-        if isinstance(g, Iff):
-            return Or((
-                And((nnf(g.left), nnf(Not(g.right)))),
-                And((nnf(Not(g.left)), nnf(g.right))),
-            ))
-        if isinstance(g, Forall):
-            return Exists(g.variables, nnf(Not(g.body)))
-        if isinstance(g, Exists):
-            return Forall(g.variables, nnf(Not(g.body)))
+        return nnf(f.body, not positive)
+    if isinstance(f, (Junction, Quantifier)):
+        cls = type(f) if positive else _DUAL[type(f)]
+        if isinstance(f, Junction):
+            return cls(tuple(nnf(p, positive) for p in f.parts))
+        return cls(f.variables, nnf(f.body, positive))
+    if isinstance(f, Implies):  # ~a | c
+        cls = Or if positive else And
+        return cls((nnf(f.antecedent, not positive), nnf(f.consequent, positive)))
+    if isinstance(f, Iff):  # (l & r) | (~l & ~r); negated, (l & ~r) | (~l & r)
+        return Or((
+            And((nnf(f.left), nnf(f.right, positive))),
+            And((nnf(f.left, False), nnf(f.right, not positive))),
+        ))
     raise TypeError(f"not a formula: {f!r}")

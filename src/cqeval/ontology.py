@@ -88,7 +88,7 @@ def _ontology(name: str, parts) -> Ontology:
     return Ontology(name, tuple(axioms), tuple(facts), frozenset(vocab))
 
 
-def load_ontology(path: str | Path, name: str | None = None) -> Ontology:
+def load_ontology(path: str | Path) -> Ontology:
     """Load a TPTP axiom file (``.p``, ``.ax`` or ``.tptp``) or a SUO-KIF file.
 
     TPTP units the FOF parser cannot digest are kept opaque; a conjecture
@@ -109,7 +109,7 @@ def load_ontology(path: str | Path, name: str | None = None) -> Ontology:
             raise OntologyError(e.at(path)) from None
         axioms = [OntologyAxiom(form.annotations.get("label", f"ax{i}"), form.formula)
                   for i, form in enumerate(forms, start=1)]
-    return _ontology(name or path.stem, [(str(path), axioms)])
+    return _ontology(path.stem, [(str(path), axioms)])
 
 
 def merge_ontologies(name: str, *sources: Ontology) -> Ontology:

@@ -3,9 +3,9 @@
 One row per (polarity, pattern family) plus a totals row per polarity.
 Questions the runner never produced a verdict for count as unknown, so
 each row's three columns always add up to its slice of the corpus.
-Mean times cover settled verdicts only; an unknown question by
-construction ran to the full time limit, which the rendered output
-says in a footnote rather than folding into the means.
+Mean times cover settled verdicts only: an unknown question may have
+given up early or run to its time limit, so the rendered output counts
+it without timing it, and says so in a footnote.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ TOTAL_LABELS = {"truth": "truth-tests", "falsity": "falsity-tests"}
 
 FOOTNOTE = (
     "note: mean times cover settled questions only; "
-    "unknown questions each ran to the full time limit."
+    "unknown questions are counted, not timed."
 )
 
 

@@ -78,14 +78,22 @@ def journal_record(cq_id: str, r: ProverResult) -> dict:
 
 
 def result_from_record(rec: dict) -> ProverResult:
-    search = rec.get("search")
-    return ProverResult(
-        szs=SzsStatus(rec["szs"]),
-        wall_seconds=float(rec["wall_seconds"]),
-        used_axioms=tuple(rec.get("used_axioms", ())),
-        raw_output_path=rec.get("output_file"),
-        search=None if search is None else SearchCounts(**search),
-    )
+    """The result a journal record holds; a field of the wrong type raises
+    ValueError."""
+    szs, wall = SzsStatus(rec["szs"]), rec["wall_seconds"]
+    used, output, search = rec.get("used_axioms", []), rec.get("output_file"), rec.get("search")
+    search = None if search is None else SearchCounts(**search)
+    counts = {} if search is None else vars(search)
+    for name, value, ok, what in (
+        ("wall_seconds", wall, type(wall) in (int, float), "a number"),
+        ("used_axioms", used, type(used) is list and all(type(a) is str for a in used),
+         "a list of names"),
+        ("output_file", output, output is None or type(output) is str, "a path or null"),
+        *((f"search {k}", n, type(n) is int, "a count") for k, n in counts.items()),
+    ):
+        if not ok:
+            raise ValueError(f"{name} {value!r} is not {what}")
+    return ProverResult(szs, float(wall), tuple(used), output, search)
 
 
 def read_journal(path: str | Path) -> dict:

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 from . import kif
 from .kif import (
     And, Atom, Constant, Equal, Exists, Forall, Formula, Function, Iff,
-    Implies, Not, Or, Term, Variable,
+    Implies, Junction, Not, Or, Quantifier, Term, Variable,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -79,11 +79,17 @@ def _render_term(t: Term, table: dict) -> str:
     if isinstance(t, Constant):
         return _mangled(t.name, table)
     if isinstance(t, Function):
-        head = _mangled(t.name, table)
-        if not t.args:
-            return head
-        return head + "(" + ", ".join(_render_term(a, table) for a in t.args) + ")"
+        return _applied(t.name, t.args, table)
     raise TypeError(f"not a term: {t!r}")
+
+
+def _applied(name: str, args: tuple, table: dict) -> str:
+    """``head(arg, …)``, or the bare head without arguments: the one shape
+    of a function application and of an atom."""
+    head = _mangled(name, table)
+    if not args:
+        return head
+    return head + "(" + ", ".join(_render_term(a, table) for a in args) + ")"
 
 
 def _mangled(name: str, table: dict) -> str:
@@ -105,23 +111,19 @@ def render_unit(f: Formula, table: dict | None = None) -> str:
     if table is None:
         table = {}
     if isinstance(f, Atom):
-        head = _mangled(f.predicate, table)
-        if not f.args:
-            return head
-        return head + "(" + ", ".join(_render_term(a, table) for a in f.args) + ")"
+        return _applied(f.predicate, f.args, table)
     if isinstance(f, Equal):
         return f"({_render_term(f.left, table)} = {_render_term(f.right, table)})"
     if isinstance(f, Not):
         return "~ " + render_unit(f.body, table)
-    if isinstance(f, And):
-        return "(" + " & ".join(render_unit(p, table) for p in f.parts) + ")"
-    if isinstance(f, Or):
-        return "(" + " | ".join(render_unit(p, table) for p in f.parts) + ")"
+    if isinstance(f, Junction):
+        op = " & " if isinstance(f, And) else " | "
+        return "(" + op.join(render_unit(p, table) for p in f.parts) + ")"
     if isinstance(f, Implies):
         return f"({render_unit(f.antecedent, table)} => {render_unit(f.consequent, table)})"
     if isinstance(f, Iff):
         return f"({render_unit(f.left, table)} <=> {render_unit(f.right, table)})"
-    if isinstance(f, (Forall, Exists)):
+    if isinstance(f, Quantifier):
         vs = ", ".join(mangle_variable(v) for v in f.variables)
         return f"{'!' if isinstance(f, Forall) else '?'} [{vs}] : " + render_unit(f.body, table)
     raise TypeError(f"not a formula: {f!r}")
@@ -379,7 +381,6 @@ class _FofParser:
 class Unit:
     """One annotated formula of a TPTP file."""
 
-    kind: str  # fof, cnf, tff, ...
     name: str
     role: str
     formula: Formula | None  # None when the unit is outside the FOF subset
@@ -442,7 +443,7 @@ def read_units(path: str | Path):
                             error = f"{p}:{e.line}: {e.reason}"
                         except ValueError as e:  # a name the AST rejects
                             error = f"{p}:{line}: {e}"
-                    yield Unit(kind, _unquote(unit[2][0]), unit[4][0], formula, error,
+                    yield Unit(_unquote(unit[2][0]), unit[4][0], formula, error,
                                text[start : unit[-1][2] + 1], f"{p}:{line}")
                 i = j + 1
         except TptpSyntaxError as e:

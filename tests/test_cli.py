@@ -566,7 +566,11 @@ def test_store_header_that_is_not_json_names_its_line(pipeline, tmp_path):
 @pytest.mark.parametrize("edit, reason", [
     (lambda r: r.update(szs="Bogus"), "'Bogus' is not a valid SzsStatus"),
     (lambda r: r.pop("wall_seconds"), "no field 'wall_seconds'"),
-], ids=["bad-status", "no-wall-seconds"])
+    (lambda r: r.update(used_axioms="ax_1"), "used_axioms 'ax_1' is not a list of names"),
+    (lambda r: r.update(wall_seconds="0.1"), "wall_seconds '0.1' is not a number"),
+    (lambda r: r["search"].update(given="4"), "search given '4' is not a count"),
+], ids=["bad-status", "no-wall-seconds", "string-used-axioms", "string-wall-seconds",
+        "string-search-count"])
 @pytest.mark.parametrize("argv", [
     ("run",), ("report",), ("diff", "journal.ldjson", "journal.ldjson"),
 ], ids=["run", "report", "diff"])

@@ -75,40 +75,86 @@ def test_and_or_flatten_on_construction():
     inner = And((Atom("p", ()), Atom("q", ())))
     outer = And((inner, Atom("r", ())))
     assert len(outer.parts) == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^and needs at least two parts$"):
         And((Atom("p", ()),))
+    with pytest.raises(ValueError, match="^or needs at least two parts$"):
+        Or((Atom("p", ()),))
+
+
+def test_connective_families_keep_their_classes_apart():
+    parts = (Atom("p", ()), Atom("q", ()))
+    body = Atom("p", (X,))
+    pairs = [
+        (And(parts), Or(parts), And(parts)),
+        (Forall(("X",), body), Exists(("X",), body), Forall(("X",), body)),
+    ]
+    for a, b, again in pairs:
+        assert a != b and a == again
+        assert len({a, b, again}) == 2
+        assert repr(a).startswith(type(a).__name__ + "(")
+        assert repr(b).startswith(type(b).__name__ + "(")
+    with pytest.raises(ValueError, match="^quantifier needs at least one variable$"):
+        Exists((), body)
+
+
+SYNTAX_ERRORS = [
+    # source, line, column, reason
+    ("(p a", 1, 1, "unclosed '('"),
+    ("(p a))", 1, 6, "unbalanced ')'"),
+    ("(=> (p a))", 1, 2, "=> takes exactly two formulas"),
+    ("(<=> (p a))", 1, 2, "<=> takes exactly two formulas"),
+    ("(or (p a))", 1, 2, "or takes at least two formulas"),
+    ("(not (p a) (q b))", 1, 2, "not takes exactly one formula"),
+    ("(forall ?X (p ?X))", 1, 9, "quantifier needs a variable list"),
+    ("(forall () (p a))", 1, 9, "empty variable list"),
+    ("(forall (?X))", 1, 2, "forall needs a variable list and a body"),
+    ("(forall (a) (p a))", 1, 10, "expected a variable, found 'a'"),
+    ("(equal a b c)", 1, 2, "equal takes exactly two terms"),
+    ("((p) a)", 1, 1, "expected an operator or predicate symbol"),
+    ("(and a (p b))", 1, 6, "expected a formula, found 'a'"),
+    ("()", 1, 1, "empty expression"),
+    ("(p ?)", 1, 4, "empty variable name"),
+    ("(p ())", 1, 4, "empty function application"),
+    ("(p ((f) a))", 1, 4, "expected function name"),
+]
 
 
 @pytest.mark.parametrize(
-    "src",
-    [
-        "(p a",  # unclosed
-        "(p a))",  # extra close
-        "(=> (p a))",  # arity
-        "(not (p a) (q b))",
-        "(forall ?X (p ?X))",  # missing variable list
-        "(forall () (p a))",
-        "(equal a b c)",
-        "((p) a)",
-    ],
+    "src, line, col, reason", SYNTAX_ERRORS, ids=[case[0] for case in SYNTAX_ERRORS]
 )
-def test_syntax_errors(src):
-    with pytest.raises(KifSyntaxError):
+def test_syntax_errors(src, line, col, reason):
+    with pytest.raises(KifSyntaxError) as e:
         parse_kif(src)
+    assert (e.value.line, e.value.col, e.value.reason) == (line, col, reason)
+
+
+UNSUPPORTED = [
+    # source, line, column, construct
+    ("(p @ROW)", 1, 4, "row variable @ROW"),
+    ('(p "quoted")', 1, 4, "quoted term"),
+    ("(?X a)", 1, 2, "variable in predicate position"),
+    ("(p (?F a))", 1, 5, "variable in function position"),
+    ("(forall ((?X Human)) (p ?X))", 1, 10, "typed quantifier binding"),
+]
 
 
 @pytest.mark.parametrize(
-    "src",
-    [
-        "(p @ROW)",
-        '(p "quoted")',
-        "(?X a)",  # variable in predicate position
-        "(p (?F a))",  # variable in function position
-    ],
+    "src, line, col, construct", UNSUPPORTED, ids=[case[0] for case in UNSUPPORTED]
 )
-def test_unsupported_constructs(src):
-    with pytest.raises(UnsupportedConstruct):
+def test_unsupported_constructs(src, line, col, construct):
+    with pytest.raises(UnsupportedConstruct) as e:
         parse_kif(src)
+    assert (e.value.line, e.value.col) == (line, col)
+    assert e.value.reason == f"unsupported construct: {construct}"
+
+
+@pytest.mark.parametrize("src", ["(p a))", "(p @ROW)"])
+def test_kif_errors_share_one_form(src):
+    with pytest.raises(kif.KifError) as e:
+        parse_kif(src)
+    err = e.value
+    assert str(err) == f"{err.line}:{err.col}: {err.reason}"
+    assert err.at("x.kif") == f"x.kif:{err}"
 
 
 def test_syntax_error_carries_position():
@@ -194,6 +240,13 @@ def test_nnf_idempotent_and_semantics_preserved():
         assert nnf(g) == g
         model = _random_model(rng, f)
         assert model.holds(f) == model.holds(g)
+
+
+def test_nnf_negative_polarity_is_nnf_of_the_negation():
+    for seed in range(8):
+        for f in genformulas.formulas(60, seed=seed):
+            assert nnf(f, positive=False) == nnf(Not(f))
+            assert nnf(Not(f), positive=False) == nnf(f)
 
 
 def _random_model(rng, *formulas):

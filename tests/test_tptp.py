@@ -104,7 +104,7 @@ def test_unit_round_trip_random(tmp_path):
     units = list(read_units(path))
     assert len(units) == len(formulas)
     for i, (unit, f) in enumerate(zip(units, formulas)):
-        assert (unit.kind, unit.name, unit.role) == ("fof", f"u{i}", "axiom")
+        assert (unit.name, unit.role) == (f"u{i}", "axiom")
         assert alpha_equal(unit.formula, kif.universal_closure(f))
 
 
