@@ -17,3 +17,24 @@ __all__ = [
     "verdict",
     "wordnet",
 ]
+
+
+class Error(Exception):
+    """Bad input, the one error every module raises for it: ``reason``,
+    found at ``line`` and ``col`` of its source where those are known.
+    It reads ``[<path>:][<line>:[<col>:]] <reason>``, where :meth:`at`
+    gives the path."""
+
+    def __init__(self, reason: str, line: int | None = None, col: int | None = None):
+        super().__init__(reason)
+        self.reason, self.line, self.col, self.path = reason, line, col, None
+
+    def at(self, path) -> "Error":
+        """This error, found in the file ``path`` unless it names one already."""
+        if self.path is None:
+            self.path = path
+        return self
+
+    def __str__(self) -> str:
+        where = "".join(f"{p}:" for p in (self.path, self.line, self.col) if p is not None)
+        return f"{where} {self.reason}" if where else self.reason

@@ -14,9 +14,11 @@ a persistent store, so the pipeline can be run stage by stage:
 Paths in the config resolve relative to the config file, and every input
 it names is checked against its pinned sha256, if any, before it is
 read.  Each store has one record format, in ``STORES``; reading a store
-that is missing names the stage that writes it.  Environment variables
-CQEVAL_PROVER_CMD and CQEVAL_JOBS override the config; flags override
-both.  A run setting that none of them gives keeps the default of
+that is missing names the stage that writes it.  Every bad input, a
+config value of the wrong type included, ends the stage with exit 2 and
+one line, ``error: [<path>:][<line>:[<col>:]] <reason>``.  Environment
+variables CQEVAL_PROVER_CMD and CQEVAL_JOBS override the config; flags
+override both.  A run setting that none of them gives keeps the default of
 ``runner.RunnerConfig``.
 """
 
@@ -32,11 +34,7 @@ from collections import Counter
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
-from . import coremap, cqgen, ontology, report, runner, store, tptp, verdict, wordnet
-
-
-class CliError(Exception):
-    pass
+from . import Error, coremap, cqgen, ontology, report, runner, store, tptp, verdict, wordnet
 
 
 POS_NAMES = frozenset({"noun", "verb", "adj", "adv"})  # the sections of wordnet.data and mappings
@@ -63,6 +61,11 @@ STORES = {
 }
 
 
+_SETTING = (str, int, float)  # a run setting, converted to its field's type
+_KINDS = {str: "a string", list: "a list of strings", dict: "an object of strings",
+          _SETTING: "a string or a number"}
+
+
 class Config:
     """Loaded campaign configuration with paths resolved."""
 
@@ -76,31 +79,42 @@ class Config:
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
-            raise CliError(f"config file not found: {path}") from None
+            raise Error(f"config file not found: {path}") from None
         except json.JSONDecodeError as e:
-            raise CliError(f"config file {path} is not valid JSON: {e}") from None
+            raise Error(f"config file {path} is not valid JSON: {e}") from None
+        if not isinstance(raw, dict):
+            raise Error(f"config file {path} is not a JSON object")
         return cls(raw, path.parent)
 
     def resolve(self, rel: str) -> Path:
         p = Path(rel)
         return p if p.is_absolute() else self.base / p
 
-    def get(self, *keys, default=None):
+    def get(self, *keys, kind=str, default=None):
+        """The value at ``keys``, or ``default`` where it is missing or null.
+        A value that is not a ``kind``, a list or object with a member that
+        is not a string, or a key under a value that is not an object,
+        raises an Error naming the key."""
         node = self.raw
-        for k in keys:
-            if not isinstance(node, dict) or k not in node:
+        for i, k in enumerate(keys):
+            if not isinstance(node, dict):
+                raise Error(f"config key {'.'.join(keys[:i])} must be an object, got {node!r}")
+            if node.get(k) is None:
                 return default
             node = node[k]
+        if not isinstance(node, kind) or kind in (list, dict) and not all(
+                isinstance(m, str) for m in (node.values() if kind is dict else node)):
+            raise Error(f"config key {'.'.join(keys)} must be {_KINDS[kind]}, got {node!r}")
         return node
 
     def input_path(self, rel: str) -> Path:
         """The path of an input file, once its checksum matches the pinned one, if any."""
         path = self.resolve(rel)
-        pinned = self.get("checksums", default={}).get(rel)
+        pinned = self.get("checksums", kind=dict, default={}).get(rel)
         if pinned:
             actual = store.sha256_file(path)
             if actual != pinned:
-                raise CliError(
+                raise Error(
                     f"checksum mismatch for {rel}: config pins {pinned}, file has {actual}"
                 )
         return path
@@ -116,7 +130,7 @@ class Config:
         stage, _, decode = STORES[name]
         path = self.store_path(name)
         if not path.exists():
-            raise CliError(f"{name} store missing: {path} (run {stage} first)")
+            raise Error(f"{name} store missing: {path} (run {stage} first)")
         return store.read_ldjson(path, name, decode)
 
     def problems_dir(self) -> Path:
@@ -126,10 +140,7 @@ class Config:
         return self.resolve(flag or self.get("journal", default="journal.ldjson"))
 
     def suffixes(self) -> frozenset:
-        listed = self.get("mapping_suffixes")
-        if listed is None:
-            return wordnet.DEFAULT_SUFFIXES
-        return frozenset(listed)
+        return frozenset(self.get("mapping_suffixes", kind=list, default=wordnet.DEFAULT_SUFFIXES))
 
 
 # --------------------------------------------------------------------------
@@ -139,10 +150,10 @@ class Config:
 def _load_ontologies(cfg: Config):
     core_rel = cfg.get("ontology", "core")
     if core_rel is None:
-        raise CliError("config lacks ontology.core")
+        raise Error("config lacks ontology.core")
     core = ontology.load_ontology(cfg.input_path(core_rel))
     extras = [ontology.load_ontology(cfg.input_path(rel))
-              for rel in cfg.get("ontology", "extra", default=()) or ()]
+              for rel in cfg.get("ontology", "extra", kind=list, default=())]
     return core, extras
 
 
@@ -177,8 +188,8 @@ def _parse_input(cfg: Config, rel: str, parse, *args):
     text = cfg.input_path(rel).read_text(encoding="utf-8")
     try:
         return parse(text, *args)
-    except wordnet.WordNetError as e:
-        raise CliError(f"{rel}: {e}") from None
+    except Error as e:
+        raise e.at(rel) from None
 
 
 # --------------------------------------------------------------------------
@@ -187,14 +198,14 @@ def _parse_input(cfg: Config, rel: str, parse, *args):
 
 def cmd_ingest(args) -> int:
     cfg = Config.load(args.config)
-    data_cfg = cfg.get("wordnet", "data", default={}) or {}
-    mapping_cfg = cfg.get("mappings", default={}) or {}
+    data_cfg = cfg.get("wordnet", "data", kind=dict, default={})
+    mapping_cfg = cfg.get("mappings", kind=dict, default={})
     for section, listed in (("wordnet.data", data_cfg), ("mappings", mapping_cfg)):
         unknown = sorted(set(listed) - POS_NAMES)
         if unknown:
-            raise CliError(f"unknown part of speech {unknown[0]!r} in {section}")
+            raise Error(f"unknown part of speech {unknown[0]!r} in {section}")
     if not any(data_cfg.values()) and not any(mapping_cfg.values()):
-        raise CliError("no input files")
+        raise Error("no input files")
     corpus = wordnet.WordNetCorpus(frozenset(), frozenset())
     for _, rel in sorted(data_cfg.items()):
         if rel:
@@ -209,14 +220,14 @@ def cmd_ingest(args) -> int:
         parsed = _parse_input(cfg, rel, wordnet.parse_mapping_file, cfg.suffixes())
         entries.extend(parsed.entries)
         skipped += parsed.skipped
-        warnings.extend(f"{rel}: {w}" for w in parsed.warnings)
+        warnings.extend(w.at(rel) for w in parsed.warnings)
 
     links = []
     sense_rel = cfg.get("wordnet", "sense_index")
     morph_rel = cfg.get("wordnet", "morphosemantic")
     if morph_rel:
         if not sense_rel:
-            raise CliError("morphosemantic links need wordnet.sense_index")
+            raise Error("morphosemantic links need wordnet.sense_index")
         sense_index = _parse_input(cfg, sense_rel, wordnet.parse_sense_index)
         links = _parse_input(cfg, morph_rel, wordnet.parse_morphosemantic, sense_index)
 
@@ -286,7 +297,7 @@ def cmd_emit(args) -> int:
     cfg = Config.load(args.config)
     mode = args.mode or cfg.get("emit_mode", default="inline")
     if mode not in EMIT_MODES:
-        raise CliError(f"unknown emit_mode {mode!r}: expected one of {', '.join(EMIT_MODES)}")
+        raise Error(f"unknown emit_mode {mode!r}: expected one of {', '.join(EMIT_MODES)}")
     corpus = _load_corpus(cfg)
     axioms = tptp.render_axioms(_evaluated_ontology(cfg))
     problems_dir = cfg.problems_dir()
@@ -308,10 +319,10 @@ def _runner_config(cfg: Config, args) -> runner.RunnerConfig:
     given = {
         "prover_cmd": (args.prover_cmd, os.environ.get("CQEVAL_PROVER_CMD"),
                        cfg.get("prover_cmd")),
-        "max_parallel": (args.jobs, os.environ.get("CQEVAL_JOBS"), cfg.get("jobs")),
-        "timeout_seconds": (args.timeout, cfg.get("timeout_seconds")),
-        "builtin_max_literals": (cfg.get("builtin_max_literals"),),
-        "builtin_max_clauses": (cfg.get("builtin_max_clauses"),),
+        "max_parallel": (args.jobs, os.environ.get("CQEVAL_JOBS"), cfg.get("jobs", kind=_SETTING)),
+        "timeout_seconds": (args.timeout, cfg.get("timeout_seconds", kind=_SETTING)),
+        "builtin_max_literals": (cfg.get("builtin_max_literals", kind=_SETTING),),
+        "builtin_max_clauses": (cfg.get("builtin_max_clauses", kind=_SETTING),),
     }
     types = typing.get_type_hints(runner.RunnerConfig)
     try:
@@ -326,7 +337,7 @@ def _runner_config(cfg: Config, args) -> runner.RunnerConfig:
             **settings,
         )
     except (TypeError, ValueError) as e:
-        raise CliError(f"bad run setting: {e}") from None
+        raise Error(f"bad run setting: {e}") from None
 
 
 def cmd_run(args) -> int:
@@ -334,12 +345,12 @@ def cmd_run(args) -> int:
     problems_dir = args.corpus or cfg.problems_dir()
     problems = runner.discover_problems(problems_dir)
     if not problems:
-        raise CliError(f"no problem files in {problems_dir}")
+        raise Error(f"no problem files in {problems_dir}")
     rcfg = _runner_config(cfg, args)
     try:
         results = runner.run_corpus(problems, rcfg)
     except BrokenExecutor as e:
-        raise CliError(f"{e} Finished results are journaled; run again to resume.") from None
+        raise Error(f"{e} Finished results are journaled; run again to resume.") from None
     histogram = Counter(r.szs.value for _, r in results)
     print(" ".join(f"{k}={v}" for k, v in sorted(histogram.items())))
     print(f"journal: {rcfg.journal_path} ({len(results)} results)")
@@ -372,7 +383,7 @@ def cmd_diff(args) -> int:
 def cmd_check_cqs(args) -> int:
     # a check that times out counts as nontrivial, so no time screens nothing
     if not args.timeout > 0:
-        raise CliError(f"bad check-cqs setting: timeout must be positive, got {args.timeout}")
+        raise Error(f"bad check-cqs setting: timeout must be positive, got {args.timeout}")
     cfg = Config.load(args.config)
     corpus = _load_corpus(cfg)
     from . import microprover
@@ -447,17 +458,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (
-        CliError,
-        OSError,
-        store.StoreError,
-        ontology.OntologyError,
-        wordnet.WordNetError,
-        cqgen.CqGenError,
-        report.ReportError,
-        verdict.UnresolvedCqId,
-        tptp.TptpError,
-    ) as e:
+    except (Error, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -28,15 +28,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from . import kif
+from . import Error, kif
 from .kif import And, Atom, Constant, Equal, Exists, Forall, Formula, Implies, Not, Or, Variable
 from .ontology import OntologyIndex
 from .tptp import SzsStatus
 from .wordnet import MappingRelation
-
-
-class CqGenError(Exception):
-    pass
 
 
 class Polarity(Enum):
@@ -311,25 +307,23 @@ def load_creative(path: str | Path) -> list:
     seen: set = set()
     try:
         forms = kif.parse_annotated(path.read_text(encoding="utf-8"))
-    except kif.KifError as e:
-        raise CqGenError(e.at(path)) from None
+    except Error as e:
+        raise e.at(path) from None
     for form in forms:
         if "id" not in form.annotations:
-            raise CqGenError(f"{path}:{form.line}: form lacks an id annotation")
+            raise Error("form lacks an id annotation", form.line).at(path)
         if "polarity" not in form.annotations:
-            raise CqGenError(f"{path}:{form.line}: form lacks a polarity annotation")
+            raise Error("form lacks a polarity annotation", form.line).at(path)
         cq_id = form.annotations["id"]
         if cq_id in seen:
-            raise CqGenError(f"{path}:{form.line}: duplicate id {cq_id!r}")
+            raise Error(f"duplicate id {cq_id!r}", form.line).at(path)
         seen.add(cq_id)
         raw_pol = form.annotations["polarity"].lower().replace("-test", "")
         try:
             polarity = Polarity(raw_pol)
         except ValueError:
-            raise CqGenError(
-                f"{path}:{form.line}: polarity must be truth or falsity, got "
-                f"{form.annotations['polarity']!r}"
-            ) from None
+            raise Error(f"polarity must be truth or falsity, got "
+                        f"{form.annotations['polarity']!r}", form.line).at(path) from None
         out.append(
             CompetencyQuestion(
                 id=cq_id,
@@ -394,7 +388,7 @@ def generate_corpus(
 
     dupes = sorted(cq_id for cq_id, n in Counter(cq.id for cq in questions).items() if n > 1)
     if dupes:
-        raise CqGenError(f"duplicate question ids: {dupes}")
+        raise Error(f"duplicate question ids: {dupes}")
     return Corpus(questions, sum((part.skipped for part in parts), Counter()))
 
 

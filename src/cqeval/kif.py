@@ -9,8 +9,8 @@ caller knows the input needs a pre-translated form.
 
 The reader makes one pass over the source with one compiled pattern and
 builds the nested forms as it goes; each token keeps its line and
-column, so every error names both (:meth:`KifError.at` adds the file).
-Faults of the s-expression layer (parens, quotes, row variables) are
+column, so every :class:`cqeval.Error` it raises names both (``at``
+adds the file).  Faults of the s-expression layer (parens, quotes, row variables) are
 reported in source order, before any fault of the fragment's grammar.
 
 Conventions baked into the AST: variable names are stored without the
@@ -26,30 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-
-class KifError(Exception):
-    """Base class for everything this parser can raise: ``reason``, found
-    at ``line`` and ``col`` of the source; it reads ``<line>:<col>: <reason>``."""
-
-    def __init__(self, line: int, col: int, reason: str):
-        self.line, self.col, self.reason = line, col, reason
-        super().__init__(f"{line}:{col}: {reason}")
-
-    def at(self, path) -> str:
-        """The error as ``<path>:<line>:<col>: <reason>``."""
-        return f"{path}:{self}"
-
-
-class KifSyntaxError(KifError):
-    """Input that is not SUO-KIF, or not the fragment's grammar."""
-
-
-class UnsupportedConstruct(KifError):
-    """Input is well-formed SUO-KIF but outside the first-order fragment."""
-
-    def __init__(self, line: int, col: int, construct: str):
-        super().__init__(line, col, f"unsupported construct: {construct}")
-
+from . import Error
 
 # a name: not empty, and without a blank, a paren or a quote
 _NAME = re.compile(r'[^ \t\n()"]+')
@@ -213,22 +190,22 @@ def _read_sexprs(source: str) -> list:
                 stack.append(form)
             elif ch == ")":
                 if not stack:
-                    raise KifSyntaxError(line, col, "unbalanced ')'")
+                    raise Error("unbalanced ')'", line, col)
                 stack.pop()
             elif ch == ";":
                 if not stack:
                     exprs.append((word, line, col))
             elif ch == '"':
-                raise UnsupportedConstruct(line, col, "quoted term")
+                raise Error("unsupported construct: quoted term", line, col)
             elif ch == "@":
-                raise UnsupportedConstruct(line, col, f"row variable {word}")
+                raise Error(f"unsupported construct: row variable {word}", line, col)
             elif stack:
                 stack[-1].append((word, line, col))
             else:
-                raise KifSyntaxError(line, col, "expected '(' at top level")
+                raise Error("expected '(' at top level", line, col)
     if stack:
         _, line, col = stack[-1][0]
-        raise KifSyntaxError(line, col, "unclosed '('")
+        raise Error("unclosed '('", line, col)
     return exprs
 
 
@@ -253,12 +230,12 @@ def _head(sx, position: str, empty: str, nested: str) -> tuple:
     or function; an ``empty`` form, a ``nested`` head or a variable fails."""
     _, line, col = sx[0]
     if len(sx) < 2:
-        raise KifSyntaxError(line, col, empty)
+        raise Error(empty, line, col)
     head = sx[1]
     if isinstance(head, list):
-        raise KifSyntaxError(line, col, nested)
+        raise Error(nested, line, col)
     if head[0][0] == "?":
-        raise UnsupportedConstruct(head[1], head[2], f"variable in {position} position")
+        raise Error(f"unsupported construct: variable in {position} position", head[1], head[2])
     return head
 
 
@@ -267,55 +244,55 @@ def _parse_term(sx) -> Term:
         text, line, col = sx
         if text[0] == "?":
             if len(text) < 2:
-                raise KifSyntaxError(line, col, "empty variable name")
+                raise Error("empty variable name", line, col)
             return Variable(text[1:])
         return Constant(text)
     name, line, col = _head(sx, "function", "empty function application", "expected function name")
     if name in CONNECTIVES:
-        raise KifSyntaxError(line, col, f"connective {name!r} in term position")
+        raise Error(f"connective {name!r} in term position", line, col)
     return Function(name, tuple(_parse_term(a) for a in sx[2:]))
 
 
 def _parse_quantifier(sx, cls):
     kw, line, col = sx[1]
     if len(sx) != 4:
-        raise KifSyntaxError(line, col, f"{kw} needs a variable list and a body")
+        raise Error(f"{kw} needs a variable list and a body", line, col)
     varlist = sx[2]
     if isinstance(varlist, tuple):
-        raise KifSyntaxError(varlist[1], varlist[2], "quantifier needs a variable list")
+        raise Error("quantifier needs a variable list", varlist[1], varlist[2])
     names = []
     for v in varlist[1:]:
         if isinstance(v, list):
             _, line, col = v[0]
-            raise UnsupportedConstruct(line, col, "typed quantifier binding")
+            raise Error("unsupported construct: typed quantifier binding", line, col)
         text, line, col = v
         if text[0] != "?" or len(text) < 2:
-            raise KifSyntaxError(line, col, f"expected a variable, found {text!r}")
+            raise Error(f"expected a variable, found {text!r}", line, col)
         names.append(text[1:])
     if not names:
         _, line, col = varlist[0]
-        raise KifSyntaxError(line, col, "empty variable list")
+        raise Error("empty variable list", line, col)
     return cls(tuple(names), _parse_formula(sx[3]))
 
 
 def _parse_formula(sx) -> Formula:
     if isinstance(sx, tuple):
         text, line, col = sx
-        raise KifSyntaxError(line, col, f"expected a formula, found {text!r}")
+        raise Error(f"expected a formula, found {text!r}", line, col)
     kw, line, col = _head(sx, "predicate", "empty expression",
                           "expected an operator or predicate symbol")
     body = sx[2:]
     if kw in _CONNECTIVES:
         cls, fewest, most, arity = _CONNECTIVES[kw]
         if len(body) < fewest or most is not None and len(body) > most:
-            raise KifSyntaxError(line, col, f"{kw} takes {arity}")
+            raise Error(f"{kw} takes {arity}", line, col)
         parts = tuple(_parse_formula(b) for b in body)
         return cls(parts) if most is None else cls(*parts)
     if kw in _QUANTIFIERS:
         return _parse_quantifier(sx, _QUANTIFIERS[kw])
     if kw in ("equal", "="):
         if len(body) != 2:
-            raise KifSyntaxError(line, col, "equal takes exactly two terms")
+            raise Error("equal takes exactly two terms", line, col)
         return Equal(_parse_term(body[0]), _parse_term(body[1]))
     return Atom(kw, tuple(_parse_term(b) for b in body))
 

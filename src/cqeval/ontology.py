@@ -21,25 +21,8 @@ import graphlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import kif, tptp
+from . import Error, kif, tptp
 from .kif import Atom, Constant, Formula
-
-
-class OntologyError(Exception):
-    pass
-
-
-class DuplicateLabel(OntologyError):
-    def __init__(self, label: str, source: str):
-        self.label = label
-        super().__init__(f"duplicate axiom label {label!r} in {source}")
-
-
-class CycleDetected(OntologyError):
-    def __init__(self, relation: str, path: list[str]):
-        self.relation = relation
-        self.path = path
-        super().__init__(f"{relation} cycle: " + " -> ".join(path))
 
 
 STRUCTURAL_RELATIONS = ("instance", "subclass", "subrelation", "subAttribute")
@@ -71,7 +54,7 @@ def _ontology(name: str, parts) -> Ontology:
     for source, group in parts:
         for ax in group:
             if ax.label in seen:
-                raise DuplicateLabel(ax.label, source)
+                raise Error(f"duplicate axiom label {ax.label!r} in {source}")
             seen.add(ax.label)
             axioms.append(ax)
             f = ax.formula
@@ -100,13 +83,13 @@ def load_ontology(path: str | Path) -> Ontology:
         axioms = []
         for unit in tptp.read_units(path):
             if unit.role == "conjecture":
-                raise OntologyError(f"{unit.where}: conjecture unit in an ontology file")
+                raise Error("conjecture unit in an ontology file", unit.line).at(unit.path)
             axioms.append(OntologyAxiom(unit.name, unit.formula, unit.text))
     else:
         try:
             forms = kif.parse_annotated(path.read_text(encoding="utf-8"))
-        except kif.KifError as e:
-            raise OntologyError(e.at(path)) from None
+        except Error as e:
+            raise e.at(path) from None
         axioms = [OntologyAxiom(form.annotations.get("label", f"ax{i}"), form.formula)
                   for i, form in enumerate(forms, start=1)]
     return _ontology(path.stem, [(str(path), axioms)])
@@ -179,5 +162,5 @@ def build_index(core: Ontology, extra_sources=()) -> OntologyIndex:
             graphlib.TopologicalSorter(ups[rel]).prepare()
         except graphlib.CycleError as e:
             # graphlib lists each parent before its child
-            raise CycleDetected(rel, e.args[1][::-1]) from None
+            raise Error(f"{rel} cycle: " + " -> ".join(e.args[1][::-1])) from None
     return OntologyIndex(vocabulary=core.vocabulary, up=ups)

@@ -15,16 +15,9 @@ import io
 import json
 from dataclasses import dataclass, fields
 
+from . import Error
 from .cqgen import FAMILIES, Corpus, Polarity
 from .verdict import Classification
-
-
-class ReportError(Exception):
-    pass
-
-
-class CorpusMismatch(ReportError):
-    pass
 
 
 TOTAL_LABELS = {"truth": "truth-tests", "falsity": "falsity-tests"}
@@ -193,9 +186,7 @@ class Delta:
 def diff_reports(old: Report, new: Report) -> Delta:
     """Changes between two runs over the same corpus."""
     if old.corpus_ids != new.corpus_ids:
-        raise CorpusMismatch(
-            f"corpora differ: {len(old.corpus_ids)} vs {len(new.corpus_ids)} questions"
-        )
+        raise Error(f"corpora differ: {len(old.corpus_ids)} vs {len(new.corpus_ids)} questions")
     old_rows = {(r.polarity, r.family): r for r in old.rows}
     new_rows = {(r.polarity, r.family): r for r in new.rows}
     row_deltas = []

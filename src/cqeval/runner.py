@@ -100,7 +100,7 @@ def read_journal(path: str | Path) -> dict:
     """{cq_id: ProverResult} from an append-only journal.  A torn final
     line (interrupted write: no newline, not JSON) is tolerated, as
     ``_end_journal_tail`` cuts it; any other line that is not a journal
-    record raises a StoreError naming it."""
+    record raises an Error naming it."""
     path = Path(path)
     if not path.exists():
         return {}

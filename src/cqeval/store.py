@@ -5,7 +5,7 @@ through a temp file and an atomic rename so a crash never leaves a
 half-written store behind.  The run journal is different: it is
 append-only and headerless, and lives in the runner module.  Both read
 their lines through ``decode_lines``, so a line that is not JSON, or not
-a record of its kind, is an error naming its file and line.
+a record of its kind, is a :class:`cqeval.Error` naming its file and line.
 """
 
 from __future__ import annotations
@@ -19,14 +19,10 @@ import typing
 from enum import Enum
 from pathlib import Path
 
-from .kif import KifError
+from . import Error
 from .wordnet import SynsetId
 
 SCHEMA_VERSION = 1
-
-
-class StoreError(Exception):
-    pass
 
 
 def write_ldjson(path: str | Path, store_name: str, records) -> Path:
@@ -61,7 +57,7 @@ def decode_lines(path: Path, lines, first: int, decode=None) -> list:
     """The JSON value of each non-blank line of ``lines``, the first of
     which is line ``first`` of ``path``, turned into an object by ``decode``
     if given.  A line that is not JSON, or that ``decode`` rejects, raises
-    a StoreError naming its file and line."""
+    an Error naming its file and line."""
     out = []
     for i, line in enumerate(lines, start=first):
         if not line.strip():
@@ -69,9 +65,9 @@ def decode_lines(path: Path, lines, first: int, decode=None) -> list:
         try:
             rec = json.loads(line)
             out.append(rec if decode is None else decode(rec))
-        except (LookupError, TypeError, ValueError, AttributeError, KifError) as e:
+        except (LookupError, TypeError, ValueError, AttributeError, Error) as e:
             detail = f"no field {e}" if isinstance(e, KeyError) else e
-            raise StoreError(f"{path}:{i}: bad record: {detail}") from None
+            raise Error(f"bad record: {detail}", i).at(path) from None
     return out
 
 
@@ -81,15 +77,13 @@ def read_ldjson(path: str | Path, store_name: str, decode=None) -> list:
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
-        raise StoreError(f"{path}: empty store file")
+        raise Error("empty store file").at(path)
     # the header must be an object; a blank one names no store
     [header] = decode_lines(path, lines[:1], 1, dict) or [{}]
     if header.get("store") != store_name:
-        raise StoreError(
-            f"{path}: expected a {store_name!r} store, found {header.get('store')!r}"
-        )
+        raise Error(f"expected a {store_name!r} store, found {header.get('store')!r}").at(path)
     if header.get("schema_version") != SCHEMA_VERSION:
-        raise StoreError(f"{path}: unsupported schema version {header.get('schema_version')!r}")
+        raise Error(f"unsupported schema version {header.get('schema_version')!r}").at(path)
     return decode_lines(path, lines[1:], 2, decode)
 
 

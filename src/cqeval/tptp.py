@@ -8,7 +8,9 @@ Handles three jobs around external refutation provers:
 * read TPTP files back with one scanner: unit boundaries, include
   directives and comments for every unit, and enough of the FOF grammar
   for our own output, so the bundled prover can consume the same files
-  external provers do;
+  external provers do; names are read one to one as well: variables as
+  written, and symbols without the ``s__`` of a mangled one, unless two
+  spellings would read as one name;
 * scan prover output for its SZS status and, in a proof, the axioms it
   used: each unit with an axiom role names its ``file(_, name)`` source,
   or else itself.
@@ -17,12 +19,13 @@ Handles three jobs around external refutation provers:
 from __future__ import annotations
 
 import re
+from collections import ChainMap
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import kif
+from . import Error, kif
 from .kif import (
     And, Atom, Constant, Equal, Exists, Forall, Formula, Function, Iff,
     Implies, Junction, Not, Or, Quantifier, Term, Variable,
@@ -30,20 +33,6 @@ from .kif import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ontology import Ontology
-
-
-class TptpError(Exception):
-    pass
-
-
-class MangleCollision(TptpError):
-    """Two distinct source symbols mangled to the same TPTP name."""
-
-    def __init__(self, mangled: str, first: str, second: str):
-        self.mangled = mangled
-        self.first = first
-        self.second = second
-        super().__init__(f"{first!r} and {second!r} both mangle to {mangled!r}")
 
 
 _SAFE = re.compile(r"[^A-Za-z0-9_]")
@@ -63,10 +52,6 @@ def mangle_variable(name: str) -> str:
 
 def demangle_symbol(name: str) -> str:
     return name[3:] if name.startswith("s__") else name
-
-
-def demangle_variable(name: str) -> str:
-    return name[1:] if name.startswith("V") and len(name) > 1 else name
 
 
 # --------------------------------------------------------------------------
@@ -96,7 +81,7 @@ def _mangled(name: str, table: dict) -> str:
     m = mangle_symbol(name)
     prior = table.setdefault(m, name)
     if prior != name:
-        raise MangleCollision(m, prior, name)
+        raise Error(f"{prior!r} and {name!r} both mangle to {m!r}")
     return m
 
 
@@ -215,20 +200,13 @@ def write_problem(cq, axioms: RenderedAxioms, out_dir: str | Path,
         if warn is not None:
             warn(f"conjecture name {conj_name!r} collides with an axiom, renamed to {renamed!r}")
         conj_name = renamed
-    lines.append(render_fof(conj_name, "conjecture", cq.formula, dict(axioms.table)))
+    lines.append(render_fof(conj_name, "conjecture", cq.formula, ChainMap({}, axioms.table)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return ProblemFile(path=path, cq_id=cq.id)
 
 
 # --------------------------------------------------------------------------
 # reading TPTP files
-
-
-class TptpSyntaxError(TptpError):
-    def __init__(self, line: int, reason: str):
-        self.line = line
-        self.reason = reason
-        super().__init__(f"line {line}: {reason}")
 
 
 # Comments follow the TPTP grammar: % to the end of the line and /* ... */
@@ -255,7 +233,7 @@ def _tok_fof(text: str) -> list[tuple[str, int, int]]:
             line += m.group().count("\n")
         elif kind == "open":
             what = "comment" if m.group() == "/*" else "quoted name"
-            raise TptpSyntaxError(line, f"unterminated {what}")
+            raise Error(f"unterminated {what}", line)
         else:
             toks.append((m.group(), line, m.start()))
             if m.group()[0] in "'\"":
@@ -264,12 +242,13 @@ def _tok_fof(text: str) -> list[tuple[str, int, int]]:
 
 
 class _FofParser:
-    """Recursive-descent parser for the FOF subset this package emits."""
+    """Recursive-descent parser for the FOF subset this package emits.
+    One parser reads every unit of one read, so that no two spellings of
+    a symbol read as one name anywhere in it."""
 
-    def __init__(self, toks, end_line: int):
-        self.toks = toks
-        self.i = 0
-        self.end = (None, end_line, -1)
+    def __init__(self):
+        self.names: dict = {}  # each symbol token read -> the name it reads as
+        self.spellings: dict = {}  # each name -> its one spelling
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else self.end
@@ -282,7 +261,7 @@ class _FofParser:
     def expect(self, text):
         t, line, _ = self.next()
         if t != text:
-            raise TptpSyntaxError(line, f"expected {text!r}, found {t!r}")
+            raise Error(f"expected {text!r}, found {t!r}", line)
 
     def formula(self) -> Formula:
         left = self.unitary()
@@ -294,7 +273,7 @@ class _FofParser:
                 self.next()
                 parts.append(self.unitary())
             if self.peek()[0] in ("&", "|"):
-                raise TptpSyntaxError(self.peek()[1], "mixed & and | need parentheses")
+                raise Error("mixed & and | need parentheses", self.peek()[1])
             return And(tuple(parts)) if join == "&" else Or(tuple(parts))
         if op == "=>":
             self.next()
@@ -304,12 +283,14 @@ class _FofParser:
             return Iff(left, self.unitary())
         return left
 
-    def body(self) -> Formula:
-        """A unit's formula; annotations after a ',' are not read."""
+    def body(self, toks, end_line: int) -> Formula:
+        """The formula of a unit's tokens ``toks``, which end on line
+        ``end_line``; annotations after a ',' are not read."""
+        self.toks, self.i, self.end = toks, 0, (None, end_line, -1)
         f = self.formula()
         t, line, _ = self.peek()
         if t not in (None, ","):
-            raise TptpSyntaxError(line, f"expected ',' or ')', found {t!r}")
+            raise Error(f"expected ',' or ')', found {t!r}", line)
         return f
 
     def unitary(self) -> Formula:
@@ -329,13 +310,13 @@ class _FofParser:
             while True:
                 v, vline, _ = self.next()
                 if v is None or not v[0].isupper():
-                    raise TptpSyntaxError(vline, f"expected a variable, found {v!r}")
-                names.append(demangle_variable(v))
+                    raise Error(f"expected a variable, found {v!r}", vline)
+                names.append(v)
                 nxt, _, _ = self.next()
                 if nxt == "]":
                     break
                 if nxt != ",":
-                    raise TptpSyntaxError(vline, f"expected ',' or ']', found {nxt!r}")
+                    raise Error(f"expected ',' or ']', found {nxt!r}", vline)
             self.expect(":")
             body = self.unitary()
             return (Forall if t == "!" else Exists)(tuple(names), body)
@@ -355,17 +336,24 @@ class _FofParser:
             return Atom(left.name)
         if isinstance(left, Function):
             return Atom(left.name, left.args)
-        raise TptpSyntaxError(self.peek()[1], "a variable is not a formula")
+        raise Error("a variable is not a formula", self.peek()[1])
 
     def term(self) -> Term:
         t, line, _ = self.next()
         if t is None:
-            raise TptpSyntaxError(line, "unexpected end of input")
+            raise Error("unexpected end of input", line)
         if t[0].isupper():
-            return Variable(demangle_variable(t))
+            return Variable(t)
         if not (t[0] == "'" or t[0].isalnum() or t[0] == "_"):
-            raise TptpSyntaxError(line, f"expected a term, found {t!r}")
-        name = demangle_symbol(_unquote(t))
+            raise Error(f"expected a term, found {t!r}", line)
+        name = self.names.get(t)
+        if name is None:
+            spelled = _unquote(t)
+            name = demangle_symbol(spelled)
+            prior = self.spellings.setdefault(name, spelled)
+            if prior != spelled:
+                raise Error(f"{prior!r} and {spelled!r} both read as {name!r}", line)
+            self.names[t] = name
         if self.peek()[0] == "(":
             self.next()
             args = [self.term()]
@@ -384,16 +372,17 @@ class Unit:
     name: str
     role: str
     formula: Formula | None  # None when the unit is outside the FOF subset
-    error: str  # why ``formula`` is None, with file and line
+    error: Error | None  # why ``formula`` is None
     text: str  # the unit verbatim, closing '.' included
-    where: str  # file:line
+    path: Path  # the file the unit is in
+    line: int  # the line the unit starts on
 
 
 def _unit_end(toks, i: int) -> int:
     """Index of the '.' closing the unit that starts at ``toks[i]``."""
     word, line, _ = toks[i]
     if not (word[0].isalpha() and i + 1 < len(toks) and toks[i + 1][0] == "("):
-        raise TptpSyntaxError(line, f"expected a unit, found {word!r}")
+        raise Error(f"expected a unit, found {word!r}", line)
     depth = 0
     for j in range(i + 1, len(toks)):
         t = toks[j][0]
@@ -404,8 +393,8 @@ def _unit_end(toks, i: int) -> int:
             if depth == 0:
                 if j + 1 < len(toks) and toks[j + 1][0] == ".":
                     return j + 1
-                raise TptpSyntaxError(toks[j][1], "expected '.' after the unit")
-    raise TptpSyntaxError(line, "unclosed unit")
+                raise Error("expected '.' after the unit", toks[j][1])
+    raise Error("unclosed unit", line)
 
 
 def read_units(path: str | Path):
@@ -413,12 +402,13 @@ def read_units(path: str | Path):
 
     Include directives are resolved in place, relative to the including
     file.  fof units are parsed; other units and fof units outside the
-    subset this package reads come back with ``formula`` None.
+    subset this package reads come back with ``formula`` None, and so
+    does a unit that spells a symbol that an earlier unit of the read,
+    or an earlier place in it, spells another way: ``s__a`` after ``a``.
     """
+    parser = _FofParser()  # over every file of the read
 
     def units(p: Path, depth: int):
-        if depth > 8:
-            raise TptpError(f"include chain too deep at {p}")
         text = p.read_text(encoding="utf-8")
         try:
             toks = _tok_fof(text)
@@ -429,25 +419,30 @@ def read_units(path: str | Path):
                 kind, line, start = unit[0]
                 if kind == "include":
                     if len(unit) != 5 or unit[2][0][0] != "'":
-                        raise TptpSyntaxError(line, "expected include('file').")
+                        raise Error("expected include('file').", line)
+                    if depth == 8:
+                        raise Error("include chain too deep", line)
                     inc = Path(_unquote(unit[2][0]))
                     yield from units(inc if inc.is_absolute() else p.parent / inc, depth + 1)
                 else:
                     if len(unit) < 8 or unit[3][0] != "," or unit[5][0] != ",":
-                        raise TptpSyntaxError(line, f"expected {kind}(name, role, formula)")
-                    formula, error = None, f"{p}:{line}: cannot parse {kind} units"
+                        raise Error(f"expected {kind}(name, role, formula)", line)
+                    formula = error = None
                     if kind == "fof":
                         try:
-                            formula, error = _FofParser(unit[6:-2], unit[-2][1]).body(), ""
-                        except TptpSyntaxError as e:
-                            error = f"{p}:{e.line}: {e.reason}"
+                            formula = parser.body(unit[6:-2], unit[-2][1])
+                        except Error as e:
+                            error = e
                         except ValueError as e:  # a name the AST rejects
-                            error = f"{p}:{line}: {e}"
-                    yield Unit(_unquote(unit[2][0]), unit[4][0], formula, error,
-                               text[start : unit[-1][2] + 1], f"{p}:{line}")
+                            error = Error(str(e), line)
+                    else:
+                        error = Error(f"cannot parse {kind} units", line)
+                    yield Unit(_unquote(unit[2][0]), unit[4][0], formula,
+                               error.at(p) if error else None, text[start : unit[-1][2] + 1],
+                               p, line)
                 i = j + 1
-        except TptpSyntaxError as e:
-            raise TptpError(f"{p}:{e.line}: {e.reason}") from None
+        except Error as e:
+            raise e.at(p) from None
 
     yield from units(Path(path), 0)
 
@@ -466,17 +461,17 @@ def read_problem(path: str | Path):
     conjecture: tuple[str, Formula] | None = None
     for unit in read_units(path):
         if unit.formula is None:
-            raise TptpError(unit.error)
+            raise unit.error
         if unit.role == "conjecture":
             if conjecture is not None:
-                raise TptpError(f"{unit.where}: second conjecture {unit.name!r}")
+                raise Error(f"second conjecture {unit.name!r}", unit.line).at(unit.path)
             conjecture = (unit.name, unit.formula)
         elif unit.role in AXIOM_ROLES:
             axioms.append((unit.name, unit.formula))
         else:
-            raise TptpError(f"{unit.where}: unsupported role {unit.role!r}")
+            raise Error(f"unsupported role {unit.role!r}", unit.line).at(unit.path)
     if conjecture is None:
-        raise TptpError(f"{path}: no conjecture unit")
+        raise Error("no conjecture unit").at(path)
     return axioms, conjecture
 
 

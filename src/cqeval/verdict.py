@@ -13,12 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from . import Error
 from .cqgen import Corpus, Polarity
 from .tptp import ProverResult, SzsStatus
-
-
-class UnresolvedCqId(ValueError):
-    """A prover result names a question that is not in the corpus."""
 
 
 class Classification(Enum):
@@ -63,5 +60,5 @@ def classify_all(corpus: Corpus, results) -> list:
     by_id = corpus.by_id()
     stray = sorted({cq_id for cq_id, _ in results if cq_id not in by_id})
     if stray:
-        raise UnresolvedCqId(f"results for questions not in the corpus: {stray}")
+        raise Error(f"results for questions not in the corpus: {stray}")
     return [classify(by_id[cq_id].polarity, result, cq_id) for cq_id, result in results]

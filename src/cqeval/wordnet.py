@@ -13,8 +13,8 @@ Four file families are understood:
   noun sense.
 
 Everything returns plain frozen records; no global state, no lexicon
-singletons.  Malformed input raises a WordNetError naming the line;
-every synset offset and type read is checked the same way.
+singletons.  Malformed input raises a :class:`cqeval.Error` naming the
+line; every synset offset and type read is checked the same way.
 """
 
 from __future__ import annotations
@@ -23,34 +23,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-
-class WordNetError(Exception):
-    pass
-
-
-class DataFormatError(WordNetError):
-    def __init__(self, line_no: int, reason: str):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {reason}")
-
-
-class UnknownSuffix(WordNetError):
-    def __init__(self, line_no: int, suffix: str, term: str):
-        self.suffix = suffix
-        self.term = term
-        super().__init__(f"line {line_no}: mapping suffix {suffix!r} on {term!r} not enabled")
-
-
-class DuplicateKey(WordNetError):
-    pass
-
-
-class UnresolvedSenseKey(WordNetError):
-    pass
-
-
-class UnknownMorphRelation(WordNetError):
-    pass
+from . import Error
 
 
 class Pos(Enum):
@@ -111,9 +84,9 @@ def _synset_id(line_no: int, ss_type: str, offset: str, where: str) -> SynsetId:
     """The synset that ``ss_type`` and ``offset`` name; either one malformed
     raises, naming the line and ``where`` on it the pair was read."""
     if ss_type not in _SS_TYPE:
-        raise DataFormatError(line_no, f"{where} has unknown ss_type {ss_type!r}")
+        raise Error(f"{where} has unknown ss_type {ss_type!r}", line_no)
     if not _OFFSET_RE.match(offset):
-        raise DataFormatError(line_no, f"{where} has offset {offset!r}, not 8 digits")
+        raise Error(f"{where} has offset {offset!r}, not 8 digits", line_no)
     return SynsetId(_SS_TYPE[ss_type], offset)
 
 
@@ -128,7 +101,7 @@ def _records(text: str):
             continue
         fields = raw.partition("|")[0].split()
         if len(fields) < 4:
-            raise DataFormatError(line_no, "truncated synset record")
+            raise Error("truncated synset record", line_no)
         yield line_no, raw, fields, _synset_id(line_no, fields[2], fields[0], "synset record")
 
 
@@ -144,20 +117,20 @@ def parse_wn_data(text: str) -> WordNetCorpus:
         try:
             w_cnt = int(fields[3], 16)
         except ValueError:
-            raise DataFormatError(line_no, f"bad word count {fields[3]!r}") from None
+            raise Error(f"bad word count {fields[3]!r}", line_no) from None
         i = 4 + 2 * max(w_cnt, 0)  # past the words, each followed by its lex_id
         if i > len(fields):
-            raise DataFormatError(line_no, "word list shorter than its count")
+            raise Error("word list shorter than its count", line_no)
         if i == len(fields):
-            raise DataFormatError(line_no, "missing pointer count")
+            raise Error("missing pointer count", line_no)
         try:
             p_cnt = int(fields[i], 10)
         except ValueError:
-            raise DataFormatError(line_no, f"bad pointer count {fields[i]!r}") from None
+            raise Error(f"bad pointer count {fields[i]!r}", line_no) from None
         i += 1
         for _ in range(p_cnt):
             if i + 3 >= len(fields):
-                raise DataFormatError(line_no, "pointer list shorter than its count")
+                raise Error("pointer list shorter than its count", line_no)
             symbol, tgt_offset, tgt_pos = fields[i], fields[i + 1], fields[i + 2]
             i += 4  # symbol, offset, pos, source/target
             if symbol == "!":
@@ -165,7 +138,7 @@ def parse_wn_data(text: str) -> WordNetCorpus:
                 antonyms.add(_antonym_pair(sid, target))
         # verb frames and anything else after the pointers are ignored
         if sid in synsets:
-            raise DataFormatError(line_no, f"synset {sid} defined twice")
+            raise Error(f"synset {sid} defined twice", line_no)
         synsets.add(sid)
     return WordNetCorpus(frozenset(synsets), frozenset(antonyms))
 
@@ -200,7 +173,7 @@ class MappingEntry:
 class MappingParse:
     entries: list
     skipped: int
-    warnings: list
+    warnings: list  # of Error, each naming its line, none raised
 
 
 _ANNOTATION_RE = re.compile(r"&%(\S+)")
@@ -225,14 +198,14 @@ def parse_mapping_file(text: str, suffixes: frozenset = DEFAULT_SUFFIXES) -> Map
         first = tokens[0]
         term, suffix = first[:-1], first[-1]
         if suffix not in _SUFFIX_TO_RELATION:
-            raise DataFormatError(line_no, f"annotation {first!r} has no relation suffix")
+            raise Error(f"annotation {first!r} has no relation suffix", line_no)
         if suffix not in suffixes:
-            raise UnknownSuffix(line_no, suffix, term)
+            raise Error(f"mapping suffix {suffix!r} on {term!r} not enabled", line_no)
         if not term:
-            raise DataFormatError(line_no, "empty term in annotation")
+            raise Error("empty term in annotation", line_no)
         entries.append(MappingEntry(sid, term, _SUFFIX_TO_RELATION[suffix]))
         for extra in tokens[1:]:
-            warnings.append(f"line {line_no}: extra annotation &%{extra} ignored")
+            warnings.append(Error(f"extra annotation &%{extra} ignored", line_no))
     return MappingParse(entries, skipped, warnings)
 
 
@@ -248,13 +221,13 @@ def parse_sense_index(text: str) -> dict:
             continue
         fields = raw.split()
         if len(fields) < 2:
-            raise DataFormatError(line_no, "truncated sense index line")
+            raise Error("truncated sense index line", line_no)
         key, offset = fields[0], fields[1]
         m = re.search(r"%(\d)", key)
         if not m or m.group(1) not in _SENSE_SS_TYPE:
-            raise DataFormatError(line_no, f"sense key {key!r} has no part of speech")
+            raise Error(f"sense key {key!r} has no part of speech", line_no)
         if key in index:
-            raise DuplicateKey(f"line {line_no}: sense key {key!r} appears twice")
+            raise Error(f"sense key {key!r} appears twice", line_no)
         index[key] = _synset_id(line_no, _SENSE_SS_TYPE[m.group(1)], offset,
                                 "sense index entry")
     return index
@@ -292,15 +265,15 @@ def parse_morphosemantic(text: str, sense_index: dict) -> list:
         if line_no == 1 and fields and "%" not in fields[0]:
             continue
         if len(fields) < 3:
-            raise DataFormatError(line_no, "link row needs verb, relation, noun")
+            raise Error("link row needs verb, relation, noun", line_no)
         verb_key, relation, noun_key = fields[0], fields[1].lower(), fields[2]
         if relation not in KNOWN_MORPH_RELATIONS:
-            raise UnknownMorphRelation(f"line {line_no}: {relation!r}")
+            raise Error(repr(relation), line_no)
         for key in (verb_key, noun_key):
             if key not in sense_index:
-                raise UnresolvedSenseKey(f"line {line_no}: {key!r} not in the sense index")
+                raise Error(f"{key!r} not in the sense index", line_no)
         try:
             links.append(MorphLink(sense_index[verb_key], relation, sense_index[noun_key]))
         except ValueError as e:  # a sense of the wrong part of speech
-            raise DataFormatError(line_no, str(e)) from None
+            raise Error(str(e), line_no) from None
     return links

@@ -386,7 +386,7 @@ def test_run_corpus_flag_overrides_problems_dir(mini_campaign, tmp_path):
 def _expect_error(argv, needle):
     code, out, err = run_cli(*argv)
     assert code == 2
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
     assert needle in err
     return err
 
@@ -532,16 +532,36 @@ def test_bad_wordnet_input_names_its_file(tmp_path, keys, fault, reason):
     bad, line = _with_fault(tmp_path, Path(section[keys[-1]]), fault)
     section[keys[-1]] = bad.name  # as the config names it
     code, _, err = run_cli("ingest", "--config", str(write_config(tmp_path, raw)))
-    assert (code, err) == (2, f"error: {bad.name}: line {line}: {reason}\n")
+    assert (code, err) == (2, f"error: {bad.name}:{line}: {reason}\n")
 
 
-def test_bad_core_ontology_names_its_file(pipeline, tmp_path):
-    bad, line = _with_fault(tmp_path, ONT / "core.kif", "(subclass A")
+def _propagate_with_core(pipeline, tmp_path, source, fault):
+    """``propagate``'s exit code and stderr with ``source``, ``fault``
+    appended, as the core ontology; the faulty copy and that line's number."""
+    bad, line = _with_fault(tmp_path, source, fault)
     shutil.copytree(pipeline.root / "stores", tmp_path / "stores")
     raw = base_config()
     raw["ontology"]["core"] = str(bad)
     code, _, err = run_cli("propagate", "--config", str(write_config(tmp_path, raw)))
+    return code, err, bad, line
+
+
+def test_bad_core_ontology_names_its_file(pipeline, tmp_path):
+    code, err, bad, line = _propagate_with_core(pipeline, tmp_path, ONT / "core.kif",
+                                                "(subclass A")
     assert (code, err) == (2, f"error: {bad}:{line}:1: unclosed '('\n")
+
+
+@pytest.mark.parametrize("fault, reason", [
+    ("fof(c, conjecture, s__p).", "conjecture unit in an ontology file"),
+    ("fof(ax_x, axiom, s__p", "unclosed unit"),
+], ids=["conjecture", "unclosed"])
+def test_bad_tptp_core_ontology_names_its_file(pipeline, tmp_path, fault, reason):
+    (tmp_path / "tptp").mkdir()
+    rendered = tptp.render_axioms(ontology.load_ontology(ONT / "core.kif"))
+    source = tptp.write_axiom_file(rendered, tmp_path / "tptp" / "core.ax")
+    code, err, bad, line = _propagate_with_core(pipeline, tmp_path, source, fault)
+    assert (code, err) == (2, f"error: {bad}:{line}: {reason}\n")
 
 
 def test_bad_creative_file_names_its_file(pipeline, tmp_path):
@@ -586,6 +606,37 @@ def test_bad_journal_record_names_its_line(pipeline, tmp_path, argv, edit, reaso
     config = write_config(tmp_path)
     code, _, err = run_cli(argv[0], "--config", str(config), *argv[1:])
     assert (code, err) == (2, f"error: {journal}:2: bad record: {reason}\n")
+
+
+CONFIG_STAGES = [("ingest",), ("propagate",), ("generate",), ("emit",), ("report",),
+                 ("diff", "journal.ldjson", "journal.ldjson"), ("check-cqs",)]
+
+
+@pytest.mark.parametrize("argv, edit, reason", [
+    (("ingest",), lambda raw: raw.update(checksums=[]),
+     "checksums must be an object of strings, got []"),
+    (("ingest",), lambda raw: raw.update(mapping_suffixes=5),
+     "mapping_suffixes must be a list of strings, got 5"),
+    *((argv, lambda raw: raw.update(stores_dir=5), "stores_dir must be a string, got 5")
+      for argv in CONFIG_STAGES),
+    (("propagate",), lambda raw: raw["ontology"].update(core=5),
+     "ontology.core must be a string, got 5"),
+    (("generate",), lambda raw: raw["ontology"].update(core=5),
+     "ontology.core must be a string, got 5"),
+    (("generate",), lambda raw: raw.update(creative=["x"]),
+     "creative must be a string, got ['x']"),
+    (("generate",), lambda raw: raw["ontology"].update(extra=[5]),
+     "ontology.extra must be a list of strings, got [5]"),
+    (("ingest",), lambda raw: raw.update(wordnet=5), "wordnet must be an object, got 5"),
+], ids=["checksums", "mapping-suffixes", *(f"stores-dir-{argv[0]}" for argv in CONFIG_STAGES),
+        "core-propagate", "core-generate", "creative", "extra", "wordnet"])
+def test_config_value_of_the_wrong_type_names_its_key(pipeline, tmp_path, argv, edit, reason):
+    shutil.copytree(pipeline.root / "stores", tmp_path / "stores")
+    shutil.copy(pipeline.root / "journal.ldjson", tmp_path / "journal.ldjson")
+    raw = base_config()
+    edit(raw)
+    code, out, err = run_cli(argv[0], "--config", str(write_config(tmp_path, raw)), *argv[1:])
+    assert (code, out, err) == (2, "", f"error: config key {reason}\n")
 
 
 def test_run_without_problems(tmp_path):

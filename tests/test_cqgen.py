@@ -4,10 +4,9 @@ questions, the triviality screen, and whole-corpus assembly."""
 import pytest
 
 from conftest import CREATIVE
-from cqeval import kif, microprover
+from cqeval import Error, kif, microprover
 from cqeval.cqgen import (
     CompetencyQuestion,
-    CqGenError,
     Pattern,
     Polarity,
     Provenance,
@@ -277,10 +276,10 @@ def test_load_creative_fixture():
 def test_load_creative_requires_annotations(tmp_path):
     p = tmp_path / "bad.kif"
     p.write_text(";; id: cq_x\n(p a)\n")
-    with pytest.raises(CqGenError, match="polarity"):
+    with pytest.raises(Error, match="bad.kif:2: form lacks a polarity annotation"):
         load_creative(p)
     p.write_text(";; polarity: truth\n(p a)\n")
-    with pytest.raises(CqGenError, match="id"):
+    with pytest.raises(Error, match="bad.kif:2: form lacks an id annotation"):
         load_creative(p)
 
 
@@ -290,7 +289,7 @@ def test_load_creative_rejects_duplicate_ids(tmp_path):
         ";; id: cq_x\n;; polarity: truth\n(p a)\n"
         ";; id: cq_x\n;; polarity: truth\n(q b)\n"
     )
-    with pytest.raises(CqGenError, match="duplicate"):
+    with pytest.raises(Error, match="dup.kif:6: duplicate id 'cq_x'"):
         load_creative(p)
 
 
@@ -369,7 +368,7 @@ def test_generate_corpus_rejects_duplicate_ids(tmp_path, core_index):
     )
     pairs = [(N("00000001"), N("00000002"))]
     entries = [_entry(N("00000001"), "Freezing"), _entry(N("00000002"), "Melting")]
-    with pytest.raises(CqGenError, match="duplicate question ids"):
+    with pytest.raises(Error, match="duplicate question ids"):
         generate_corpus(pairs, [], entries, core_index, creative)
 
 

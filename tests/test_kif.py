@@ -2,12 +2,13 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
 import genformulas
 import oracles
-from cqeval import kif
+from cqeval import Error, kif
 from cqeval.kif import (
     And,
     Atom,
@@ -18,10 +19,8 @@ from cqeval.kif import (
     Function,
     Iff,
     Implies,
-    KifSyntaxError,
     Not,
     Or,
-    UnsupportedConstruct,
     Variable,
     free_variables_ordered,
     nnf,
@@ -123,7 +122,7 @@ SYNTAX_ERRORS = [
     "src, line, col, reason", SYNTAX_ERRORS, ids=[case[0] for case in SYNTAX_ERRORS]
 )
 def test_syntax_errors(src, line, col, reason):
-    with pytest.raises(KifSyntaxError) as e:
+    with pytest.raises(Error, match=re.escape(reason)) as e:
         parse_kif(src)
     assert (e.value.line, e.value.col, e.value.reason) == (line, col, reason)
 
@@ -142,7 +141,7 @@ UNSUPPORTED = [
     "src, line, col, construct", UNSUPPORTED, ids=[case[0] for case in UNSUPPORTED]
 )
 def test_unsupported_constructs(src, line, col, construct):
-    with pytest.raises(UnsupportedConstruct) as e:
+    with pytest.raises(Error, match=re.escape(f"unsupported construct: {construct}")) as e:
         parse_kif(src)
     assert (e.value.line, e.value.col) == (line, col)
     assert e.value.reason == f"unsupported construct: {construct}"
@@ -150,15 +149,16 @@ def test_unsupported_constructs(src, line, col, construct):
 
 @pytest.mark.parametrize("src", ["(p a))", "(p @ROW)"])
 def test_kif_errors_share_one_form(src):
-    with pytest.raises(kif.KifError) as e:
+    with pytest.raises(Error) as e:
         parse_kif(src)
     err = e.value
-    assert str(err) == f"{err.line}:{err.col}: {err.reason}"
-    assert err.at("x.kif") == f"x.kif:{err}"
+    text = str(err)
+    assert text == f"{err.line}:{err.col}: {err.reason}"
+    assert str(err.at("x.kif")) == f"x.kif:{text}"
 
 
 def test_syntax_error_carries_position():
-    with pytest.raises(KifSyntaxError) as e:
+    with pytest.raises(Error, match="unclosed") as e:
         parse_kif("(p a\n(q b)")
     assert e.value.line == 1
 
@@ -168,14 +168,14 @@ FAULTY = "(p a)\n(q b)\n;; label: ax_r\n(r c)\n\n(s d\n  (not (p a) (q b)))\n"
 
 @pytest.mark.parametrize("parse", [parse_kif, parse_annotated])
 def test_syntax_error_position_is_absolute(parse):
-    with pytest.raises(KifSyntaxError) as e:
+    with pytest.raises(Error, match="connective 'not' in term position") as e:
         parse(FAULTY)
     assert (e.value.line, e.value.col) == (7, 4)
 
 
 @pytest.mark.parametrize("parse", [parse_kif, parse_annotated])
 def test_stray_top_level_token_rejected(parse):
-    with pytest.raises(KifSyntaxError, match="expected '\\(' at top level") as e:
+    with pytest.raises(Error, match="expected '\\(' at top level") as e:
         parse("(p a)\nstray\n(q b)\n")
     assert (e.value.line, e.value.col) == (2, 1)
 

@@ -5,11 +5,8 @@ import dataclasses
 import pytest
 
 from conftest import ONT
-from cqeval import kif, ontology, tptp
+from cqeval import Error, kif, ontology, tptp
 from cqeval.ontology import (
-    CycleDetected,
-    DuplicateLabel,
-    OntologyError,
     build_index,
     load_ontology,
     merge_ontologies,
@@ -38,7 +35,7 @@ def test_load_kif_unlabeled_forms_get_sequential_names(tmp_path):
 def test_load_kif_duplicate_label_rejected(tmp_path):
     p = tmp_path / "dup.kif"
     p.write_text(";; label: ax_x\n(p a)\n;; label: ax_x\n(q b)\n")
-    with pytest.raises(DuplicateLabel):
+    with pytest.raises(Error, match=f"duplicate axiom label 'ax_x' in {p}"):
         load_ontology(p)
 
 
@@ -60,10 +57,12 @@ def test_load_tptp_keeps_opaque_units_verbatim(tmp_path):
         "cnf(ax_cnf, axiom, ~ s__p(X) | s__q(X)).\n"
         "fof('ax quoted', axiom,\n    s__p(\"a distinct object\")).\n"
         "fof(ax_fof, axiom, s__p(s__a)).\n"
+        "fof(ax_bare, axiom, p(a)).\n"  # s__p and p would read as one name
     )
     ont = load_ontology(p)
-    assert [ax.label for ax in ont.axioms] == ["ax_cnf", "ax quoted", "ax_fof"]
-    assert [ax.formula is None for ax in ont.axioms] == [True, True, False]
+    assert [ax.label for ax in ont.axioms] == ["ax_cnf", "ax quoted", "ax_fof", "ax_bare"]
+    assert [ax.formula is None for ax in ont.axioms] == [True, True, False, True]
+    assert ont.axioms[3].text == "fof(ax_bare, axiom, p(a))."
     assert ont.axioms[0].text == "cnf(ax_cnf, axiom, ~ s__p(X) | s__q(X))."
     assert ont.axioms[1].text == "fof('ax quoted', axiom,\n    s__p(\"a distinct object\"))."
     assert tptp.render_axioms(ont).units[:2] == (ont.axioms[0].text, ont.axioms[1].text)
@@ -72,7 +71,7 @@ def test_load_tptp_keeps_opaque_units_verbatim(tmp_path):
 def test_load_tptp_rejects_conjecture(tmp_path):
     p = tmp_path / "bad.ax"
     p.write_text("fof(c, conjecture, s__p(s__a)).\n")
-    with pytest.raises(OntologyError, match="conjecture"):
+    with pytest.raises(Error, match="bad.ax:1: conjecture unit in an ontology file"):
         load_ontology(p)
 
 
@@ -113,7 +112,7 @@ def test_merge_ontologies_unions_vocabulary():
     merged = merge_ontologies("joint", core, extra)
     assert len(merged.axioms) == len(core.axioms) + len(extra.axioms)
     assert "CookingFat" in merged.vocabulary
-    with pytest.raises(DuplicateLabel):
+    with pytest.raises(Error, match="duplicate axiom label '.*' in core"):
         merge_ontologies("twice", core, core)
 
 
@@ -154,10 +153,11 @@ def test_build_index_detects_subclass_cycle(tmp_path):
     edges = {("A", "B"), ("B", "C"), ("C", "A"), ("C", "D")}
     p.write_text("".join(f"(subclass {c} {u})\n" for c, u in sorted(edges)))
     ont = load_ontology(p)
-    with pytest.raises(CycleDetected) as e:
+    with pytest.raises(Error, match="subclass cycle: ") as e:
         build_index(ont)
-    assert e.value.relation == "subclass"
-    path = e.value.path
+    relation, _, steps = e.value.reason.partition(" cycle: ")
+    assert relation == "subclass"
+    path = steps.split(" -> ")
     assert len(path) == 4 and path[0] == path[-1]
     # read from child to parent, each step an input edge
     assert all(step in edges for step in zip(path, path[1:]))

@@ -6,11 +6,10 @@ import json
 
 import pytest
 
-from cqeval import cqgen, kif
+from cqeval import Error, cqgen, kif
 from cqeval.cqgen import Corpus, Pattern, Polarity
 from cqeval.report import (
     FOOTNOTE,
-    CorpusMismatch,
     diff_reports,
     render_csv,
     render_delta,
@@ -19,7 +18,7 @@ from cqeval.report import (
     summarize,
 )
 from cqeval.tptp import ProverResult, SzsStatus
-from cqeval.verdict import Classification, UnresolvedCqId, classify, classify_all
+from cqeval.verdict import Classification, classify, classify_all
 
 _FORMULA = kif.parse_kif("(instance a B)")[0]
 
@@ -79,7 +78,7 @@ def test_missing_verdicts_count_as_unknown(session_report, corpus):
 
 def test_stray_verdict_rejected(journal, corpus):
     stray = ("cq_not_in_corpus", ProverResult(SzsStatus.GAVE_UP, 1.0, ()))
-    with pytest.raises(UnresolvedCqId, match="cq_not_in_corpus"):
+    with pytest.raises(Error, match="results for questions not in the corpus: .*cq_not_in_corpus"):
         classify_all(corpus, sorted(journal.items()) + [stray])
 
 
@@ -200,5 +199,5 @@ def test_diff_rejects_different_corpora():
     other = Corpus([_cq("cq_b", Polarity.TRUTH)], {})
     a = summarize([_verdict("cq_a", Polarity.TRUTH, SzsStatus.GAVE_UP)], corpus)
     b = summarize([_verdict("cq_b", Polarity.TRUTH, SzsStatus.GAVE_UP)], other)
-    with pytest.raises(CorpusMismatch):
+    with pytest.raises(Error, match="corpora differ: 1 vs 1 questions"):
         diff_reports(a, b)

@@ -15,8 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import base_config, run_cli, write_config
-from cqeval import microprover, prover_cli
-from cqeval.store import StoreError
+from cqeval import Error, microprover, prover_cli
 from cqeval.runner import (
     RunnerConfig,
     discover_problems,
@@ -123,7 +122,7 @@ def test_read_journal_rejects_a_bad_last_line_that_is_not_torn(tmp_path):
     good = json.dumps(journal_record("cq_a", ProverResult(SzsStatus.GAVE_UP, 0.1, ())))
     path = tmp_path / "j.ldjson"
     path.write_text(good + "\n" + '{"cq_id": "cq_b", "szs"\n', encoding="utf-8")
-    with pytest.raises(StoreError, match=":2: bad record"):
+    with pytest.raises(Error, match=":2: bad record"):
         read_journal(path)
 
 
@@ -131,7 +130,7 @@ def test_read_journal_rejects_malformed_middle(tmp_path):
     good = json.dumps(journal_record("cq_a", ProverResult(SzsStatus.GAVE_UP, 0.1, ())))
     path = tmp_path / "j.ldjson"
     path.write_text("not json at all\n" + good + "\n", encoding="utf-8")
-    with pytest.raises(StoreError):
+    with pytest.raises(Error, match="j.ldjson:1: bad record: "):
         read_journal(path)
 
 

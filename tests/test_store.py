@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from cqeval.store import StoreError, read_ldjson, sha256_file, write_ldjson
+from cqeval import Error
+from cqeval.store import read_ldjson, sha256_file, write_ldjson
 
 
 def test_round_trip(tmp_path):
@@ -23,14 +24,14 @@ def test_header_line_shape(tmp_path):
 
 def test_wrong_store_name_rejected(tmp_path):
     path = write_ldjson(tmp_path / "s.ldjson", "corpus", [{"id": "a"}])
-    with pytest.raises(StoreError, match="expected a 'synsets' store"):
+    with pytest.raises(Error, match="s.ldjson: expected a 'synsets' store, found 'corpus'"):
         read_ldjson(path, "synsets")
 
 
 def test_unsupported_schema_version(tmp_path):
     path = tmp_path / "s.ldjson"
     path.write_text('{"store": "corpus", "schema_version": 99}\n', encoding="utf-8")
-    with pytest.raises(StoreError, match="schema version"):
+    with pytest.raises(Error, match="s.ldjson: unsupported schema version 99"):
         read_ldjson(path, "corpus")
 
 
@@ -40,14 +41,14 @@ def test_bad_record_names_its_line(tmp_path):
         '{"store": "corpus", "schema_version": 1}\n{"ok": 1}\nnot json\n',
         encoding="utf-8",
     )
-    with pytest.raises(StoreError, match=":3: bad record"):
+    with pytest.raises(Error, match=":3: bad record"):
         read_ldjson(path, "corpus")
 
 
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "s.ldjson"
     path.write_text("", encoding="utf-8")
-    with pytest.raises(StoreError, match="empty store"):
+    with pytest.raises(Error, match="s.ldjson: empty store file"):
         read_ldjson(path, "corpus")
 
 

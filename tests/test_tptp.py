@@ -7,14 +7,11 @@ import pytest
 
 import genformulas
 from test_kif import alpha_equal
-from cqeval import kif, microprover, ontology, tptp
+from cqeval import Error, kif, microprover, ontology, prover_cli, tptp
 from cqeval.cqgen import CompetencyQuestion, Pattern, Polarity
 from cqeval.tptp import (
-    MangleCollision,
     SzsStatus,
-    TptpError,
     demangle_symbol,
-    demangle_variable,
     mangle_symbol,
     mangle_variable,
     parse_szs,
@@ -33,13 +30,12 @@ def test_mangling():
     assert mangle_variable("OBJ") == "VOBJ"
     assert demangle_symbol("s__Boy") == "Boy"
     assert demangle_symbol("unprefixed") == "unprefixed"
-    assert demangle_variable("VOBJ") == "OBJ"
 
 
 def test_mangle_collision_detected():
     table = {}
     f = kif.parse_kif("(p a-b a_b)")[0]
-    with pytest.raises(MangleCollision):
+    with pytest.raises(Error, match="'a-b' and 'a_b' both mangle to 's__a_b'"):
         render_unit(f, table)
 
 
@@ -166,7 +162,7 @@ def test_write_problem_checks_conjecture_against_axiom_symbols(tmp_path, mode):
     onto = _mini_ontology()
     clash = ontology.OntologyAxiom("ax_c", kif.parse_kif("(p a-)")[0])
     axioms = tptp.render_axioms(dataclasses.replace(onto, axioms=onto.axioms + (clash,)))
-    with pytest.raises(MangleCollision):
+    with pytest.raises(Error, match="'a-' and 'a_' both mangle to 's__a_'"):
         write_problem(_cq(formula="(q a_)"), axioms, tmp_path,
                       include=Path("axioms.ax") if mode == "include" else None)
 
@@ -196,14 +192,14 @@ def test_write_problem_renames_colliding_conjecture(tmp_path):
 def test_read_problem_rejects_missing_conjecture(tmp_path):
     p = tmp_path / "bad.p"
     p.write_text("fof(ax_a, axiom, s__p(s__a)).\n")
-    with pytest.raises(TptpError, match="no conjecture"):
+    with pytest.raises(Error, match="bad.p: no conjecture unit"):
         read_problem(p)
 
 
 def test_read_problem_rejects_cnf(tmp_path):
     p = tmp_path / "bad.p"
     p.write_text("cnf(c1, axiom, s__p(s__a)).\nfof(c, conjecture, s__p(s__a)).\n")
-    with pytest.raises(TptpError, match="cnf"):
+    with pytest.raises(Error, match="bad.p:1: cannot parse cnf units"):
         read_problem(p)
 
 
@@ -212,7 +208,7 @@ def test_read_problem_rejects_second_conjecture(tmp_path):
     p.write_text(
         "fof(c1, conjecture, s__p(s__a)).\nfof(c2, conjecture, s__q(s__a)).\n"
     )
-    with pytest.raises(TptpError, match="second conjecture"):
+    with pytest.raises(Error, match="bad.p:2: second conjecture 'c2'"):
         read_problem(p)
 
 
@@ -249,7 +245,7 @@ def test_read_problem_reads_disequality(tmp_path):
 def test_read_problem_rejects_question_role(tmp_path):
     p = tmp_path / "bad.p"
     p.write_text("fof(q1, question, s__p).\nfof(c, conjecture, s__p).\n")
-    with pytest.raises(TptpError, match="bad.p:1: unsupported role 'question'"):
+    with pytest.raises(Error, match="bad.p:1: unsupported role 'question'"):
         read_problem(p)
 
 
@@ -266,7 +262,30 @@ def test_read_problem_rejects_question_role(tmp_path):
 def test_read_problem_rejects_unread_fof(tmp_path, formula):
     p = tmp_path / "bad.p"
     p.write_text(f"fof(ax_a, axiom, {formula}).\nfof(c, conjecture, s__p).\n")
-    with pytest.raises(TptpError, match="bad.p:1"):
+    with pytest.raises(Error, match="bad.p:1: "):
+        read_problem(p)
+
+
+@pytest.mark.parametrize("units, status", [
+    # VX once read as X, which made this formula, not valid, a tautology
+    (["fof(c, conjecture, ! [X, VX] : (p(X) | ~ p(VX)))."], "GaveUp"),
+    # s__a once read as a, the same name
+    (["fof(c, conjecture, (p(a) | ~ p(s__a)))."], "Error"),
+    # and this axiom, satisfiable, as a contradiction that proved q
+    (["fof(a, axiom, ? [X, VX] : (p(X) & ~ p(VX))).", "fof(c, conjecture, q)."], "GaveUp"),
+], ids=["variables", "symbols", "axiom"])
+def test_distinct_tptp_names_stay_distinct(tmp_path, units, status):
+    p = tmp_path / "prob.p"
+    p.write_text("\n".join(units) + "\n", encoding="utf-8")
+    out = prover_cli.prove_problem(p, 10, microprover.MAX_LITERALS, microprover.MAX_CLAUSES)
+    assert out.startswith(f"% SZS status {status} for prob.p\n")
+
+
+def test_read_problem_rejects_a_name_spelled_two_ways_across_an_include(tmp_path):
+    (tmp_path / "axioms.ax").write_text("fof(ax_a, axiom, s__p(s__a)).\n")
+    p = tmp_path / "prob.p"
+    p.write_text("include('axioms.ax').\nfof(c, conjecture, s__p(a)).\n")
+    with pytest.raises(Error, match="prob.p:2: 's__a' and 'a' both read as 'a'"):
         read_problem(p)
 
 
@@ -284,7 +303,7 @@ def test_read_problem_rejects_unread_fof(tmp_path, formula):
 def test_read_units_rejects_malformed_files(tmp_path, text, reason):
     p = tmp_path / "bad.ax"
     p.write_text(text)
-    with pytest.raises(TptpError, match=reason):
+    with pytest.raises(Error, match=reason):
         list(read_units(p))
 
 

@@ -3,9 +3,10 @@ here; everything downstream (reports, acceptance) leans on it."""
 
 import pytest
 
+from cqeval import Error
 from cqeval.cqgen import Polarity
 from cqeval.tptp import ProverResult, SzsStatus
-from cqeval.verdict import Classification, UnresolvedCqId, classify, classify_all
+from cqeval.verdict import Classification, classify, classify_all
 
 P = Classification.PASSING
 N = Classification.NON_PASSING
@@ -66,7 +67,7 @@ def test_classify_all_rejects_unknown_question(pipeline, corpus):
     from cqeval import runner
 
     results = runner.read_journal(pipeline.root / "journal.ldjson")
-    with pytest.raises(UnresolvedCqId, match="cq_plainly_made_up"):
+    with pytest.raises(Error, match="not in the corpus: .*cq_plainly_made_up"):
         classify_all(corpus, [("cq_plainly_made_up", _result(SzsStatus.GAVE_UP))])
     verdicts = classify_all(corpus, sorted(results.items()))
     assert len(verdicts) == len(results)

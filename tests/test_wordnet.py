@@ -4,16 +4,12 @@ verb-noun link tables."""
 import pytest
 
 from conftest import WN
+from cqeval import Error
 from cqeval.wordnet import (
-    DataFormatError,
-    DuplicateKey,
     MappingRelation,
     MorphLink,
     Pos,
     SynsetId,
-    UnknownMorphRelation,
-    UnknownSuffix,
-    UnresolvedSenseKey,
     parse_mapping_file,
     parse_morphosemantic,
     parse_sense_index,
@@ -89,9 +85,9 @@ def test_parse_wn_data_hex_word_count():
     ],
 )
 def test_parse_wn_data_rejects_malformed(line, reason):
-    with pytest.raises(DataFormatError, match=reason) as e:
+    with pytest.raises(Error, match=reason) as e:
         parse_wn_data("  header\n" + line + "\n")
-    assert e.value.line_no == 2
+    assert e.value.line == 2
 
 
 def test_parse_wn_data_rejects_duplicate_synset():
@@ -99,7 +95,7 @@ def test_parse_wn_data_rejects_duplicate_synset():
         "00000001 03 n 01 thing 0 000 | one\n"
         "00000001 03 n 01 item 0 000 | two\n"
     )
-    with pytest.raises(DataFormatError, match="twice"):
+    with pytest.raises(Error, match="^2: synset n:00000001 defined twice$"):
         parse_wn_data(text)
 
 
@@ -120,7 +116,7 @@ def test_parse_mapping_fixture_noun():
     assert len(parsed.entries) == 14
     assert parsed.skipped == 1  # the pebble row has no annotation
     assert len(parsed.warnings) == 1
-    assert "&%Fish+" in parsed.warnings[0]
+    assert "&%Fish+" in parsed.warnings[0].reason
     by_offset = {e.synset.offset: e for e in parsed.entries}
     assert by_offset["00100101"].term == "Freezing"
     assert by_offset["00100101"].relation is MappingRelation.EQUIVALENCE
@@ -132,25 +128,25 @@ def test_parse_mapping_first_annotation_wins():
     line = "00100101 00 n 01 frozen 0 000 | g &%First= &%Second+\n"
     parsed = parse_mapping_file(line)
     assert [e.term for e in parsed.entries] == ["First"]
-    assert parsed.warnings == ["line 1: extra annotation &%Second+ ignored"]
+    assert [str(w) for w in parsed.warnings] == ["1: extra annotation &%Second+ ignored"]
 
 
 def test_parse_mapping_rejects_unlisted_suffix():
     line = "00100101 00 n 01 frozen 0 000 | g &%Thing:\n"
-    with pytest.raises(UnknownSuffix):
+    with pytest.raises(Error, match="^1: mapping suffix ':' on 'Thing' not enabled$"):
         parse_mapping_file(line)
     parsed = parse_mapping_file(line, suffixes=ALL_SUFFIXES)
     assert parsed.entries[0].relation is MappingRelation.NOT_EQUIVALENCE
 
 
 def test_parse_mapping_rejects_non_synset_line():
-    with pytest.raises(DataFormatError, match="synset record"):
+    with pytest.raises(Error, match="synset record"):
         parse_mapping_file("here is &%Prose= about mappings\n")
 
 
 def test_parse_mapping_rejects_truncated_record():
     # the data files' rule: a record needs offset, lex_filenum, ss_type, w_cnt
-    with pytest.raises(DataFormatError, match="line 2: truncated synset record"):
+    with pytest.raises(Error, match="^2: truncated synset record$"):
         parse_mapping_file("00100101 00 n 01 frozen 0 000 | g &%Freezing=\n00100202 26\n")
 
 
@@ -176,17 +172,17 @@ def test_parse_sense_index_fixture():
 
 def test_parse_sense_index_rejects_duplicates():
     text = "cat%1:05:00:: 00000001 1 1\ncat%1:05:00:: 00000002 2 1\n"
-    with pytest.raises(DuplicateKey):
+    with pytest.raises(Error, match="^2: sense key 'cat%1:05:00::' appears twice$"):
         parse_sense_index(text)
 
 
 def test_parse_sense_index_needs_pos_digit():
-    with pytest.raises(DataFormatError, match="part of speech"):
+    with pytest.raises(Error, match="part of speech"):
         parse_sense_index("catnosense 00000001 1 1\n")
 
 
 def test_parse_sense_index_rejects_bad_offset():
-    with pytest.raises(DataFormatError, match="line 2: sense index entry has offset '123'"):
+    with pytest.raises(Error, match="^2: sense index entry has offset '123'"):
         parse_sense_index("cat%1:05:00:: 00000001 1 1\ndog%1:05:00:: 123 1 1\n")
 
 
@@ -205,19 +201,19 @@ def test_parse_morphosemantic_fixture():
 def test_parse_morphosemantic_rejects_unknown_relation():
     index = {"a%2:00:00::": SynsetId(Pos.VERB, "00000001"),
              "b%1:00:00::": SynsetId(Pos.NOUN, "00000002")}
-    with pytest.raises(UnknownMorphRelation):
+    with pytest.raises(Error, match="^1: 'cousin-of'$"):
         parse_morphosemantic("a%2:00:00::\tcousin-of\tb%1:00:00::\n", index)
 
 
 def test_parse_morphosemantic_rejects_unresolved_key():
-    with pytest.raises(UnresolvedSenseKey):
+    with pytest.raises(Error, match="^1: 'a%2:00:00::' not in the sense index$"):
         parse_morphosemantic("a%2:00:00::\tagent\tb%1:00:00::\n", {})
 
 
 def test_parse_morphosemantic_rejects_a_noun_as_verb():
     index = {"a%1:00:00::": SynsetId(Pos.NOUN, "00000001"),
              "b%1:00:00::": SynsetId(Pos.NOUN, "00000002")}
-    with pytest.raises(DataFormatError, match="line 1: morphosemantic source n:00000001"):
+    with pytest.raises(Error, match="^1: morphosemantic source n:00000001"):
         parse_morphosemantic("a%1:00:00::\tagent\tb%1:00:00::\n", index)
 
 
