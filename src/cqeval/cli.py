@@ -29,7 +29,6 @@ import dataclasses
 import json
 import os
 import sys
-import typing
 from collections import Counter
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
@@ -61,9 +60,18 @@ STORES = {
 }
 
 
-_SETTING = (str, int, float)  # a run setting, converted to its field's type
 _KINDS = {str: "a string", list: "a list of strings", dict: "an object of strings",
-          _SETTING: "a string or a number"}
+          int: "a whole number", float: "a number"}
+
+
+def _number(name: str, value, kind):
+    """``value``, a number or a string that reads as one, as ``kind``: int
+    for a whole number, float for any, and a bool is neither.  None and ""
+    stay None; anything else raises an Error naming ``name``."""
+    try:
+        return None if value in (None, "") else kind(str(value))
+    except ValueError:
+        raise Error(f"{name} must be {_KINDS[kind]}, got {value!r}") from None
 
 
 class Config:
@@ -91,10 +99,10 @@ class Config:
         return p if p.is_absolute() else self.base / p
 
     def get(self, *keys, kind=str, default=None):
-        """The value at ``keys``, or ``default`` where it is missing or null.
-        A value that is not a ``kind``, a list or object with a member that
-        is not a string, or a key under a value that is not an object,
-        raises an Error naming the key."""
+        """The value at ``keys``, or ``default`` where it is missing or null;
+        an int or float ``kind`` is read by ``_number``.  A value of another
+        kind, a list or object with a member that is not a string, or a key
+        under a value that is not an object, raises an Error naming the key."""
         node = self.raw
         for i, k in enumerate(keys):
             if not isinstance(node, dict):
@@ -102,6 +110,8 @@ class Config:
             if node.get(k) is None:
                 return default
             node = node[k]
+        if kind in (int, float):
+            return _number(f"config key {'.'.join(keys)}", node, kind)
         if not isinstance(node, kind) or kind in (list, dict) and not all(
                 isinstance(m, str) for m in (node.values() if kind is dict else node)):
             raise Error(f"config key {'.'.join(keys)} must be {_KINDS[kind]}, got {node!r}")
@@ -316,37 +326,35 @@ def _runner_config(cfg: Config, args) -> runner.RunnerConfig:
     # each setting from its flag, else its environment variable, else the
     # config, an empty value counting as none; one that none of them gives
     # keeps RunnerConfig's default
+    def first(*values):
+        return next((v for v in values if v not in (None, "")), None)
+
+    jobs = _number("CQEVAL_JOBS", os.environ.get("CQEVAL_JOBS"), int)
     given = {
-        "prover_cmd": (args.prover_cmd, os.environ.get("CQEVAL_PROVER_CMD"),
-                       cfg.get("prover_cmd")),
-        "max_parallel": (args.jobs, os.environ.get("CQEVAL_JOBS"), cfg.get("jobs", kind=_SETTING)),
-        "timeout_seconds": (args.timeout, cfg.get("timeout_seconds", kind=_SETTING)),
-        "builtin_max_literals": (cfg.get("builtin_max_literals", kind=_SETTING),),
-        "builtin_max_clauses": (cfg.get("builtin_max_clauses", kind=_SETTING),),
+        "prover_cmd": first(args.prover_cmd, os.environ.get("CQEVAL_PROVER_CMD"),
+                            cfg.get("prover_cmd")),
+        "max_parallel": first(args.jobs, jobs, cfg.get("jobs", kind=int)),
+        "timeout_seconds": first(args.timeout, cfg.get("timeout_seconds", kind=float)),
+        "builtin_max_literals": cfg.get("builtin_max_literals", kind=int),
+        "builtin_max_clauses": cfg.get("builtin_max_clauses", kind=int),
     }
-    types = typing.get_type_hints(runner.RunnerConfig)
     try:
-        settings = {}
-        for field, values in given.items():
-            value = next((v for v in values if v is not None and v != ""), None)
-            if value is not None:
-                settings[field] = types[field](value)
         return runner.RunnerConfig(
             output_dir=cfg.resolve(cfg.get("outputs_dir", default="outputs")),
             journal_path=cfg.journal_path(args.journal),
-            **settings,
+            **{field: value for field, value in given.items() if value is not None},
         )
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise Error(f"bad run setting: {e}") from None
 
 
 def cmd_run(args) -> int:
     cfg = Config.load(args.config)
+    rcfg = _runner_config(cfg, args)
     problems_dir = args.corpus or cfg.problems_dir()
     problems = runner.discover_problems(problems_dir)
     if not problems:
         raise Error(f"no problem files in {problems_dir}")
-    rcfg = _runner_config(cfg, args)
     try:
         results = runner.run_corpus(problems, rcfg)
     except BrokenExecutor as e:

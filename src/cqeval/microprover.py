@@ -20,8 +20,8 @@ tautologies and repeats of earlier partial clauses.  This yields the
 clauses that distributing first and pruning afterwards would keep, in
 the same order, so nested ``<=>`` over a few atoms stays small.  A chain
 of ``<=>`` over distinct atoms still doubles its clauses with every
-connective; the deadline is checked at every node of the formula and
-once per partial clause, so such a chain ends in Timeout.
+connective, so such a chain ends in Timeout: one interval timer bounds
+each proof attempt, whatever step it is in.
 
 The search is a given-clause loop.  Clauses wait in a queue ordered by
 length, then by age.  The given clause joins the processed set and is
@@ -55,8 +55,9 @@ the empty clause's derivation tree.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
-import math
+import signal
 import time
 from heapq import heappop, heappush
 
@@ -91,27 +92,20 @@ class Clause:
 # clausification
 
 
-class _Deadline(Exception):
-    """Clausification ran past the deadline of its proof attempt."""
-
-
-def _prune(terms: _Terms, partials, deadline: float) -> list:
+def _prune(terms: _Terms, partials) -> list:
     """The first occurrence of each partial clause, without repeated
     literals, unless it is a tautology.  Nothing is lost: a tautology
     extends only to tautologies, and a repeat only to repeats of clauses
-    that an earlier partial yields first.  Checks ``deadline`` once per
-    partial."""
+    that an earlier partial yields first."""
     out: dict = {}
     for lits in partials:
-        if time.monotonic() > deadline:
-            raise _Deadline
         unique = tuple(dict.fromkeys(lits))
         if unique not in out and not terms.tautology(unique):
             out[unique] = None
     return list(out)
 
 
-def _product(terms: _Terms, branches, deadline: float) -> list:
+def _product(terms: _Terms, branches) -> list:
     """Distribute or over and: every clause of the first branch joined
     with every clause of the next, and so on, rows in that order.  Unless
     both sides are single clauses, the sides are pruned before a product
@@ -121,23 +115,20 @@ def _product(terms: _Terms, branches, deadline: float) -> list:
         if len(acc) == 1 and len(branch) == 1:
             acc = [acc[0] + branch[0]]
         else:
-            branch = _prune(terms, branch, deadline)
-            rows = (a + b for a in _prune(terms, acc, deadline) for b in branch)
-            acc = _prune(terms, rows, deadline)
+            branch = _prune(terms, branch)
+            rows = (a + b for a in _prune(terms, acc) for b in branch)
+            acc = _prune(terms, rows)
     return acc
 
 
-def clausify(f: Formula, origin, terms: _Terms, deadline: float = math.inf) -> list:
+def clausify(f: Formula, origin, terms: _Terms) -> list:
     """Clauses for one formula, its free variables read universally, with
     literals interned into ``terms``; tautologies and repeats dropped, each
-    clause without repeated literals.  Raises ``_Deadline`` past
-    ``deadline``."""
+    clause without repeated literals."""
 
     def cnf(g: Formula, positive: bool, env: dict, universals: tuple) -> list:
         """The clauses of ``g`` if ``positive``, else of its negation, as
         distributing its negation normal form would give them."""
-        if time.monotonic() > deadline:
-            raise _Deadline
         if isinstance(g, (Atom, Equal)):
             if isinstance(g, Atom):
                 name, args = g.predicate, g.args
@@ -152,7 +143,7 @@ def clausify(f: Formula, origin, terms: _Terms, deadline: float = math.inf) -> l
             return _product(terms, (
                 cnf(g.left, True, env, universals) + cnf(g.right, positive, env, universals),
                 cnf(g.left, False, env, universals) + cnf(g.right, not positive, env, universals),
-            ), deadline)
+            ))
         if isinstance(g, (Forall, Exists)):
             env = dict(env)
             if isinstance(g, Forall) == positive:
@@ -171,10 +162,10 @@ def clausify(f: Formula, origin, terms: _Terms, deadline: float = math.inf) -> l
             conjunctive = isinstance(g, And) == positive
         if conjunctive:
             return [c for p, sign in parts for c in cnf(p, sign, env, universals)]
-        return _product(terms, (cnf(p, sign, env, universals) for p, sign in parts), deadline)
+        return _product(terms, (cnf(p, sign, env, universals) for p, sign in parts))
 
     clauses = cnf(kif.universal_closure(f), True, {}, ())
-    return [Clause(lits, origin=origin) for lits in _prune(terms, clauses, deadline)]
+    return [Clause(lits, origin=origin) for lits in _prune(terms, clauses)]
 
 
 # --------------------------------------------------------------------------
@@ -503,6 +494,14 @@ def _used_axioms(empty: Clause) -> tuple:
     return tuple(sorted(labels))
 
 
+class _Timeout(Exception):
+    """The interval timer of a proof attempt went off."""
+
+
+def _expire(signum, frame):
+    raise _Timeout
+
+
 def prove(
     axioms,
     conjecture: Formula,
@@ -513,112 +512,119 @@ def prove(
     """Refute the negated conjecture against labeled axioms.
 
     ``axioms`` is an iterable of (label, formula).  Returns Theorem with
-    the axiom labels used, Timeout past ``limit_seconds`` (clausification
-    included), or GaveUp when
-    the clause queue empties or more than ``max_clauses`` derived clauses
-    have been kept.  The result carries the search counts.
+    the axiom labels used, GaveUp when the clause queue empties or more
+    than ``max_clauses`` derived clauses have been kept, or Timeout when
+    the real-time interval timer set to ``limit_seconds`` goes off (at once
+    for a limit that is not positive; one too long for the timer sets
+    none).  The result carries the search counts.  ``prove`` must run in
+    the main thread, where SIGALRM is handled; it leaves no timer armed.
     """
     start = time.monotonic()
-    deadline = start + limit_seconds
-    seq = given_count = pair_count = unifications = derived = dedup_hits = 0
+    given_count = pair_count = unifications = derived = dedup_hits = 0
 
-    def finish(status, empty=None):
-        search = SearchCounts(given_count, pair_count, unifications, derived, dedup_hits)
-        used = () if empty is None else _used_axioms(empty)
-        return ProverResult(szs=status, wall_seconds=time.monotonic() - start,
-                            used_axioms=used, search=search)
-
-    terms = _Terms()
-    initial: list = []
-    try:
+    def search() -> tuple:
+        """The status the search ends in, and the empty clause it derived."""
+        nonlocal given_count, pair_count, unifications, derived, dedup_hits
+        order = itertools.count()  # ties in the queue go to the older clause
+        terms = _Terms()
+        initial: list = []
         for label, f in axioms:
-            initial.extend(clausify(f, label, terms, deadline))
-        initial.extend(clausify(Not(kif.universal_closure(conjecture)), NEGATED_CONJECTURE,
-                                terms, deadline))
-    except _Deadline:
-        return finish(SzsStatus.TIMEOUT)
-    initial.extend(equality_clauses(terms, initial))
+            initial.extend(clausify(f, label, terms))
+        initial.extend(clausify(Not(kif.universal_closure(conjecture)), NEGATED_CONJECTURE, terms))
+        initial.extend(equality_clauses(terms, initial))
 
-    heap: list = []
-    known: set = set()
-    for c in initial:
-        key, c.literals = terms.canonical(c.literals)
-        if key in known:
-            dedup_hits += 1
-            continue
-        known.add(key)
-        heappush(heap, (len(c.literals), seq, c))
-        seq += 1
-
-    # Processed clauses in processing order; the index files each of their
-    # literals as ``processing position * width + literal index``.
-    processed: list = []
-    width = max([max_literals] + [len(c.literals) for c in initial])
-    index = _LiteralIndex(terms)
-
-    while heap:
-        if time.monotonic() > deadline:
-            return finish(SzsStatus.TIMEOUT)
-        _, _, given = heappop(heap)
-        given_count += 1
-        given.literals = glits = terms.rename(given.literals)
-        here = len(processed)
-        processed.append(given)
-        for j, l in enumerate(glits):
-            index.add(l, here * width + j)
-
-        # Partners by processing order, then given literal, then partner
-        # literal: the order in which pairing every processed clause would
-        # meet them.
-        pairs = [
-            (e // width, i, e % width)
-            for i, l in enumerate(glits)
-            for e in index.partners(l)
-        ]
-        if len(glits) > 1:
-            pairs.sort()
-        pair_count += len(pairs)
-        copy = None
-        new_lits: list = []
-        for p, i, j in pairs:
-            if time.monotonic() > deadline:
-                return finish(SzsStatus.TIMEOUT)
-            partner = processed[p]
-            plits = partner.literals
-            if partner is given:
-                if copy is None:
-                    copy = terms.rename(glits)
-                plits = copy
-            a, b = glits[i] >> 1, plits[j] >> 1
-            subst = terms.unify(a, b)
-            if subst is not None:
-                unifications += 1
-                rest = glits[:i] + glits[i + 1:] + plits[:j] + plits[j + 1:]
-                new_lits.append((terms.instance(rest, subst), (given, partner)))
-        for i, a in enumerate(glits):
-            for j in range(i + 1, len(glits)):
-                b = glits[j]
-                if terms.pred_sign(a) != terms.pred_sign(b):
-                    continue
-                subst = terms.unify(a >> 1, b >> 1)
-                if subst is not None:
-                    rest = glits[:j] + glits[j + 1:]
-                    new_lits.append((terms.instance(rest, subst), (given,)))
-
-        for lits, parents in new_lits:
-            if len(lits) > max_literals or terms.tautology(lits):
-                continue
-            key, lits = terms.canonical(lits)
+        heap: list = []
+        known: set = set()
+        for c in initial:
+            key, c.literals = terms.canonical(c.literals)
             if key in known:
                 dedup_hits += 1
                 continue
             known.add(key)
-            if not lits:
-                return finish(SzsStatus.THEOREM, empty=Clause((), parents=parents))
-            heappush(heap, (len(lits), seq, Clause(lits, parents=parents)))
-            seq += 1
-            derived += 1
-            if derived > max_clauses:
-                return finish(SzsStatus.GAVE_UP)
+            heappush(heap, (len(c.literals), next(order), c))
 
-    return finish(SzsStatus.GAVE_UP)
+        # Processed clauses in processing order; the index files each of their
+        # literals as ``processing position * width + literal index``.
+        processed: list = []
+        width = max([max_literals] + [len(c.literals) for c in initial])
+        index = _LiteralIndex(terms)
+
+        while heap:
+            _, _, given = heappop(heap)
+            given_count += 1
+            given.literals = glits = terms.rename(given.literals)
+            here = len(processed)
+            processed.append(given)
+            for j, l in enumerate(glits):
+                index.add(l, here * width + j)
+
+            # Partners by processing order, then given literal, then partner
+            # literal: the order in which pairing every processed clause would
+            # meet them.
+            pairs = [
+                (e // width, i, e % width)
+                for i, l in enumerate(glits)
+                for e in index.partners(l)
+            ]
+            if len(glits) > 1:
+                pairs.sort()
+            pair_count += len(pairs)
+            copy = None
+            new_lits: list = []
+            for p, i, j in pairs:
+                partner = processed[p]
+                plits = partner.literals
+                if partner is given:
+                    if copy is None:
+                        copy = terms.rename(glits)
+                    plits = copy
+                a, b = glits[i] >> 1, plits[j] >> 1
+                subst = terms.unify(a, b)
+                if subst is not None:
+                    unifications += 1
+                    rest = glits[:i] + glits[i + 1:] + plits[:j] + plits[j + 1:]
+                    new_lits.append((terms.instance(rest, subst), (given, partner)))
+            for i, a in enumerate(glits):
+                for j in range(i + 1, len(glits)):
+                    b = glits[j]
+                    if terms.pred_sign(a) != terms.pred_sign(b):
+                        continue
+                    subst = terms.unify(a >> 1, b >> 1)
+                    if subst is not None:
+                        rest = glits[:j] + glits[j + 1:]
+                        new_lits.append((terms.instance(rest, subst), (given,)))
+
+            for lits, parents in new_lits:
+                if len(lits) > max_literals or terms.tautology(lits):
+                    continue
+                key, lits = terms.canonical(lits)
+                if key in known:
+                    dedup_hits += 1
+                    continue
+                known.add(key)
+                if not lits:
+                    return SzsStatus.THEOREM, Clause((), parents=parents)
+                heappush(heap, (len(lits), next(order), Clause(lits, parents=parents)))
+                derived += 1
+                if derived > max_clauses:
+                    return SzsStatus.GAVE_UP, None
+
+        return SzsStatus.GAVE_UP, None
+
+    status, empty = SzsStatus.TIMEOUT, None
+    if limit_seconds > 0:
+        previous = signal.signal(signal.SIGALRM, _expire)
+        try:
+            try:
+                with contextlib.suppress(OverflowError):  # too long for the timer
+                    signal.setitimer(signal.ITIMER_REAL, limit_seconds)
+                status, empty = search()
+            finally:  # signal.signal raises a pending expiry before changing the handler
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, previous)
+        except _Timeout:
+            signal.signal(signal.SIGALRM, previous)  # one-shot: nothing is pending now
+            status, empty = SzsStatus.TIMEOUT, None
+    used = () if empty is None else _used_axioms(empty)
+    counts = SearchCounts(given_count, pair_count, unifications, derived, dedup_hits)
+    return ProverResult(status, time.monotonic() - start, used, search=counts)

@@ -4,9 +4,9 @@ Takes a directory of problem files and runs each through either an
 external prover command or the bundled backend, with a wall-clock limit
 per problem.  External provers run in their own process group and are
 killed outright when the limit passes; the grace period only covers
-collecting output from the dying process.  The bundled prover checks
-its limit itself.  Either way the output is archived, and the result is
-read back from its SZS lines.
+collecting output from the dying process.  The bundled prover's own
+interval timer ends it at the limit.  Either way the output is archived,
+and the result is read back from its SZS lines.
 
 Problems run on a pool of worker processes forked from this one (POSIX
 ``fork``), at most one per job, per problem left and per CPU.  When
@@ -56,7 +56,7 @@ class RunnerConfig:
         self.journal_path = Path(self.journal_path)
         if self.max_parallel < 1:
             raise ValueError("max_parallel must be at least 1")
-        if self.timeout_seconds <= 0:
+        if not self.timeout_seconds > 0:  # NaN included
             raise ValueError("timeout_seconds must be positive")
 
 

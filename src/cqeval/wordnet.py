@@ -268,7 +268,7 @@ def parse_morphosemantic(text: str, sense_index: dict) -> list:
             raise Error("link row needs verb, relation, noun", line_no)
         verb_key, relation, noun_key = fields[0], fields[1].lower(), fields[2]
         if relation not in KNOWN_MORPH_RELATIONS:
-            raise Error(repr(relation), line_no)
+            raise Error(f"unknown morphosemantic relation {relation!r}", line_no)
         for key in (verb_key, noun_key):
             if key not in sense_index:
                 raise Error(f"{key!r} not in the sense index", line_no)

@@ -365,6 +365,19 @@ def test_unset_run_settings_keep_the_runner_defaults(tmp_path):
     assert rcfg == defaults
 
 
+def test_run_settings_may_be_numeric_strings(tmp_path, monkeypatch):
+    cfg = cli.Config({"jobs": "3", "timeout_seconds": "2.5", "builtin_max_literals": "7",
+                      "builtin_max_clauses": 9}, tmp_path)
+    args = cli.build_parser().parse_args(["run"])
+    rcfg = cli._runner_config(cfg, args)
+    settings = (rcfg.max_parallel, rcfg.timeout_seconds, rcfg.builtin_max_literals,
+                rcfg.builtin_max_clauses)
+    assert settings == (3, 2.5, 7, 9)
+    assert [type(v) for v in settings] == [int, float, int, int]
+    monkeypatch.setenv("CQEVAL_JOBS", "2")
+    assert cli._runner_config(cfg, args).max_parallel == 2
+
+
 def test_run_corpus_flag_overrides_problems_dir(mini_campaign, tmp_path):
     root, config = mini_campaign
     other = tmp_path / "elsewhere"
@@ -628,8 +641,19 @@ CONFIG_STAGES = [("ingest",), ("propagate",), ("generate",), ("emit",), ("report
     (("generate",), lambda raw: raw["ontology"].update(extra=[5]),
      "ontology.extra must be a list of strings, got [5]"),
     (("ingest",), lambda raw: raw.update(wordnet=5), "wordnet must be an object, got 5"),
+    (("run",), lambda raw: raw.update(jobs=4.5), "jobs must be a whole number, got 4.5"),
+    (("run",), lambda raw: raw.update(jobs=True), "jobs must be a whole number, got True"),
+    (("run",), lambda raw: raw.update(timeout_seconds="abc"),
+     "timeout_seconds must be a number, got 'abc'"),
+    (("run",), lambda raw: raw.update(timeout_seconds=False),
+     "timeout_seconds must be a number, got False"),
+    (("run",), lambda raw: raw.update(builtin_max_literals=[12]),
+     "builtin_max_literals must be a whole number, got [12]"),
+    (("run",), lambda raw: raw.update(builtin_max_clauses="1e3"),
+     "builtin_max_clauses must be a whole number, got '1e3'"),
 ], ids=["checksums", "mapping-suffixes", *(f"stores-dir-{argv[0]}" for argv in CONFIG_STAGES),
-        "core-propagate", "core-generate", "creative", "extra", "wordnet"])
+        "core-propagate", "core-generate", "creative", "extra", "wordnet", "jobs-fraction",
+        "jobs-bool", "timeout-text", "timeout-bool", "literals-list", "clauses-exponent"])
 def test_config_value_of_the_wrong_type_names_its_key(pipeline, tmp_path, argv, edit, reason):
     shutil.copytree(pipeline.root / "stores", tmp_path / "stores")
     shutil.copy(pipeline.root / "journal.ldjson", tmp_path / "journal.ldjson")
@@ -655,6 +679,7 @@ def test_run_with_malformed_journal(mini_campaign):
     (("--jobs", "0"), "max_parallel must be at least 1"),
     (("--timeout", "-2"), "timeout_seconds must be positive"),
     (("--timeout", "0"), "timeout_seconds must be positive"),
+    (("--timeout", "nan"), "timeout_seconds must be positive"),
 ])
 def test_run_rejects_bad_flags(mini_campaign, flags, needle):
     root, config = mini_campaign
@@ -664,5 +689,7 @@ def test_run_rejects_bad_flags(mini_campaign, flags, needle):
 
 def test_run_rejects_bad_jobs_env(mini_campaign, monkeypatch):
     root, config = mini_campaign
-    monkeypatch.setenv("CQEVAL_JOBS", "two")
-    _expect_error(["run", "--config", str(config)], "'two'")
+    for value in ("two", "4.5"):
+        monkeypatch.setenv("CQEVAL_JOBS", value)
+        err = _expect_error(["run", "--config", str(config)], f"'{value}'")
+        assert err == f"error: CQEVAL_JOBS must be a whole number, got '{value}'\n"

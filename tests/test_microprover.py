@@ -4,6 +4,7 @@ oracle on problems small enough to decide exactly."""
 import collections
 import itertools
 import random
+import signal
 import sys
 import time
 
@@ -11,12 +12,12 @@ import pytest
 
 import genformulas
 import oracles
-from cqeval import kif
+from cqeval import kif, microprover
 from cqeval.kif import (
     And, Atom, Constant, Equal, Exists, Forall, Function, Iff, Implies, Not, Or, Variable,
 )
 from cqeval.microprover import clausify, equality_clauses, prove, _Terms
-from cqeval.tptp import SzsStatus
+from cqeval.tptp import ProverResult, SearchCounts, SzsStatus
 
 
 def _parse(src):
@@ -393,15 +394,84 @@ def test_prove_five_connective_valid_chain():
 
 def test_prove_times_out_during_clausification():
     # distinct atoms defeat pruning: the chain's clause form doubles with
-    # every connective, so only the deadline ends this one; clausification
-    # meets it at every node, so even the formula's first pass cannot run
-    # past the budget
+    # every connective, so only the limit ends this one; the timer stops
+    # clausification wherever it is, so even the formula's first pass
+    # cannot run past the budget
     for connectives in (10, 14, 16):
         chain = _chain(*(Atom(f"p{i}", ()) for i in range(connectives + 1)))
         for conjecture in (chain, Not(chain)):
             result, seconds = _timed_prove([], conjecture, limit_seconds=0.5)
             assert result.szs is SzsStatus.TIMEOUT
             assert seconds < 1.0, (connectives, seconds)
+
+
+def test_prove_times_out_in_a_pure_python_stall(monkeypatch):
+    # no step of the search runs while equality axioms are built, so only a
+    # timer that interrupts any Python code ends this attempt on time
+    def stall(terms, clauses):
+        end = time.monotonic() + 3
+        while time.monotonic() < end:
+            pass
+        return []
+
+    monkeypatch.setattr(microprover, "equality_clauses", stall)
+    result, seconds = _timed_prove([("ax_fact", _parse("(p a)"))], _parse("(p a)"),
+                                   limit_seconds=0.5)
+    assert result.szs is SzsStatus.TIMEOUT
+    assert seconds < 1.5
+
+
+def _ignore_alarm(signum, frame):
+    pass
+
+
+def test_prove_restores_the_alarm_handler_and_disarms_its_timer():
+    before = signal.signal(signal.SIGALRM, _ignore_alarm)
+    try:
+        for conjecture, limit, cap, status in (
+            ("(p a)", 60, 40, SzsStatus.THEOREM),
+            ("(p b)", 60, 40, SzsStatus.GAVE_UP),
+            ("(q b)", 0.05, 50000, SzsStatus.TIMEOUT),
+        ):
+            result = prove(_growth_axioms(), _parse(conjecture), limit_seconds=limit,
+                           max_clauses=cap)
+            assert result.szs is status
+            assert signal.getsignal(signal.SIGALRM) is _ignore_alarm
+            assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    finally:
+        signal.signal(signal.SIGALRM, before)
+
+
+def test_prove_at_short_limits_always_returns_a_result():
+    # limits about as long as the search itself, so that some expire just
+    # as it ends: each must still come back as a result, never an exception
+    rng = random.Random(5)
+    statuses = collections.Counter()
+    for _ in range(200):
+        limit = 10 ** rng.uniform(-4, -2)
+        result = prove(_growth_axioms(), _parse("(q b)"), limit_seconds=limit,
+                       max_clauses=rng.randint(1, 60))
+        assert isinstance(result, ProverResult)
+        assert result.szs in (SzsStatus.TIMEOUT, SzsStatus.GAVE_UP)
+        statuses[result.szs] += 1
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert statuses[SzsStatus.TIMEOUT] > 0
+
+
+@pytest.mark.parametrize("limit", [0, -1.0, float("nan")])
+def test_prove_without_a_positive_limit_times_out_without_searching(limit):
+    result = prove(_growth_axioms(), _parse("(p a)"), limit_seconds=limit)
+    assert result.szs is SzsStatus.TIMEOUT
+    assert result.search == SearchCounts(0, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("limit", [1e12, float("inf")])
+def test_prove_with_a_limit_too_long_for_the_timer_runs_unbounded(limit):
+    for conjecture in ("(p a)", "(p b)"):
+        expected = prove(_growth_axioms(), _parse(conjecture), limit_seconds=60, max_clauses=40)
+        result = prove(_growth_axioms(), _parse(conjecture), limit_seconds=limit, max_clauses=40)
+        assert (result.szs, result.used_axioms, result.search) == \
+            (expected.szs, expected.used_axioms, expected.search)
 
 
 # --------------------------------------------------------------------------

@@ -182,6 +182,11 @@ def test_prover_cli_exit_code_follows_status(tmp_path, capsys):
     assert "SZS status Error" in capsys.readouterr().out
 
 
+def test_prover_cli_with_no_time_times_out(tmp_path, capsys):
+    assert prover_cli.main([str(_problem(tmp_path).path), "--timeout", "0"]) == 0
+    assert "SZS status Timeout" in capsys.readouterr().out
+
+
 def test_builtin_and_prover_cli_command_agree(pipeline, journal, tmp_path):
     """The same problems, in-process and through the standalone command,
     read the same way."""

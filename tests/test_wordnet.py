@@ -201,7 +201,7 @@ def test_parse_morphosemantic_fixture():
 def test_parse_morphosemantic_rejects_unknown_relation():
     index = {"a%2:00:00::": SynsetId(Pos.VERB, "00000001"),
              "b%1:00:00::": SynsetId(Pos.NOUN, "00000002")}
-    with pytest.raises(Error, match="^1: 'cousin-of'$"):
+    with pytest.raises(Error, match="^1: unknown morphosemantic relation 'cousin-of'$"):
         parse_morphosemantic("a%2:00:00::\tcousin-of\tb%1:00:00::\n", index)
 
 
