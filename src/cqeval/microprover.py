@@ -37,6 +37,17 @@ the literal cap or renamings of a clause already seen are dropped.  The
 result counts the work: given clauses, partner pairs, unifications,
 derived clauses kept and duplicates dropped.
 
+Many problems can share their first axioms, such as the axiom file
+that every problem of a campaign includes.  A ``Base`` holds such axioms
+and, once the first proof attempt given it has built them, their term
+table, their clausified and keyed clauses, the keys and the count of
+duplicates dropped.  The build runs inside that attempt's interval
+timer and is kept only once complete; each attempt then searches a copy.
+``prover_cli`` keeps one base per process, for the last axiom file that
+a problem included first, keyed by the file's resolved path and the text
+of every file its read opened; a problem with its axioms inline passes
+no base and builds its clauses in place.
+
 Terms are interned as ints over a per-run table, so comparing and
 hashing terms is O(1), and every walk over a term keeps its own stack,
 so deep terms cannot exhaust the interpreter's recursion limit.  A waiting clause shares its terms
@@ -194,7 +205,8 @@ def _wildcard():
 
 
 class _Terms:
-    """Hash-consed term table of one proof attempt."""
+    """Hash-consed term table of one proof attempt, or of a base that
+    attempts copy."""
 
     def __init__(self):
         self.symbols: dict = {}  # (name, arity, or None for a constant) -> functor;
@@ -205,6 +217,13 @@ class _Terms:
         self.ground: list = []
         self.shapes: dict = {}  # term -> the term with every variable as -1
         self.nvars = 0
+
+    def copy(self) -> _Terms:
+        other = _Terms()
+        other.symbols, other.ids, other.shapes = dict(self.symbols), dict(self.ids), dict(self.shapes)
+        other.functor, other.args, other.ground = list(self.functor), list(self.args), list(self.ground)
+        other.nvars = self.nvars
+        return other
 
     def var(self) -> int:
         self.nvars += 1
@@ -436,8 +455,10 @@ def equality_clauses(terms: _Terms, clauses) -> list:
     symbols' names, skolem functors last in the order they were made."""
     functor, args = terms.functor, terms.args
     eq = terms.symbols.get(("=", 2))
+    if eq is None:
+        return []
     atoms = {l >> 1 for c in clauses for l in c.literals}
-    if eq is None or all(functor[a] != eq for a in atoms):
+    if all(functor[a] != eq for a in atoms):
         return []
     predicates = {functor[a] for a in atoms if functor[a] != eq and args[a]}
     functions: set = set()
@@ -475,6 +496,63 @@ def equality_clauses(terms: _Terms, clauses) -> list:
 
 
 # --------------------------------------------------------------------------
+# input clauses
+
+
+class _Input:
+    """The clauses a search starts from, each clausified formula keyed as
+    it is added, so that the order of terms in the table depends only on
+    the order of the formulas; renamings of a clause already in are
+    dropped and counted."""
+
+    def __init__(self):
+        self.terms = _Terms()
+        self.queue: list = []  # heap of (length, age, clause)
+        self.known: set = set()  # the keys of every clause queued
+        self.dedup_hits = 0
+
+    def add(self, clauses) -> None:
+        terms, known, queue = self.terms, self.known, self.queue
+        for c in clauses:
+            key, c.literals = terms.canonical(c.literals)
+            if key in known:
+                self.dedup_hits += 1
+                continue
+            known.add(key)
+            heappush(queue, (len(c.literals), len(queue), c))
+
+    def copy(self) -> _Input:
+        """An input of its own over the same clauses, which a search only
+        reads."""
+        other = _Input()
+        other.terms, other.queue, other.known = self.terms.copy(), list(self.queue), set(self.known)
+        other.dedup_hits = self.dedup_hits
+        return other
+
+
+class Base:
+    """Labeled axioms that many proof attempts share, such as a file that
+    many problems include.  The first attempt given the base clausifies and
+    keys the axioms, inside its own interval timer, and the base keeps the
+    result only once it is complete; every attempt then starts from a copy
+    of it: its term table, its queued clauses, their keys and its count of
+    renamings dropped."""
+
+    def __init__(self, axioms):
+        self.axioms = tuple(axioms)  # (label, formula) pairs
+        self.built: _Input | None = None  # set once complete
+
+    def start(self) -> _Input:
+        """A copy of the built input, built first if need be."""
+        if self.built is None:
+            built = _Input()
+            for label, f in self.axioms:
+                built.add(clausify(f, label, built.terms))
+            self.built = built
+        return self.built.copy()
+
+
+# --------------------------------------------------------------------------
 # saturation
 
 
@@ -508,10 +586,18 @@ def prove(
     limit_seconds: float = LIMIT_SECONDS,
     max_literals: int = MAX_LITERALS,
     max_clauses: int = MAX_CLAUSES,
+    base: Base | None = None,
 ) -> ProverResult:
     """Refute the negated conjecture against labeled axioms.
 
-    ``axioms`` is an iterable of (label, formula).  Returns Theorem with
+    ``axioms`` is an iterable of (label, formula).  With a ``base``, the
+    search starts from a copy of the base's clauses, built first if need
+    be, and ``axioms`` follow them; without one, the attempt builds its
+    input in place.  Either way each axiom is clausified and keyed in
+    turn, then the negated conjecture, then the equality axioms that these
+    clauses call for.  So an attempt over a base of its first axioms
+    makes the same terms in the same order as one given all of them, and
+    ends in the same status, used axioms and counts.  Returns Theorem with
     the axiom labels used, GaveUp when the clause queue empties or more
     than ``max_clauses`` derived clauses have been kept, or Timeout when
     the real-time interval timer set to ``limit_seconds`` goes off (at once
@@ -525,36 +611,28 @@ def prove(
     def search() -> tuple:
         """The status the search ends in, and the empty clause it derived."""
         nonlocal given_count, pair_count, unifications, derived, dedup_hits
-        order = itertools.count()  # ties in the queue go to the older clause
-        terms = _Terms()
-        initial: list = []
+        initial = _Input() if base is None else base.start()
+        terms = initial.terms
         for label, f in axioms:
-            initial.extend(clausify(f, label, terms))
-        initial.extend(clausify(Not(kif.universal_closure(conjecture)), NEGATED_CONJECTURE, terms))
-        initial.extend(equality_clauses(terms, initial))
+            initial.add(clausify(f, label, terms))
+        initial.add(clausify(Not(kif.universal_closure(conjecture)), NEGATED_CONJECTURE, terms))
+        initial.add(equality_clauses(terms, (c for _, _, c in initial.queue)))
+        heap, known, dedup_hits = initial.queue, initial.known, initial.dedup_hits
+        order = itertools.count(len(heap))  # ties in the queue go to the older clause
 
-        heap: list = []
-        known: set = set()
-        for c in initial:
-            key, c.literals = terms.canonical(c.literals)
-            if key in known:
-                dedup_hits += 1
-                continue
-            known.add(key)
-            heappush(heap, (len(c.literals), next(order), c))
-
-        # Processed clauses in processing order; the index files each of their
-        # literals as ``processing position * width + literal index``.
+        # Processed clauses, each with its literals renamed apart, in
+        # processing order; the index files each of their literals as
+        # ``processing position * width + literal index``.
         processed: list = []
-        width = max([max_literals] + [len(c.literals) for c in initial])
+        width = max([max_literals] + [n for n, _, _ in heap])
         index = _LiteralIndex(terms)
 
         while heap:
             _, _, given = heappop(heap)
             given_count += 1
-            given.literals = glits = terms.rename(given.literals)
+            glits = terms.rename(given.literals)
             here = len(processed)
-            processed.append(given)
+            processed.append((given, glits))
             for j, l in enumerate(glits):
                 index.add(l, here * width + j)
 
@@ -572,9 +650,8 @@ def prove(
             copy = None
             new_lits: list = []
             for p, i, j in pairs:
-                partner = processed[p]
-                plits = partner.literals
-                if partner is given:
+                partner, plits = processed[p]
+                if p == here:
                     if copy is None:
                         copy = terms.rename(glits)
                     plits = copy

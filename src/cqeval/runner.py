@@ -26,6 +26,7 @@ already finished is journaled.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shlex
 import signal
@@ -58,6 +59,10 @@ class RunnerConfig:
             raise ValueError("max_parallel must be at least 1")
         if not self.timeout_seconds > 0:  # NaN included
             raise ValueError("timeout_seconds must be positive")
+        if self.prover_cmd != BUILTIN and not math.isfinite(self.timeout_seconds):
+            # no {timeout} value means "no limit" to every prover: 0 does to
+            # E, but is an immediate timeout to prover_cli
+            raise ValueError("timeout_seconds must be finite for an external prover")
 
 
 # --------------------------------------------------------------------------

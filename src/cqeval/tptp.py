@@ -406,60 +406,122 @@ def read_units(path: str | Path):
     does a unit that spells a symbol that an earlier unit of the read,
     or an earlier place in it, spells another way: ``s__a`` after ``a``.
     """
-    parser = _FofParser()  # over every file of the read
+    return _units(Path(path), _FofParser(), [])
 
-    def units(p: Path, depth: int):
-        text = p.read_text(encoding="utf-8")
-        try:
-            toks = _tok_fof(text)
-            i = 0
-            while i < len(toks):
-                j = _unit_end(toks, i)
-                unit = toks[i : j + 1]
-                kind, line, start = unit[0]
-                if kind == "include":
-                    if len(unit) != 5 or unit[2][0][0] != "'":
-                        raise Error("expected include('file').", line)
-                    if depth == 8:
-                        raise Error("include chain too deep", line)
-                    inc = Path(_unquote(unit[2][0]))
-                    yield from units(inc if inc.is_absolute() else p.parent / inc, depth + 1)
+
+def _units(p: Path, parser: _FofParser, opened: list, depth: int = 0, lead=None):
+    """The units of ``read_units`` for the file ``p``, read by ``parser``,
+    which every file of one read shares.  ``opened`` collects the absolute
+    path and text of each file read.  If ``p``'s first unit is an include,
+    ``lead``, when given, yields what stands in its place, from the path
+    of the file it names."""
+    text = p.read_text(encoding="utf-8")
+    opened.append((p.absolute(), text))
+    try:
+        toks = _tok_fof(text)
+        i = 0
+        while i < len(toks):
+            j = _unit_end(toks, i)
+            unit = toks[i : j + 1]
+            kind, line, start = unit[0]
+            if kind == "include":
+                if len(unit) != 5 or unit[2][0][0] != "'":
+                    raise Error("expected include('file').", line)
+                if depth == 8:
+                    raise Error("include chain too deep", line)
+                inc = Path(_unquote(unit[2][0]))
+                inc = inc if inc.is_absolute() else p.parent / inc
+                if lead is not None and i == 0:
+                    yield from lead(inc)
                 else:
-                    if len(unit) < 8 or unit[3][0] != "," or unit[5][0] != ",":
-                        raise Error(f"expected {kind}(name, role, formula)", line)
-                    formula = error = None
-                    if kind == "fof":
-                        try:
-                            formula = parser.body(unit[6:-2], unit[-2][1])
-                        except Error as e:
-                            error = e
-                        except ValueError as e:  # a name the AST rejects
-                            error = Error(str(e), line)
-                    else:
-                        error = Error(f"cannot parse {kind} units", line)
-                    yield Unit(_unquote(unit[2][0]), unit[4][0], formula,
-                               error.at(p) if error else None, text[start : unit[-1][2] + 1],
-                               p, line)
-                i = j + 1
-        except Error as e:
-            raise e.at(p) from None
-
-    yield from units(Path(path), 0)
+                    yield from _units(inc, parser, opened, depth + 1)
+            else:
+                if len(unit) < 8 or unit[3][0] != "," or unit[5][0] != ",":
+                    raise Error(f"expected {kind}(name, role, formula)", line)
+                formula = error = None
+                if kind == "fof":
+                    try:
+                        formula = parser.body(unit[6:-2], unit[-2][1])
+                    except Error as e:
+                        error = e
+                    except ValueError as e:  # a name the AST rejects
+                        error = Error(str(e), line)
+                else:
+                    error = Error(f"cannot parse {kind} units", line)
+                yield Unit(_unquote(unit[2][0]), unit[4][0], formula,
+                           error.at(p) if error else None, text[start : unit[-1][2] + 1],
+                           p, line)
+            i = j + 1
+    except Error as e:
+        raise e.at(p) from None
 
 
 AXIOM_ROLES = ("axiom", "hypothesis", "definition", "lemma")  # the roles read as axioms
 
 
-def read_problem(path: str | Path):
+@dataclass(frozen=True, eq=False)
+class AxiomFile:
+    """A file of axioms that a problem includes first, as read, nested
+    includes and all, so that later problems that include it need not
+    read it again."""
+
+    path: Path  # resolved
+    opened: tuple  # (absolute path, text) of each file the read opened
+    axioms: tuple  # (name, formula) pairs in file order
+    names: dict  # the reader's symbol tables after the read (see _FofParser)
+    spellings: dict
+
+    def unchanged(self) -> bool:
+        """Whether every file the read opened still holds the same text."""
+        try:
+            return all(p.read_text(encoding="utf-8") == text for p, text in self.opened)
+        except (OSError, ValueError):  # gone, or no longer UTF-8: read it again to say why
+            return False
+
+
+def read_problem(path: str | Path, shared: tuple[AxiomFile, ...] | None = None):
     """Read a problem file: ([(name, formula), ...] axioms, (name, formula) conjecture).
 
     Includes are resolved relative to the including file.  Units outside
     the FOF subset are rejected; ontology text passed through verbatim
     stays fof in this package's pipelines.
+
+    ``shared``, when given, holds ``AxiomFile``s of earlier reads, none at
+    first.  Then a problem whose first unit includes a file that holds
+    only axioms reads that file as one ``AxiomFile``, which leads the
+    axioms in place of the file's own: one of ``shared``, if it read the
+    same resolved path and every file it opened is unchanged, or else a
+    new read.  The problem's other units are read over that read's symbol
+    tables, so they are read as if the file were read again.
     """
-    axioms: list[tuple[str, Formula]] = []
+    axioms: list = []
     conjecture: tuple[str, Formula] | None = None
-    for unit in read_units(path):
+    parser = _FofParser()
+
+    def lead(inc: Path):
+        resolved = inc.resolve()
+        for read in shared:
+            if read.path == resolved and read.unchanged():
+                parser.names.update(read.names)
+                parser.spellings.update(read.spellings)
+                yield read
+                return
+        opened: list = []
+        units = _units(inc, parser, opened, 1)
+        seen = []
+        for unit in units:  # lazily, so an error surfaces where an uncached read meets it
+            seen.append(unit)
+            if unit.formula is None or unit.role not in AXIOM_ROLES:
+                yield from seen
+                yield from units
+                return
+        yield AxiomFile(resolved, tuple(opened), tuple((u.name, u.formula) for u in seen),
+                        dict(parser.names), dict(parser.spellings))
+
+    for unit in _units(Path(path), parser, [], lead=None if shared is None else lead):
+        if isinstance(unit, AxiomFile):
+            axioms.append(unit)
+            continue
         if unit.formula is None:
             raise unit.error
         if unit.role == "conjecture":

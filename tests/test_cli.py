@@ -687,6 +687,28 @@ def test_run_rejects_bad_flags(mini_campaign, flags, needle):
     assert not (root / "journal.ldjson").exists()
 
 
+@pytest.mark.parametrize("spelling", ["flag", "text", "json"])
+def test_run_rejects_an_endless_limit_for_an_external_prover(mini_campaign, spelling):
+    root, config = mini_campaign
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    raw["prover_cmd"] = f"{sys.executable} -m cqeval.prover_cli {{problem}} --timeout {{timeout}}"
+    text = json.dumps(raw)
+    if spelling == "text":
+        text = text.replace('"timeout_seconds": 5', '"timeout_seconds": "inf"')
+    elif spelling == "json":
+        text = text.replace('"timeout_seconds": 5', '"timeout_seconds": 1e400')
+    config.write_text(text, encoding="utf-8")
+    flags = ("--timeout", "inf") if spelling == "flag" else ()
+    err = _expect_error(["run", "--config", str(config), *flags], "finite")
+    assert err == ("error: bad run setting: "
+                   "timeout_seconds must be finite for an external prover\n")
+    assert not (root / "journal.ldjson").exists()
+    # the bundled prover runs without a limit
+    code, out, err = run_cli("run", "--config", str(config), *flags, "--prover-cmd", "builtin")
+    assert (code, err) == (0, "")
+    assert out.startswith("Theorem=1\n")
+
+
 def test_run_rejects_bad_jobs_env(mini_campaign, monkeypatch):
     root, config = mini_campaign
     for value in ("two", "4.5"):

@@ -5,6 +5,7 @@ import concurrent.futures
 import inspect
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from conftest import base_config, run_cli, write_config
-from cqeval import Error, microprover, prover_cli
+from cqeval import Error, microprover, prover_cli, tptp
 from cqeval.runner import (
     RunnerConfig,
     discover_problems,
@@ -203,6 +204,124 @@ def test_builtin_and_prover_cli_command_agree(pipeline, journal, tmp_path):
         a, b = run_one(problem, builtin), run_one(problem, external)
         assert (a.szs, a.used_axioms) == (b.szs, b.used_axioms), problem.cq_id
         assert a.szs is journal[problem.cq_id].szs, problem.cq_id
+
+
+# --------------------------------------------------------------------------
+# the builtin backend's per-process base: never seen in a result
+
+
+def _cached(path, limit=10.0, cap=microprover.MAX_CLAUSES) -> str:
+    """The builtin backend's output for a problem, less its time line."""
+    out = prover_cli.prove_problem(path, limit, microprover.MAX_LITERALS, cap)
+    return "".join(line for line in out.splitlines(keepends=True)
+                   if not line.startswith("% Time elapsed:"))
+
+
+def _fresh(path, limit=10.0, cap=microprover.MAX_CLAUSES) -> str:
+    """The same, from a read and a proof that share nothing with earlier ones."""
+    axioms, (_, conjecture) = tptp.read_problem(path)
+    r = microprover.prove(axioms, conjecture, limit_seconds=limit, max_clauses=cap)
+    return (tptp.render_szs_output(r.szs, r.used_axioms, problem=Path(path).name)
+            + tptp.render_search(r.search))
+
+
+def _include_problem(tmp_path, name, conjecture, own=(), include="axioms.ax"):
+    path = tmp_path / f"{name}.p"
+    path.write_text("\n".join([f"include('{include}').", *own,
+                               f"fof({name}, conjecture, {conjecture})."]) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+def test_base_follows_an_included_file_rewritten_to_the_same_size(tmp_path):
+    axioms = tmp_path / "axioms.ax"
+    axioms.write_text("fof(ax_fact, axiom, s__p(s__a)).\n", encoding="utf-8")
+    first = _include_problem(tmp_path, "cq_first", "s__p(s__a)")
+    assert _cached(first).startswith("% SZS status Theorem for cq_first.p\n")
+    # the same size, and within the file system's time stamp tick
+    axioms.write_text("fof(ax_fact, axiom, s__p(s__b)).\n", encoding="utf-8")
+    second = _include_problem(tmp_path, "cq_second", "s__p(s__a)")
+    assert _cached(second).startswith("% SZS status GaveUp for cq_second.p\n")
+    assert _cached(second) == _fresh(second)
+
+
+def test_base_is_rebuilt_when_only_a_nested_include_changes(tmp_path):
+    (tmp_path / "sub").mkdir()
+    nested = tmp_path / "sub" / "more.ax"
+    nested.write_text("fof(ax_b, axiom, s__q).\n", encoding="utf-8")
+    (tmp_path / "base.ax").write_text("fof(ax_a, axiom, s__p).\ninclude('sub/more.ax').\n",
+                                      encoding="utf-8")
+    problem = _include_problem(tmp_path, "cq_q", "s__q", include="base.ax")
+    assert parse_szs(_cached(problem)) == (SzsStatus.THEOREM, ("ax_b",))
+    nested.write_text("fof(ax_b, axiom, s__r).\n", encoding="utf-8")
+    assert parse_szs(_cached(problem)) == (SzsStatus.GAVE_UP, ())
+    nested.write_text("fof(ax_c, axiom, s__q).\n", encoding="utf-8")
+    assert parse_szs(_cached(problem)) == (SzsStatus.THEOREM, ("ax_c",))
+
+
+def test_base_keeps_the_spelling_check_across_an_include(tmp_path):
+    (tmp_path / "axioms.ax").write_text("fof(ax_a, axiom, s__p(s__a)).\n", encoding="utf-8")
+    first = _include_problem(tmp_path, "cq_first", "s__p(s__a)")
+    assert _cached(first).startswith("% SZS status Theorem for cq_first.p\n")
+    second = _include_problem(tmp_path, "prob", "s__p(a)")
+    with pytest.raises(Error, match="prob.p:2: 's__a' and 'a' both read as 'a'") as uncached:
+        tptp.read_problem(second)
+    assert _cached(second) == f"% SZS status Error for prob.p\n% {uncached.value}\n"
+
+
+def test_base_serves_problems_with_axioms_of_their_own(tmp_path):
+    (tmp_path / "axioms.ax").write_text(
+        "fof(ax_pq, axiom, ! [X] : (s__p(X) => s__q(X))).\nfof(ax_qr, axiom, ! [X] : (s__q(X) => s__r(X))).\n",
+        encoding="utf-8")
+    own = ("fof(ax_own, axiom, s__p(s__a)).",)
+    problems = [_include_problem(tmp_path, "cq_r", "s__r(s__a)", own),
+                _include_problem(tmp_path, "cq_q", "s__q(s__a)", own),
+                _include_problem(tmp_path, "cq_none", "s__q(s__a)")]
+    outputs = [_cached(p) for p in problems]
+    assert [parse_szs(out) for out in outputs] == [
+        (SzsStatus.THEOREM, ("ax_own", "ax_pq", "ax_qr")), (SzsStatus.THEOREM, ("ax_own", "ax_pq")),
+        (SzsStatus.GAVE_UP, ())]
+    assert outputs == [_fresh(p) for p in problems]
+
+
+def test_base_gives_every_fixture_problem_its_fresh_result(pipeline, tmp_path, monkeypatch):
+    shutil.copytree(pipeline.root / "stores", tmp_path / "stores")
+    raw = base_config()
+    raw["problems_dir"] = "problems"
+    code, _, err = run_cli("emit", "--config", str(write_config(tmp_path, raw)),
+                           "--mode", "include")
+    assert code == 0, err
+    problems = sorted((tmp_path / "problems").glob("*.p"))
+    n_axioms = len(tptp.read_problem(problems[0])[0])
+    # a clause cap, not the time limit, ends every search, so counts are exact
+    fresh = [_fresh(p, limit=60, cap=100) for p in problems]
+    clausified = []
+    real = microprover.clausify
+    monkeypatch.setattr(microprover, "clausify",
+                        lambda f, origin, terms: clausified.append(origin) or real(f, origin, terms))
+    cached = [_cached(p, limit=60, cap=100) for p in problems]
+    assert len(problems) == 21
+    assert {parse_szs(out)[0] for out in fresh} == {SzsStatus.THEOREM, SzsStatus.GAVE_UP}
+    assert cached == fresh
+    # the axioms were clausified once, the conjectures once each
+    assert len(clausified) == n_axioms + len(problems)
+
+
+def test_base_build_is_bounded_by_each_problem_timer(tmp_path):
+    # a chain of <=> over distinct atoms doubles its clauses with every
+    # connective: clausifying it outlasts any limit given here
+    chain = "s__p16"
+    for i in reversed(range(16)):
+        chain = f"(s__p{i} <=> {chain})"
+    (tmp_path / "axioms.ax").write_text(f"fof(ax_chain, axiom, {chain}).\n", encoding="utf-8")
+    for i in range(2):
+        problem = _include_problem(tmp_path, f"cq_{i}", "s__q")
+        start = time.monotonic()
+        out = _cached(problem, limit=0.5)
+        seconds = time.monotonic() - start
+        # a partial base would have been searched at once, to a GaveUp
+        assert out.startswith(f"% SZS status Timeout for cq_{i}.p\n"), out
+        assert 0.5 <= seconds < 1.5, seconds
 
 
 # --------------------------------------------------------------------------
