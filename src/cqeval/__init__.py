@@ -1,5 +1,7 @@
 """Competency-question evaluation harness for first-order ontologies."""
 
+from pathlib import Path
+
 __version__ = "0.1.0"
 
 __all__ = [
@@ -38,3 +40,13 @@ class Error(Exception):
     def __str__(self) -> str:
         where = "".join(f"{p}:" for p in (self.path, self.line, self.col) if p is not None)
         return f"{where} {self.reason}" if where else self.reason
+
+
+def read_text(path) -> str:
+    """The text of the UTF-8 file ``path``; bytes that are not UTF-8 raise
+    an Error naming the file and line."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:  # e.object holds the whole file
+        line = e.object.count(b"\n", 0, e.start) + 1
+        raise Error(f"not UTF-8 text: {e.reason}", line).at(path) from None

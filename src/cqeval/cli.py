@@ -33,7 +33,9 @@ from collections import Counter
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
-from . import Error, coremap, cqgen, ontology, report, runner, store, tptp, verdict, wordnet
+from . import (
+    Error, coremap, cqgen, ontology, read_text, report, runner, store, tptp, verdict, wordnet,
+)
 
 
 POS_NAMES = frozenset({"noun", "verb", "adj", "adv"})  # the sections of wordnet.data and mappings
@@ -85,7 +87,7 @@ class Config:
     def load(cls, path: str | Path) -> "Config":
         path = Path(path)
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            raw = json.loads(read_text(path))
         except FileNotFoundError:
             raise Error(f"config file not found: {path}") from None
         except json.JSONDecodeError as e:
@@ -195,7 +197,7 @@ def _verdicts(journal_path: Path, corpus: cqgen.Corpus):
 def _parse_input(cfg: Config, rel: str, parse, *args):
     """``parse`` applied to the text of the WordNet input ``rel``; an error
     in the text names the input."""
-    text = cfg.input_path(rel).read_text(encoding="utf-8")
+    text = read_text(cfg.input_path(rel))
     try:
         return parse(text, *args)
     except Error as e:

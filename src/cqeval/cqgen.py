@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from . import Error, kif
+from . import Error, kif, read_text
 from .kif import And, Atom, Constant, Equal, Exists, Forall, Formula, Implies, Not, Or, Variable
 from .ontology import OntologyIndex
 from .tptp import SzsStatus
@@ -306,7 +306,7 @@ def load_creative(path: str | Path) -> list:
     out: list = []
     seen: set = set()
     try:
-        forms = kif.parse_annotated(path.read_text(encoding="utf-8"))
+        forms = kif.parse_annotated(read_text(path))
     except Error as e:
         raise e.at(path) from None
     for form in forms:
@@ -357,7 +357,7 @@ def check_nontriviality(cq: CompetencyQuestion, prove) -> bool:
     if not isinstance(body, Implies):
         return True
     try:
-        result = prove([], kif.universal_closure(cq.formula))
+        result = prove([], cq.formula)
     except Exception:
         return True
     return result.szs is not SzsStatus.THEOREM

@@ -375,43 +375,52 @@ def print_kif(f: Formula) -> str:
 # structural helpers
 
 
-def _term_vars(t: Term, bound: set, acc: list) -> None:
-    if isinstance(t, Variable):
-        if t.name not in bound and t.name not in acc:
-            acc.append(t.name)
-    elif isinstance(t, Function):
-        for a in t.args:
-            _term_vars(a, bound, acc)
+def _relation(f: Atom | Equal) -> tuple:
+    """The predicate and arguments of an atom, or ``"="`` and the two
+    sides of an equation; ``microprover.clausify`` reads them here too."""
+    return (f.predicate, f.args) if isinstance(f, Atom) else ("=", (f.left, f.right))
 
 
-def _free_ordered(f: Formula, bound: set, acc: list) -> None:
-    if isinstance(f, Atom):
-        for a in f.args:
-            _term_vars(a, bound, acc)
-    elif isinstance(f, Equal):
-        _term_vars(f.left, bound, acc)
-        _term_vars(f.right, bound, acc)
-    elif isinstance(f, Not):
-        _free_ordered(f.body, bound, acc)
+def _terms(terms, bound: frozenset, out: list) -> None:
+    """Append each of ``terms`` and its subterms, in preorder, with ``bound``."""
+    for t in terms:
+        out.append((t, bound))
+        if isinstance(t, Function):
+            _terms(t.args, bound, out)
+
+
+def _occurrences(f: Formula, bound: frozenset = frozenset(), out: list | None = None) -> list:
+    """Each atom and equation of ``f`` in source order, each followed by
+    its terms in preorder, as (node, the variable names bound there)."""
+    if out is None:
+        out = []
+    if isinstance(f, (Atom, Equal)):
+        out.append((f, bound))
+        _terms(_relation(f)[1], bound, out)
+        return out
+    if isinstance(f, Quantifier):
+        bound = bound.union(f.variables)
+    if isinstance(f, (Not, Quantifier)):
+        parts = (f.body,)
     elif isinstance(f, Junction):
-        for p in f.parts:
-            _free_ordered(p, bound, acc)
+        parts = f.parts
     elif isinstance(f, Implies):
-        _free_ordered(f.antecedent, bound, acc)
-        _free_ordered(f.consequent, bound, acc)
+        parts = (f.antecedent, f.consequent)
     elif isinstance(f, Iff):
-        _free_ordered(f.left, bound, acc)
-        _free_ordered(f.right, bound, acc)
-    elif isinstance(f, Quantifier):
-        _free_ordered(f.body, bound | set(f.variables), acc)
+        parts = (f.left, f.right)
     else:
         raise TypeError(f"not a formula: {f!r}")
+    for p in parts:
+        _occurrences(p, bound, out)
+    return out
 
 
 def free_variables_ordered(f: Formula) -> tuple[str, ...]:
     """Free variable names in first-occurrence order."""
-    acc: list = []
-    _free_ordered(f, set(), acc)
+    acc: dict = {}
+    for t, bound in _occurrences(f):
+        if isinstance(t, Variable) and t.name not in bound:
+            acc[t.name] = None
     return tuple(acc)
 
 
@@ -421,38 +430,14 @@ def universal_closure(f: Formula) -> Formula:
     return Forall(fv, f) if fv else f
 
 
-def _term_symbols(t: Term, acc: set) -> None:
-    if isinstance(t, Constant):
-        acc.add(t.name)
-    elif isinstance(t, Function):
-        acc.add(t.name)
-        for a in t.args:
-            _term_symbols(a, acc)
-
-
 def symbols(f: Formula) -> frozenset[str]:
     """Every predicate, function and constant name occurring in the formula."""
     acc: set = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
+    for g, _ in _occurrences(f):
         if isinstance(g, Atom):
             acc.add(g.predicate)
-            for a in g.args:
-                _term_symbols(a, acc)
-        elif isinstance(g, Equal):
-            _term_symbols(g.left, acc)
-            _term_symbols(g.right, acc)
-        elif isinstance(g, Not):
-            stack.append(g.body)
-        elif isinstance(g, Junction):
-            stack.extend(g.parts)
-        elif isinstance(g, Implies):
-            stack.extend((g.antecedent, g.consequent))
-        elif isinstance(g, Iff):
-            stack.extend((g.left, g.right))
-        elif isinstance(g, Quantifier):
-            stack.append(g.body)
+        elif isinstance(g, (Constant, Function)):
+            acc.add(g.name)
     return frozenset(acc)
 
 
@@ -464,9 +449,14 @@ _DUAL = {And: Or, Or: And, Forall: Exists, Exists: Forall}
 
 
 def nnf(f: Formula, positive: bool = True) -> Formula:
-    """Negation normal form of ``f`` if ``positive``, else of its negation,
-    by the rules ``microprover.clausify`` reads: ``not`` flips the polarity,
-    and under negative polarity each junction and quantifier is its dual."""
+    """Negation normal form of ``f`` if ``positive``, else of its negation:
+    no ``=>`` or ``<=>``, and ``not`` only on atoms and equations.  These
+    are the package's one statement of the polarity rules, which
+    ``microprover.clausify`` reads through it.  ``not`` flips the
+    polarity, and under negative polarity each junction and quantifier is
+    its dual; ``(=> a c)`` reads as ``(or (not a) c)``; ``(<=> l r)`` reads
+    as ``(or (and l r) (and (not l) (not r)))``, and its negation as
+    ``(or (and l (not r)) (and (not l) r))``.  Parts keep their order."""
     if isinstance(f, (Atom, Equal)):
         return f if positive else Not(f)
     if isinstance(f, Not):
@@ -476,10 +466,10 @@ def nnf(f: Formula, positive: bool = True) -> Formula:
         if isinstance(f, Junction):
             return cls(tuple(nnf(p, positive) for p in f.parts))
         return cls(f.variables, nnf(f.body, positive))
-    if isinstance(f, Implies):  # ~a | c
+    if isinstance(f, Implies):
         cls = Or if positive else And
         return cls((nnf(f.antecedent, not positive), nnf(f.consequent, positive)))
-    if isinstance(f, Iff):  # (l & r) | (~l & ~r); negated, (l & ~r) | (~l & r)
+    if isinstance(f, Iff):
         return Or((
             And((nnf(f.left), nnf(f.right, positive))),
             And((nnf(f.left, False), nnf(f.right, not positive))),

@@ -5,23 +5,21 @@ axiomatization: reflexivity, symmetry, transitivity plus congruence
 clauses for every function and predicate symbol that occurs alongside
 ``=``.
 
-Clausification is one pass over each input formula as written, with a
-polarity flag (Nonnengart & Weidenbach, "Computing Small Clause Normal
-Forms", 2001).  ``not``, ``=>`` and ``<=>`` are read by polarity; a
-universal quantifier under positive polarity, or an existential under
-negative, binds a fresh variable, and the other two cases bind a skolem
-term over the variables in scope.  Skolem functors are keyed by ints, so
-they cannot collide with input names.  Each literal is interned into the
-proof attempt's term table as it is met, and the clauses come out in the
-order that distributing the negation normal form would give.  The
-distribution prunes as it goes: both sides of a product in which either
-side holds more than one clause, and its rows, lose repeated literals,
-tautologies and repeats of earlier partial clauses.  This yields the
-clauses that distributing first and pruning afterwards would keep, in
-the same order, so nested ``<=>`` over a few atoms stays small.  A chain
-of ``<=>`` over distinct atoms still doubles its clauses with every
-connective, so such a chain ends in Timeout: one interval timer bounds
-each proof attempt, whatever step it is in.
+Clausification takes the negation normal form of each input formula, its
+free variables closed universally, from ``kif.nnf``, which states the
+polarity rules, and skolemizes and distributes it in one walk: a
+universal quantifier binds a fresh variable, and an existential binds a
+skolem term over the variables in scope.  Skolem functors are keyed by
+ints, so they cannot collide with input names.  Each literal is interned
+into the proof attempt's term table as it is met.  The distribution
+prunes as it goes: both sides of a product in which either side holds
+more than one clause, and its rows, lose repeated literals, tautologies
+and repeats of earlier partial clauses.  This yields the clauses that
+distributing first and pruning afterwards would keep, in the same order,
+so nested ``<=>`` over a few atoms stays small.  A chain of ``<=>`` over
+distinct atoms still doubles its clauses with every connective, so such
+a chain ends in Timeout: one interval timer bounds each proof attempt,
+whatever step it is in.
 
 The search is a given-clause loop.  Clauses wait in a queue ordered by
 length, then by age.  The given clause joins the processed set and is
@@ -73,9 +71,7 @@ import time
 from heapq import heappop, heappush
 
 from . import kif
-from .kif import (
-    And, Atom, Constant, Equal, Exists, Forall, Formula, Iff, Implies, Not, Term, Variable,
-)
+from .kif import And, Atom, Constant, Equal, Forall, Formula, Not, Quantifier, Term, Variable
 from .tptp import ProverResult, SearchCounts, SzsStatus
 
 NEGATED_CONJECTURE = "negated_conjecture"
@@ -134,48 +130,34 @@ def _product(terms: _Terms, branches) -> list:
 
 def clausify(f: Formula, origin, terms: _Terms) -> list:
     """Clauses for one formula, its free variables read universally, with
-    literals interned into ``terms``; tautologies and repeats dropped, each
-    clause without repeated literals."""
+    literals interned into ``terms``: its negation normal form, skolemized
+    and distributed; tautologies and repeats dropped, each clause without
+    repeated literals."""
 
-    def cnf(g: Formula, positive: bool, env: dict, universals: tuple) -> list:
-        """The clauses of ``g`` if ``positive``, else of its negation, as
-        distributing its negation normal form would give them."""
-        if isinstance(g, (Atom, Equal)):
-            if isinstance(g, Atom):
-                name, args = g.predicate, g.args
-            else:
-                name, args = "=", (g.left, g.right)
+    def cnf(g: Formula, env: dict, universals: tuple) -> list:
+        """The clauses of ``g``, in negation normal form, as distributing
+        it gives them."""
+        positive = not isinstance(g, Not)  # a not holds an atom or equation here
+        if isinstance(g, (Atom, Equal)) or not positive:
+            name, args = kif._relation(g if positive else g.body)
             ids = tuple(terms.from_kif(a, env) for a in args)
             return [(2 * terms.make(terms.symbol(name, len(ids)), ids) + positive,)]
-        if isinstance(g, Not):
-            return cnf(g.body, not positive, env, universals)
-        if isinstance(g, Iff):
-            # (l & r) | (~l & ~r); negated, (l & ~r) | (~l & r)
-            return _product(terms, (
-                cnf(g.left, True, env, universals) + cnf(g.right, positive, env, universals),
-                cnf(g.left, False, env, universals) + cnf(g.right, not positive, env, universals),
-            ))
-        if isinstance(g, (Forall, Exists)):
+        if isinstance(g, Quantifier):
             env = dict(env)
-            if isinstance(g, Forall) == positive:
+            if isinstance(g, Forall):
                 bound = tuple(terms.var() for _ in g.variables)
                 env.update(zip(g.variables, bound))
                 universals += bound
             else:
                 for v in g.variables:
                     env[v] = terms.make(terms.skolem(len(universals)), universals)
-            return cnf(g.body, positive, env, universals)
-        if isinstance(g, Implies):  # ~a | c
-            parts = ((g.antecedent, not positive), (g.consequent, positive))
-            conjunctive = not positive
-        else:
-            parts = tuple((p, positive) for p in g.parts)
-            conjunctive = isinstance(g, And) == positive
-        if conjunctive:
-            return [c for p, sign in parts for c in cnf(p, sign, env, universals)]
-        return _product(terms, (cnf(p, sign, env, universals) for p, sign in parts))
+            return cnf(g.body, env, universals)
+        parts = (cnf(p, env, universals) for p in g.parts)
+        if isinstance(g, And):
+            return [c for p in parts for c in p]
+        return _product(terms, parts)
 
-    clauses = cnf(kif.universal_closure(f), True, {}, ())
+    clauses = cnf(kif.nnf(kif.universal_closure(f)), {}, ())
     return [Clause(lits, origin=origin) for lits in _prune(terms, clauses)]
 
 

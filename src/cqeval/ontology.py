@@ -21,7 +21,7 @@ import graphlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import Error, kif, tptp
+from . import Error, kif, read_text, tptp
 from .kif import Atom, Constant, Formula
 
 
@@ -87,7 +87,7 @@ def load_ontology(path: str | Path) -> Ontology:
             axioms.append(OntologyAxiom(unit.name, unit.formula, unit.text))
     else:
         try:
-            forms = kif.parse_annotated(path.read_text(encoding="utf-8"))
+            forms = kif.parse_annotated(read_text(path))
         except Error as e:
             raise e.at(path) from None
         axioms = [OntologyAxiom(form.annotations.get("label", f"ax{i}"), form.formula)

@@ -35,7 +35,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import microprover, prover_cli, store, tptp
+from . import microprover, prover_cli, read_text, store, tptp
 from .tptp import ProblemFile, ProverResult, SearchCounts, SzsStatus
 
 BUILTIN = "builtin"
@@ -59,10 +59,22 @@ class RunnerConfig:
             raise ValueError("max_parallel must be at least 1")
         if not self.timeout_seconds > 0:  # NaN included
             raise ValueError("timeout_seconds must be positive")
-        if self.prover_cmd != BUILTIN and not math.isfinite(self.timeout_seconds):
+        if self.prover_cmd == BUILTIN:
+            return
+        if not math.isfinite(self.timeout_seconds):
             # no {timeout} value means "no limit" to every prover: 0 does to
             # E, but is an immediate timeout to prover_cli
             raise ValueError("timeout_seconds must be finite for an external prover")
+        # the template as _run_external fills it in, with stand-in values
+        try:
+            argv = shlex.split(self.prover_cmd.format(problem="problem.p", timeout=1))
+        except LookupError:  # a placeholder other than {problem} and {timeout}
+            raise ValueError(f"prover_cmd {self.prover_cmd!r} may fill in only "
+                             "{problem} and {timeout}") from None
+        except ValueError as e:  # a stray brace or an unclosed quote
+            raise ValueError(f"prover_cmd {self.prover_cmd!r}: {e}") from None
+        if not argv:
+            raise ValueError(f"prover_cmd {self.prover_cmd!r} names no command")
 
 
 # --------------------------------------------------------------------------
@@ -109,7 +121,7 @@ def read_journal(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         return {}
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path)
     lines = text.splitlines()
     if lines and not text.endswith("\n") and not store.is_json(lines[-1]):
         lines.pop()

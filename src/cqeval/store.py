@@ -19,7 +19,7 @@ import typing
 from enum import Enum
 from pathlib import Path
 
-from . import Error
+from . import Error, read_text
 from .wordnet import SynsetId
 
 SCHEMA_VERSION = 1
@@ -75,7 +75,7 @@ def read_ldjson(path: str | Path, store_name: str, decode=None) -> list:
     """The records of a store, each turned into an object by ``decode`` if
     given, after its header is checked."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise Error("empty store file").at(path)
     # the header must be an object; a blank one names no store

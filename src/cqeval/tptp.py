@@ -25,7 +25,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import Error, kif
+from . import Error, kif, read_text
 from .kif import (
     And, Atom, Constant, Equal, Exists, Forall, Formula, Function, Iff,
     Implies, Junction, Not, Or, Quantifier, Term, Variable,
@@ -415,7 +415,7 @@ def _units(p: Path, parser: _FofParser, opened: list, depth: int = 0, lead=None)
     path and text of each file read.  If ``p``'s first unit is an include,
     ``lead``, when given, yields what stands in its place, from the path
     of the file it names."""
-    text = p.read_text(encoding="utf-8")
+    text = read_text(p)
     opened.append((p.absolute(), text))
     try:
         toks = _tok_fof(text)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CREATIVE, ONT, base_config, run_cli, write_config
+from conftest import CREATIVE, ONT, WN, base_config, run_cli, write_config
 from cqeval import cli, ontology, runner, store, tptp
 
 # --------------------------------------------------------------------------
@@ -587,6 +587,43 @@ def test_bad_creative_file_names_its_file(pipeline, tmp_path):
     assert (code, err) == (2, f"error: {bad}:{line}:14: {reason}\n")
 
 
+# each reader of a stage's input: the stage, the file in the campaign
+# directory, the file it copies if any, and the config keys that name it
+_READERS = {
+    "config": ("ingest", "campaign.json", None, ()),
+    "wordnet": ("ingest", "data.noun", WN / "data.noun", ("wordnet", "data", "noun")),
+    "kif-ontology": ("propagate", "core.kif", ONT / "core.kif", ("ontology", "core")),
+    "tptp-ontology": ("propagate", "core.ax", None, ("ontology", "core")),
+    "creative": ("generate", "creative.kif", CREATIVE, ("creative",)),
+    "store": ("emit", "stores/corpus.ldjson", None, ()),
+    "journal": ("report", "journal.ldjson", None, ()),
+}
+
+
+@pytest.mark.parametrize("reader", _READERS)
+def test_input_that_is_not_utf8_names_its_file(pipeline, tmp_path, reader):
+    stage, name, source, keys = _READERS[reader]
+    shutil.copytree(pipeline.root / "stores", tmp_path / "stores")
+    shutil.copy(pipeline.root / "journal.ldjson", tmp_path / "journal.ldjson")
+    path = tmp_path / name
+    if source:
+        shutil.copy(source, path)
+    elif path.suffix == ".ax":
+        tptp.write_axiom_file(tptp.render_axioms(ontology.load_ontology(ONT / "core.kif")), path)
+    raw = base_config()
+    if keys:
+        section = raw
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = str(path)
+    config = write_config(tmp_path, raw)
+    data = path.read_bytes()
+    path.write_bytes(data + b"\xff\n")
+    code, _, err = run_cli(stage, "--config", str(config))
+    line = data.count(b"\n") + 1
+    assert (code, err) == (2, f"error: {path}:{line}: not UTF-8 text: invalid start byte\n")
+
+
 def test_store_header_that_is_not_json_names_its_line(pipeline, tmp_path):
     shutil.copytree(pipeline.root / "stores", tmp_path / "stores")
     path = tmp_path / "stores" / "corpus.ldjson"
@@ -684,6 +721,20 @@ def test_run_with_malformed_journal(mini_campaign):
 def test_run_rejects_bad_flags(mini_campaign, flags, needle):
     root, config = mini_campaign
     _expect_error(["run", "--config", str(config), *flags], needle)
+    assert not (root / "journal.ldjson").exists()
+
+
+@pytest.mark.parametrize("template, reason", [
+    ("echo {foo} {problem}", " may fill in only {problem} and {timeout}"),
+    ("echo {0} {problem}", " may fill in only {problem} and {timeout}"),
+    ("{problem", ": expected '}' before end of string"),
+    ("echo 'unclosed {problem}", ": No closing quotation"),
+    (" ", " names no command"),
+], ids=["unknown-name", "positional", "unclosed-brace", "unclosed-quote", "blank"])
+def test_run_rejects_a_bad_prover_template(mini_campaign, template, reason):
+    root, config = mini_campaign
+    code, out, err = run_cli("run", "--config", str(config), "--prover-cmd", template)
+    assert (code, out, err) == (2, "", f"error: bad run setting: prover_cmd {template!r}{reason}\n")
     assert not (root / "journal.ldjson").exists()
 
 

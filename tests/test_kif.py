@@ -210,8 +210,18 @@ def test_print_round_trip_random_formulas():
 
 
 def test_free_variables_ordered_first_occurrence():
-    (f,) = parse_kif("(=> (p ?B ?A) (exists (?C) (q ?C ?A ?D)))")
-    assert free_variables_ordered(f) == ("B", "A", "D")
+    for source, expected in [
+        ("(=> (p ?B ?A) (exists (?C) (q ?C ?A ?D)))", ("B", "A", "D")),
+        # bound in one place and free in another
+        ("(and (forall (?X) (p ?X)) (q ?X ?Y))", ("X", "Y")),
+        ("(or (p ?Z) (forall (?Z) (q ?Z ?W)) (r ?V))", ("Z", "W", "V")),
+        ("(<=> (p ?B) (exists (?B) (q ?B ?A)))", ("B", "A")),
+        ("(equal (f ?Y (g ?X)) ?Z)", ("Y", "X", "Z")),
+        ("(not (p (f (g ?X ?Y) ?X) a))", ("X", "Y")),
+        ("(forall (?X) (exists (?Y) (p ?X ?Y)))", ()),
+    ]:
+        (f,) = parse_kif(source)
+        assert free_variables_ordered(f) == expected, source
 
 
 def test_universal_closure():
@@ -222,8 +232,17 @@ def test_universal_closure():
 
 
 def test_symbols_cover_predicates_and_constants():
-    (f,) = parse_kif("(=> (instance ?X Boy) (not (instance ?X (kindOf DomesticAnimal))))")
-    assert symbols(f) == frozenset({"instance", "Boy", "kindOf", "DomesticAnimal"})
+    for source, expected in [
+        ("(=> (instance ?X Boy) (not (instance ?X (kindOf DomesticAnimal))))",
+         {"instance", "Boy", "kindOf", "DomesticAnimal"}),
+        # an equation contributes its terms' names, not "equal" or "="
+        ("(equal (f ?Y (g a)) b)", {"f", "g", "a", "b"}),
+        ("(<=> (p a) (or (q b) (r c) (s (h (k d)))))", {"p", "a", "q", "b", "r", "c", "s", "h",
+                                                        "k", "d"}),
+        ("(and (forall (?X) (p ?X)) (exists (?Y) (= ?Y e)) (not (q ?Z)))", {"p", "e", "q"}),
+    ]:
+        (f,) = parse_kif(source)
+        assert symbols(f) == frozenset(expected), source
 
 
 def test_nnf_shape():

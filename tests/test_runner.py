@@ -174,6 +174,15 @@ def test_builtin_bad_problem_is_error(tmp_path):
     assert "SZS status Error" in archived
 
 
+def test_builtin_problem_that_is_not_utf8_is_error(tmp_path):
+    path = _problem(tmp_path).path
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    result = run_one(ProblemFile(path=path, cq_id=path.stem), _cfg(tmp_path))
+    assert result.szs is SzsStatus.ERROR
+    archived = Path(result.raw_output_path).read_text(encoding="utf-8")
+    assert "not UTF-8 text: invalid start byte" in archived
+
+
 def test_prover_cli_exit_code_follows_status(tmp_path, capsys):
     assert prover_cli.main([str(_problem(tmp_path).path)]) == 0
     assert "SZS status Theorem" in capsys.readouterr().out
