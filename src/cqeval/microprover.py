@@ -35,16 +35,12 @@ the literal cap or renamings of a clause already seen are dropped.  The
 result counts the work: given clauses, partner pairs, unifications,
 derived clauses kept and duplicates dropped.
 
-Many problems can share their first axioms, such as the axiom file
-that every problem of a campaign includes.  A ``Base`` holds such axioms
-and, once the first proof attempt given it has built them, their term
-table, their clausified and keyed clauses, the keys and the count of
-duplicates dropped.  The build runs inside that attempt's interval
-timer and is kept only once complete; each attempt then searches a copy.
-``prover_cli`` keeps one base per process, for the last axiom file that
-a problem included first, keyed by the file's resolved path and the text
-of every file its read opened; a problem with its axioms inline passes
-no base and builds its clauses in place.
+Many problems can share their first axioms: those of the file that every
+problem of a campaign includes, which ``tptp.read_problem`` hands over as
+one ``AxiomFile``.  While that read lives, ``prove`` keeps the clauses it
+built from it (their term table, the keyed clauses, their keys and the
+count of duplicates dropped), and each attempt searches a copy.  They are
+built inside an attempt's interval timer and kept only once complete.
 
 Terms are interned as ints over a per-run table, so comparing and
 hashing terms is O(1), and every walk over a term keeps its own stack,
@@ -68,11 +64,12 @@ import contextlib
 import itertools
 import signal
 import time
+import weakref
 from heapq import heappop, heappush
 
 from . import kif
 from .kif import And, Atom, Constant, Equal, Forall, Formula, Not, Quantifier, Term, Variable
-from .tptp import ProverResult, SearchCounts, SzsStatus
+from .tptp import AxiomFile, ProverResult, SearchCounts, SzsStatus
 
 NEGATED_CONJECTURE = "negated_conjecture"
 EQUALITY_ORIGIN = "eq"
@@ -187,8 +184,8 @@ def _wildcard():
 
 
 class _Terms:
-    """Hash-consed term table of one proof attempt, or of a base that
-    attempts copy."""
+    """Hash-consed term table of one proof attempt, or of the kept clauses
+    of an ``AxiomFile``, which attempts copy."""
 
     def __init__(self):
         self.symbols: dict = {}  # (name, arity, or None for a constant) -> functor;
@@ -512,26 +509,23 @@ class _Input:
         return other
 
 
-class Base:
-    """Labeled axioms that many proof attempts share, such as a file that
-    many problems include.  The first attempt given the base clausifies and
-    keys the axioms, inside its own interval timer, and the base keeps the
-    result only once it is complete; every attempt then starts from a copy
-    of it: its term table, its queued clauses, their keys and its count of
-    renamings dropped."""
+_built: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # AxiomFile -> its complete _Input
 
-    def __init__(self, axioms):
-        self.axioms = tuple(axioms)  # (label, formula) pairs
-        self.built: _Input | None = None  # set once complete
 
-    def start(self) -> _Input:
-        """A copy of the built input, built first if need be."""
-        if self.built is None:
-            built = _Input()
-            for label, f in self.axioms:
-                built.add(clausify(f, label, built.terms))
-            self.built = built
-        return self.built.copy()
+def _start(axioms) -> tuple:
+    """The input a search starts from, and the axioms left to add to it:
+    for axioms led by an ``AxiomFile``, a copy of the clauses of that
+    file's axioms, built and kept first if need be."""
+    if not (axioms and isinstance(axioms[0], AxiomFile)):
+        return _Input(), axioms
+    read = axioms[0]
+    built = _built.get(read)
+    if built is None:
+        built = _Input()
+        for label, f in read.axioms:
+            built.add(clausify(f, label, built.terms))
+        _built[read] = built
+    return built.copy(), axioms[1:]
 
 
 # --------------------------------------------------------------------------
@@ -568,17 +562,15 @@ def prove(
     limit_seconds: float = LIMIT_SECONDS,
     max_literals: int = MAX_LITERALS,
     max_clauses: int = MAX_CLAUSES,
-    base: Base | None = None,
 ) -> ProverResult:
     """Refute the negated conjecture against labeled axioms.
 
-    ``axioms`` is an iterable of (label, formula).  With a ``base``, the
-    search starts from a copy of the base's clauses, built first if need
-    be, and ``axioms`` follow them; without one, the attempt builds its
-    input in place.  Either way each axiom is clausified and keyed in
-    turn, then the negated conjecture, then the equality axioms that these
-    clauses call for.  So an attempt over a base of its first axioms
-    makes the same terms in the same order as one given all of them, and
+    ``axioms`` is a sequence of (label, formula), as ``tptp.read_problem``
+    returns it: a leading ``AxiomFile`` stands for its axioms.  Each axiom
+    is clausified and keyed in turn, then the negated conjecture, then the
+    equality axioms that these clauses call for.  So an attempt that
+    starts from the kept clauses of an ``AxiomFile`` makes the same terms
+    in the same order as one given all of its axioms, and
     ends in the same status, used axioms and counts.  Returns Theorem with
     the axiom labels used, GaveUp when the clause queue empties or more
     than ``max_clauses`` derived clauses have been kept, or Timeout when
@@ -593,9 +585,9 @@ def prove(
     def search() -> tuple:
         """The status the search ends in, and the empty clause it derived."""
         nonlocal given_count, pair_count, unifications, derived, dedup_hits
-        initial = _Input() if base is None else base.start()
+        initial, rest = _start(axioms)
         terms = initial.terms
-        for label, f in axioms:
+        for label, f in rest:
             initial.add(clausify(f, label, terms))
         initial.add(clausify(Not(kif.universal_closure(conjecture)), NEGATED_CONJECTURE, terms))
         initial.add(equality_clauses(terms, (c for _, _, c in initial.queue)))

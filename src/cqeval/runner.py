@@ -59,15 +59,18 @@ class RunnerConfig:
             raise ValueError("max_parallel must be at least 1")
         if not self.timeout_seconds > 0:  # NaN included
             raise ValueError("timeout_seconds must be positive")
+        for cap in ("builtin_max_literals", "builtin_max_clauses"):
+            if getattr(self, cap) < 0:
+                raise ValueError(f"{cap} must not be negative")
         if self.prover_cmd == BUILTIN:
             return
         if not math.isfinite(self.timeout_seconds):
             # no {timeout} value means "no limit" to every prover: 0 does to
             # E, but is an immediate timeout to prover_cli
             raise ValueError("timeout_seconds must be finite for an external prover")
-        # the template as _run_external fills it in, with stand-in values
+        # the template as _run_external fills it in, with a stand-in problem
         try:
-            argv = shlex.split(self.prover_cmd.format(problem="problem.p", timeout=1))
+            argv = _argv(self.prover_cmd, "problem.p", self.timeout_seconds)
         except LookupError:  # a placeholder other than {problem} and {timeout}
             raise ValueError(f"prover_cmd {self.prover_cmd!r} may fill in only "
                              "{problem} and {timeout}") from None
@@ -155,14 +158,21 @@ def _archive(cfg: RunnerConfig, cq_id: str, text: str) -> str:
     return str(path)
 
 
+def _argv(template: str, problem, timeout_seconds: float) -> list[str]:
+    """The words of a prover command ``template``, split as a shell would,
+    each with ``{problem}`` and ``{timeout}`` filled in, so a path with a
+    space in it stays one argument.  The timeout is in whole seconds, at
+    least one: 0 means no limit to E's --cpu-limit and an immediate
+    timeout to prover_cli."""
+    timeout = max(1, int(timeout_seconds))
+    return [word.format(problem=problem, timeout=timeout) for word in shlex.split(template)]
+
+
 def _run_external(problem: ProblemFile, cfg: RunnerConfig) -> tuple[str, SzsStatus]:
     """The prover's output, and the status to read when it names none."""
-    # whole seconds, at least one: 0 means no limit to E's --cpu-limit and an
-    # immediate timeout to prover_cli
-    cmd = cfg.prover_cmd.format(problem=problem.path, timeout=max(1, int(cfg.timeout_seconds)))
     try:
         proc = subprocess.Popen(
-            shlex.split(cmd),
+            _argv(cfg.prover_cmd, problem.path, cfg.timeout_seconds),
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             start_new_session=True,

@@ -479,33 +479,37 @@ class AxiomFile:
             return False
 
 
-def read_problem(path: str | Path, shared: tuple[AxiomFile, ...] | None = None):
+_last_read: AxiomFile | None = None  # the process's last shared read of a file of axioms
+
+
+def read_problem(path: str | Path, shared: bool = False):
     """Read a problem file: ([(name, formula), ...] axioms, (name, formula) conjecture).
 
     Includes are resolved relative to the including file.  Units outside
     the FOF subset are rejected; ontology text passed through verbatim
     stays fof in this package's pipelines.
 
-    ``shared``, when given, holds ``AxiomFile``s of earlier reads, none at
-    first.  Then a problem whose first unit includes a file that holds
+    With ``shared``, a problem whose first unit includes a file that holds
     only axioms reads that file as one ``AxiomFile``, which leads the
-    axioms in place of the file's own: one of ``shared``, if it read the
-    same resolved path and every file it opened is unchanged, or else a
-    new read.  The problem's other units are read over that read's symbol
-    tables, so they are read as if the file were read again.
+    axioms in place of the file's own.  The process keeps the last such
+    read and reuses it while it read the same resolved path and every file
+    it opened is unchanged; another read replaces it.  The problem's other
+    units are read over that read's symbol tables, so they are read as if
+    the file were read again.
     """
     axioms: list = []
     conjecture: tuple[str, Formula] | None = None
     parser = _FofParser()
 
     def lead(inc: Path):
+        global _last_read
         resolved = inc.resolve()
-        for read in shared:
-            if read.path == resolved and read.unchanged():
-                parser.names.update(read.names)
-                parser.spellings.update(read.spellings)
-                yield read
-                return
+        last = _last_read
+        if last is not None and last.path == resolved and last.unchanged():
+            parser.names.update(last.names)
+            parser.spellings.update(last.spellings)
+            yield last
+            return
         opened: list = []
         units = _units(inc, parser, opened, 1)
         seen = []
@@ -515,10 +519,11 @@ def read_problem(path: str | Path, shared: tuple[AxiomFile, ...] | None = None):
                 yield from seen
                 yield from units
                 return
-        yield AxiomFile(resolved, tuple(opened), tuple((u.name, u.formula) for u in seen),
-                        dict(parser.names), dict(parser.spellings))
+        _last_read = AxiomFile(resolved, tuple(opened), tuple((u.name, u.formula) for u in seen),
+                               dict(parser.names), dict(parser.spellings))
+        yield _last_read
 
-    for unit in _units(Path(path), parser, [], lead=None if shared is None else lead):
+    for unit in _units(Path(path), parser, [], lead=lead if shared else None):
         if isinstance(unit, AxiomFile):
             axioms.append(unit)
             continue

@@ -738,6 +738,17 @@ def test_run_rejects_a_bad_prover_template(mini_campaign, template, reason):
     assert not (root / "journal.ldjson").exists()
 
 
+@pytest.mark.parametrize("key", ["builtin_max_literals", "builtin_max_clauses"])
+def test_run_rejects_a_negative_prover_cap(mini_campaign, key):
+    root, config = mini_campaign
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    raw[key] = -3
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    err = _expect_error(["run", "--config", str(config)], key)
+    assert err == f"error: bad run setting: {key} must not be negative\n"
+    assert not (root / "journal.ldjson").exists()
+
+
 @pytest.mark.parametrize("spelling", ["flag", "text", "json"])
 def test_run_rejects_an_endless_limit_for_an_external_prover(mini_campaign, spelling):
     root, config = mini_campaign

@@ -2,6 +2,7 @@
 worker processes."""
 
 import concurrent.futures
+import gc
 import inspect
 import json
 import os
@@ -192,6 +193,18 @@ def test_prover_cli_exit_code_follows_status(tmp_path, capsys):
     assert "SZS status Error" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--max-literals", "--max-clauses"])
+def test_prover_cli_rejects_a_negative_cap(tmp_path, capsys, flag):
+    problem = str(_problem(tmp_path).path)
+    with pytest.raises(SystemExit) as exit:
+        prover_cli.main([problem, flag, "-1"])
+    assert exit.value.code == 2
+    assert f"argument {flag}: must not be negative, got -1" in capsys.readouterr().err
+    # a cap of 0 still proves a unit conflict
+    assert prover_cli.main([problem, flag, "0"]) == 0
+    assert "SZS status Theorem" in capsys.readouterr().out
+
+
 def test_prover_cli_with_no_time_times_out(tmp_path, capsys):
     assert prover_cli.main([str(_problem(tmp_path).path), "--timeout", "0"]) == 0
     assert "SZS status Timeout" in capsys.readouterr().out
@@ -316,6 +329,37 @@ def test_base_gives_every_fixture_problem_its_fresh_result(pipeline, tmp_path, m
     assert len(clausified) == n_axioms + len(problems)
 
 
+def test_a_shared_read_proves_as_a_plain_one(tmp_path):
+    (tmp_path / "axioms.ax").write_text(
+        "fof(ax_pq, axiom, ! [X] : (s__p(X) => s__q(X))).\nfof(ax_ba, axiom, s__b = s__a).\n",
+        encoding="utf-8")
+    problem = _include_problem(tmp_path, "cq_q", "s__q(s__b)", ("fof(ax_own, axiom, s__p(s__a)).",))
+
+    def proved(**read):
+        axioms, (_, conjecture) = tptp.read_problem(problem, **read)
+        r = microprover.prove(axioms, conjecture, limit_seconds=10)
+        return axioms[0], (r.szs, r.used_axioms, r.search)
+
+    _, plain = proved()
+    first, once = proved(shared=True)
+    again, twice = proved(shared=True)
+    assert isinstance(first, tptp.AxiomFile) and again is first
+    assert plain[:2] == (SzsStatus.THEOREM, ("ax_ba", "ax_own", "ax_pq"))
+    assert once == plain and twice == plain
+
+
+def test_one_axiom_file_and_its_clauses_stay_alive(tmp_path):
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.ax").write_text(f"fof(ax_{name}, axiom, s__{name}).\n",
+                                             encoding="utf-8")
+        problem = _include_problem(tmp_path, f"cq_{name}", f"s__{name}", include=f"{name}.ax")
+        assert parse_szs(_cached(problem)) == (SzsStatus.THEOREM, (f"ax_{name}",))
+    gc.collect()
+    alive = [o for o in gc.get_objects() if isinstance(o, tptp.AxiomFile)]
+    assert [read.path for read in alive] == [(tmp_path / "b.ax").resolve()]
+    assert sum(isinstance(o, microprover._Input) for o in gc.get_objects()) == 1
+
+
 def test_base_build_is_bounded_by_each_problem_timer(tmp_path):
     # a chain of <=> over distinct atoms doubles its clauses with every
     # connective: clausifying it outlasts any limit given here
@@ -381,6 +425,18 @@ def test_external_template_gets_problem_and_timeout(tmp_path):
     assert result.szs is SzsStatus.GAVE_UP
     archived = (tmp_path / "outputs" / "cq_toy.out").read_text(encoding="utf-8")
     assert f"args: {problem.path} 7" in archived
+
+
+@pytest.mark.parametrize("template", ["{problem}", "'{problem}'"])
+def test_external_template_keeps_a_path_with_a_space_one_argument(tmp_path, template):
+    body = 'print("args:", sys.argv[1:])\nprint("% SZS status GaveUp for x")\n'
+    cmd = _fake_prover(tmp_path, "argv.py", body)
+    (tmp_path / "sp ace").mkdir()
+    problem = _problem(tmp_path / "sp ace", "cq_x")
+    cfg = _cfg(tmp_path, prover_cmd=f"{cmd} {template} --timeout {{timeout}}", timeout_seconds=3)
+    assert run_one(problem, cfg).szs is SzsStatus.GAVE_UP
+    archived = (tmp_path / "outputs" / "cq_x.out").read_text(encoding="utf-8")
+    assert f"args: {[str(problem.path), '--timeout', '3']}\n" in archived
 
 
 def test_external_template_gets_at_least_one_second(tmp_path):
