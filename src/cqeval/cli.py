@@ -190,6 +190,8 @@ def _load_corpus(cfg: Config) -> cqgen.Corpus:
 
 
 def _verdicts(journal_path: Path, corpus: cqgen.Corpus):
+    if not journal_path.exists():  # read_journal reads a missing journal as empty
+        raise Error(f"journal not found: {journal_path}")
     journaled = runner.read_journal(journal_path)
     return verdict.classify_all(corpus, sorted(journaled.items()))
 

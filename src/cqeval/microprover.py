@@ -21,19 +21,28 @@ distinct atoms still doubles its clauses with every connective, so such
 a chain ends in Timeout: one interval timer bounds each proof attempt,
 whatever step it is in.
 
-The search is a given-clause loop.  Clauses wait in a queue ordered by
-length, then by age.  The given clause joins the processed set and is
-resolved with the processed clauses that have a literal of the same
-predicate and the opposite sign.  An index files processed literals by
-predicate and sign and, for each argument position, by the top symbol
-there or as a variable.  Each literal of the given clause looks up its
-partners at the argument position where they are fewest: those with the
-same top symbol there, and those with a variable there.  Partners are
-met in processing order, and each pair's atoms are unified.  Then the
-given clause is factored.  Resolvents that are tautologies, longer than
-the literal cap or renamings of a clause already seen are dropped.  The
-result counts the work: given clauses, partner pairs, unifications,
-derived clauses kept and duplicates dropped.
+The search is a given-clause loop of resolution with negative selection:
+a clause with a negative literal is eligible only on the first one, in
+its own literal order, and a clause with none on every literal.  So each
+step joins a clause without negative literals to one with a selected
+literal, and no clause pairs with itself.  With factoring, and the
+deletion of tautologies and renamings, this is refutationally complete
+whichever negative literal is selected: it makes every inference that
+ordered resolution with selection (Bachmair and Ganzinger 2001) makes
+under any ordering, and it is positive hyper-resolution (Robinson 1965)
+one negative literal at a time.  Clauses wait in a queue ordered by
+length, then by age.  The given clause joins the processed set, and each
+of its eligible literals meets the eligible processed literals of the
+same predicate and the opposite sign.  An index files those by predicate
+and sign and, for each argument position, by the top symbol there or as
+a variable.  A literal looks up its partners at the position where they
+are fewest, those with the same top symbol there and those with a
+variable there, in processing order, and each pair's atoms are unified.
+Then the given clause is factored on any two of its literals.
+Resolvents that are tautologies, longer than the literal cap or
+renamings of a clause already seen are dropped.  The result counts the
+work: given clauses, partner pairs, unifications, derived clauses kept
+and duplicates dropped.
 
 Many problems can share their first axioms: those of the file that every
 problem of a campaign includes, which ``tptp.read_problem`` hands over as
@@ -44,10 +53,9 @@ built inside an attempt's interval timer and kept only once complete.
 
 Terms are interned as ints over a per-run table, so comparing and
 hashing terms is O(1), and every walk over a term keeps its own stack,
-so deep terms cannot exhaust the interpreter's recursion limit.  A waiting clause shares its terms
-with its dedup key.  When it is given it gets variables of its own, once,
-so a resolution step renames nothing; only a given clause resolving with
-itself takes a copy.
+so deep terms cannot exhaust the interpreter's recursion limit.  A waiting
+clause shares its terms with its dedup key.  When it is given it gets
+variables of its own, once, so a resolution step renames nothing.
 
 The prover is deliberately modest.  Clause length is capped, and so is
 the number of derived clauses kept (input clauses do not count), so a
@@ -594,9 +602,8 @@ def prove(
         heap, known, dedup_hits = initial.queue, initial.known, initial.dedup_hits
         order = itertools.count(len(heap))  # ties in the queue go to the older clause
 
-        # Processed clauses, each with its literals renamed apart, in
-        # processing order; the index files each of their literals as
-        # ``processing position * width + literal index``.
+        # Processed clauses, literals renamed apart, in processing order; the
+        # index files each eligible literal as ``position * width + index``.
         processed: list = []
         width = max([max_literals] + [n for n, _, _ in heap])
         index = _LiteralIndex(terms)
@@ -605,32 +612,23 @@ def prove(
             _, _, given = heappop(heap)
             given_count += 1
             glits = terms.rename(given.literals)
-            here = len(processed)
-            processed.append((given, glits))
-            for j, l in enumerate(glits):
-                index.add(l, here * width + j)
+            # the first negative literal, or every literal of a clause with none
+            eligible = next(((i,) for i, l in enumerate(glits) if not l & 1), range(len(glits)))
 
             # Partners by processing order, then given literal, then partner
-            # literal: the order in which pairing every processed clause would
-            # meet them.
-            pairs = [
-                (e // width, i, e % width)
-                for i, l in enumerate(glits)
-                for e in index.partners(l)
-            ]
-            if len(glits) > 1:
+            # literal: the order in which pairing every processed clause meets them.
+            pairs = [(e // width, i, e % width) for i in eligible for e in index.partners(glits[i])]
+            if len(eligible) > 1:
                 pairs.sort()
             pair_count += len(pairs)
-            copy = None
+            here = len(processed)
+            processed.append((given, glits))
+            for i in eligible:
+                index.add(glits[i], here * width + i)
             new_lits: list = []
             for p, i, j in pairs:
                 partner, plits = processed[p]
-                if p == here:
-                    if copy is None:
-                        copy = terms.rename(glits)
-                    plits = copy
-                a, b = glits[i] >> 1, plits[j] >> 1
-                subst = terms.unify(a, b)
+                subst = terms.unify(glits[i] >> 1, plits[j] >> 1)
                 if subst is not None:
                     unifications += 1
                     rest = glits[:i] + glits[i + 1:] + plits[:j] + plits[j + 1:]

@@ -78,7 +78,7 @@ def pipeline(tmp_path_factory):
     """ingest, propagate, generate, emit and run over the fixture corpus,
     once per session.  21 problems against the built-in prover with a
     3 second budget; the falsity test of the equality question is expected
-    to time out, its truth test to give up at the clause cap."""
+    to give up with its queue empty, its truth test at the clause cap."""
     root = tmp_path_factory.mktemp("campaign")
     config = write_config(root)
     steps = {}

@@ -135,7 +135,7 @@ def test_emit_output(pipeline):
 def test_run_output(pipeline):
     journal = pipeline.root / "journal.ldjson"
     assert pipeline.steps["run"].out == (
-        "GaveUp=17 Theorem=3 Timeout=1\n"
+        "GaveUp=18 Theorem=3\n"
         f"journal: {journal} (21 results)\n"
     )
 
@@ -212,6 +212,15 @@ def test_diff_rejects_a_result_for_an_unknown_question(pipeline, tmp_path):
     journal = _journal_naming_a_stray_question(pipeline, tmp_path)
     _expect_error(["diff", "--config", str(pipeline.config),
                    str(pipeline.root / "journal.ldjson"), journal], "'cq_made_up'")
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--journal", "nope1.ldjson"), ("diff", "journal.ldjson", "nope2.ldjson"),
+], ids=["report", "diff"])
+def test_a_missing_journal_is_an_error(pipeline, argv):
+    # a mistyped path must not read as an empty journal: all unknown, or no changes
+    err = _expect_error([argv[0], "--config", str(pipeline.config), *argv[1:]], "journal not found: ")
+    assert err.endswith(f"{pipeline.root / argv[-1]}\n")
 
 
 def test_check_cqs_none_trivial(pipeline):

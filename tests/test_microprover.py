@@ -4,6 +4,7 @@ oracle on problems small enough to decide exactly."""
 import collections
 import itertools
 import random
+import shutil
 import signal
 import sys
 import time
@@ -12,7 +13,8 @@ import pytest
 
 import genformulas
 import oracles
-from cqeval import kif, microprover
+from conftest import run_cli, write_config
+from cqeval import kif, microprover, tptp
 from cqeval.kif import (
     And, Atom, Constant, Equal, Exists, Forall, Function, Iff, Implies, Not, Or, Variable,
 )
@@ -590,8 +592,8 @@ def test_clausified_ground_problems_match_oracle():
 # clauses the search can keep are finitely many up to renaming and giving
 # up means the queue emptied.  Variables and constants share every
 # argument position, so partners are retrieved through both the symbol
-# and the variable buckets of the literal index, and some clauses resolve
-# with themselves.
+# and the variable buckets of the literal index, and some clauses hold
+# one predicate with both signs.
 
 FO_CONSTANTS = ("a", "b", "c")
 FO_VARIABLES = ("X", "Y", "Z")
@@ -610,7 +612,7 @@ def _fo_clause(rng, predicates):
     positive = rng.random() < 0.5
     literals = [first if positive else Not(first)]
     shape = rng.random()
-    if shape < 0.3:  # resolves with itself: one predicate, both signs
+    if shape < 0.3:  # one predicate, both signs
         second = _fo_atom(rng, first.predicate)
         literals.append(Not(second) if positive else second)
     elif shape < 0.7:
@@ -644,6 +646,90 @@ def test_first_order_problems_match_oracle():
             theorems += 1
             _assert_used_axioms_suffice(axioms, conjecture, result, **caps)
     assert 20 <= theorems <= 80
+
+
+# --------------------------------------------------------------------------
+# negative selection against the oracle
+#
+# Clauses of up to three literals, most of them with a negative literal
+# and many with two or more, so which literal a clause is eligible on
+# decides which pairs meet.  The first-order clauses are function-free,
+# and every variable of a positive literal occurs in a negative literal of
+# its clause, so every derived clause without negative literals is ground
+# and the queue empties: a GaveUp means no refutation exists.  Each proof's
+# derivation is read back: every resolution step joins a clause without
+# negative literals to one with a negative literal, and in a ground proof
+# it resolves on that clause's first negative literal.
+
+
+def _selection_clause(rng, first_order, head=None):
+    """A clause of one to three literals, or of ``head`` and one or two
+    negative literals."""
+    def atom(scope):
+        name, arity = rng.choice(SMALL_PREDICATES)
+        return Atom(name, tuple(
+            Variable(rng.choice(scope)) if scope and rng.random() < 0.6
+            else Constant(rng.choice(SMALL_CONSTANTS))
+            for _ in range(arity)
+        ))
+
+    n = rng.choice((1, 2, 2, 3, 3, 3))
+    negatives = sum(rng.random() < 0.6 for _ in range(n)) if head is None else rng.randint(1, 2)
+    scope = FO_VARIABLES if first_order else ()
+    literals = [Not(atom(scope)) for _ in range(negatives)]
+    bound = tuple(sorted({v for l in literals for v in kif.free_variables_ordered(l)}))
+    literals += [atom(bound) for _ in range(n - negatives)] if head is None else [head]
+    rng.shuffle(literals)
+    return kif.universal_closure(Or(tuple(literals)) if len(literals) > 1 else literals[0])
+
+
+def _selection_case(rng, first_order):
+    goal = _small_atom(rng)
+    axioms = [(f"ax{j}", _selection_clause(rng, first_order)) for j in range(rng.randint(5, 9))]
+    axioms.append(("ax_goal", _selection_clause(rng, first_order, goal)))
+    return axioms, goal
+
+
+def _assert_steps_resolve_on_eligible_literals(empty, ground):
+    stack, seen = [empty], set()
+    while stack:
+        c = stack.pop()
+        if id(c) in seen:
+            continue
+        seen.add(id(c))
+        stack.extend(c.parents)
+        if len(c.parents) < 2:
+            continue
+        mixed, positive = sorted(c.parents, key=lambda d: all(l & 1 for l in d.literals))
+        assert all(l & 1 for l in positive.literals)
+        assert not all(l & 1 for l in mixed.literals)
+        if ground:  # ground literals keep their ints through a step
+            selected = next(l for l in mixed.literals if not l & 1)
+            assert set(c.literals) == \
+                (set(mixed.literals) - {selected}) | (set(positive.literals) - {selected + 1})
+
+
+@pytest.mark.parametrize("first_order", [False, True], ids=["ground", "first-order"])
+def test_selection_matches_oracle(monkeypatch, first_order):
+    empties = []
+    used_axioms = microprover._used_axioms
+    monkeypatch.setattr(microprover, "_used_axioms",
+                        lambda empty: empties.append(empty) or used_axioms(empty))
+    rng = random.Random(31)
+    universe = [Constant(c) for c in SMALL_CONSTANTS]
+    caps = dict(limit_seconds=10, max_literals=100, max_clauses=100000)
+    theorems = 0
+    for i in range(200):
+        axioms, conjecture = _selection_case(rng, first_order)
+        result = prove(axioms, conjecture, **caps)
+        entailed = oracles.ground_unsat([f for _, f in axioms] + [Not(conjecture)], universe)
+        assert result.szs in (SzsStatus.THEOREM, SzsStatus.GAVE_UP)
+        assert (result.szs is SzsStatus.THEOREM) == entailed, f"case {i}"
+        if entailed:
+            theorems += 1
+            _assert_steps_resolve_on_eligible_literals(empties[-1], not first_order)
+            _assert_used_axioms_suffice(axioms, conjecture, result, **caps)
+    assert 40 <= theorems <= 160, theorems
 
 
 # --------------------------------------------------------------------------
@@ -685,6 +771,20 @@ def test_fixture_campaign_verdicts_are_pinned(journal):
         ),
     }
     assert all(result.szs is not SzsStatus.ERROR for result in journal.values())
+
+
+def test_equality_falsity_question_empties_its_queue(pipeline, tmp_path):
+    # with every literal eligible, this question re-derived renamings through
+    # the equality axioms until its cap: at 300 clauses it kept 301 and
+    # dropped 22,649 duplicates; under selection its queue empties first
+    shutil.copytree(pipeline.root / "stores", tmp_path / "stores")
+    code, _, err = run_cli("emit", "--config", str(write_config(tmp_path)), "--mode", "include")
+    assert code == 0, err
+    axioms, (_, conjecture) = tptp.read_problem(
+        tmp_path / "problems" / "cq_event1_death_killing_falsity.p")
+    result = prove(axioms, conjecture, limit_seconds=10, max_clauses=300)
+    assert result.szs is SzsStatus.GAVE_UP
+    assert result.search.kept < 300, result.search
 
 
 def test_partner_retrieval_skips_literals_that_cannot_unify():
