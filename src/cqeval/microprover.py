@@ -44,12 +44,12 @@ renamings of a clause already seen are dropped.  The result counts the
 work: given clauses, partner pairs, unifications, derived clauses kept
 and duplicates dropped.
 
-Many problems can share their first axioms: those of the file that every
-problem of a campaign includes, which ``tptp.read_problem`` hands over as
-one ``AxiomFile``.  While that read lives, ``prove`` keeps the clauses it
-built from it (their term table, the keyed clauses, their keys and the
-count of duplicates dropped), and each attempt searches a copy.  They are
-built inside an attempt's interval timer and kept only once complete.
+Many problems can share their first axioms, which ``tptp.read_problem``
+hands over as one ``SharedAxioms``.  While that read lives, ``prove``
+keeps the clauses it built from it (their term table, the keyed clauses,
+their keys and the count of duplicates dropped), and each attempt
+searches a copy.  They are built inside an attempt's interval timer and
+kept only once complete.
 
 Terms are interned as ints over a per-run table, so comparing and
 hashing terms is O(1), and every walk over a term keeps its own stack,
@@ -77,7 +77,7 @@ from heapq import heappop, heappush
 
 from . import kif
 from .kif import And, Atom, Constant, Equal, Forall, Formula, Not, Quantifier, Term, Variable
-from .tptp import AxiomFile, ProverResult, SearchCounts, SzsStatus
+from .tptp import ProverResult, SearchCounts, SharedAxioms, SzsStatus
 
 NEGATED_CONJECTURE = "negated_conjecture"
 EQUALITY_ORIGIN = "eq"
@@ -193,7 +193,7 @@ def _wildcard():
 
 class _Terms:
     """Hash-consed term table of one proof attempt, or of the kept clauses
-    of an ``AxiomFile``, which attempts copy."""
+    of a ``SharedAxioms``, which attempts copy."""
 
     def __init__(self):
         self.symbols: dict = {}  # (name, arity, or None for a constant) -> functor;
@@ -517,14 +517,14 @@ class _Input:
         return other
 
 
-_built: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # AxiomFile -> its complete _Input
+_built: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # SharedAxioms -> its complete _Input
 
 
 def _start(axioms) -> tuple:
     """The input a search starts from, and the axioms left to add to it:
-    for axioms led by an ``AxiomFile``, a copy of the clauses of that
-    file's axioms, built and kept first if need be."""
-    if not (axioms and isinstance(axioms[0], AxiomFile)):
+    for axioms led by a ``SharedAxioms``, a copy of the clauses of its
+    axioms, built and kept first if need be."""
+    if not (axioms and isinstance(axioms[0], SharedAxioms)):
         return _Input(), axioms
     read = axioms[0]
     built = _built.get(read)
@@ -574,12 +574,12 @@ def prove(
     """Refute the negated conjecture against labeled axioms.
 
     ``axioms`` is a sequence of (label, formula), as ``tptp.read_problem``
-    returns it: a leading ``AxiomFile`` stands for its axioms.  Each axiom
-    is clausified and keyed in turn, then the negated conjecture, then the
-    equality axioms that these clauses call for.  So an attempt that
-    starts from the kept clauses of an ``AxiomFile`` makes the same terms
-    in the same order as one given all of its axioms, and
-    ends in the same status, used axioms and counts.  Returns Theorem with
+    returns it: a leading ``SharedAxioms`` stands for its axioms.  Each
+    axiom is clausified and keyed in turn, then the negated conjecture,
+    then the equality axioms that these clauses call for.  So an attempt
+    that starts from the kept clauses of a ``SharedAxioms`` makes the same
+    terms in the same order as one given all of its axioms, and ends in
+    the same status, used axioms and counts.  Returns Theorem with
     the axiom labels used, GaveUp when the clause queue empties or more
     than ``max_clauses`` derived clauses have been kept, or Timeout when
     the real-time interval timer set to ``limit_seconds`` goes off (at once

@@ -190,8 +190,11 @@ def _run_external(problem: ProblemFile, cfg: RunnerConfig) -> tuple[str, SzsStat
             proc.kill()
         try:
             out, _ = proc.communicate(timeout=GRACE_SECONDS)
-        except subprocess.TimeoutExpired:
-            out = b""
+        except subprocess.TimeoutExpired as e:
+            # a process outside the prover's group holds the pipe: keep what was read
+            out = e.output
+            proc.stdout.close()
+            proc.wait()
     return (out or b"").decode("utf-8", errors="replace"), silent
 
 

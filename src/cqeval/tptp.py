@@ -18,6 +18,7 @@ Handles three jobs around external refutation provers:
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import ChainMap
 from dataclasses import asdict, dataclass, fields
@@ -214,20 +215,23 @@ def write_problem(cq, axioms: RenderedAxioms, out_dir: str | Path,
 # token each, quotes and backslash escapes kept.  Any other character is a
 # one-character token, so units outside the FOF subset still scan and can
 # be kept verbatim.
+_SKIP = r"\s+|%[^\n]*|/\*.*?\*/"
 _FOF_TOKEN = re.compile(
-    r"(?P<skip>\s+|%[^\n]*|/\*.*?\*/)"
+    rf"(?P<skip>{_SKIP})"
     r"|'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\""
     r"|(?P<open>['\"]|/\*)"
     r"|\w+|<=>|=>|!=|\S",
     re.DOTALL,
 )
+_LEADING = re.compile(rf"(?:{_SKIP})*", re.DOTALL)  # what comes before a file's first unit
 
 
-def _tok_fof(text: str) -> list[tuple[str, int, int]]:
-    """(text, line, offset) tokens of a TPTP file; comments are skipped."""
+def _tok_fof(text: str, start: int = 0) -> list[tuple[str, int, int]]:
+    """(text, line, offset) tokens of a TPTP file from the offset ``start``
+    on, lines counted from the file's start; comments are skipped."""
     toks = []
-    line = 1
-    for m in _FOF_TOKEN.finditer(text):
+    line = text.count("\n", 0, start) + 1
+    for m in _FOF_TOKEN.finditer(text, start):
         kind = m.lastgroup
         if kind == "skip":
             line += m.group().count("\n")
@@ -376,6 +380,7 @@ class Unit:
     text: str  # the unit verbatim, closing '.' included
     path: Path  # the file the unit is in
     line: int  # the line the unit starts on
+    start: int  # the offset the unit starts at in that file
 
 
 def _unit_end(toks, i: int) -> int:
@@ -406,24 +411,23 @@ def read_units(path: str | Path):
     does a unit that spells a symbol that an earlier unit of the read,
     or an earlier place in it, spells another way: ``s__a`` after ``a``.
     """
-    return _units(Path(path), _FofParser(), [])
+    return _units(Path(path), read_text(path), _FofParser(), [])
 
 
-def _units(p: Path, parser: _FofParser, opened: list, depth: int = 0, lead=None):
-    """The units of ``read_units`` for the file ``p``, read by ``parser``,
-    which every file of one read shares.  ``opened`` collects the absolute
-    path and text of each file read.  If ``p``'s first unit is an include,
-    ``lead``, when given, yields what stands in its place, from the path
-    of the file it names."""
-    text = read_text(p)
+def _units(p: Path, text: str, parser: _FofParser, opened: list, depth: int = 0,
+           start: int = 0):
+    """The units of ``read_units`` for the file ``p``, which holds ``text``,
+    from the offset ``start`` on, read by ``parser``, which every file of
+    one read shares.  ``opened`` collects the absolute path and text of
+    each file read."""
     opened.append((p.absolute(), text))
     try:
-        toks = _tok_fof(text)
+        toks = _tok_fof(text, start)
         i = 0
         while i < len(toks):
             j = _unit_end(toks, i)
             unit = toks[i : j + 1]
-            kind, line, start = unit[0]
+            kind, line, offset = unit[0]
             if kind == "include":
                 if len(unit) != 5 or unit[2][0][0] != "'":
                     raise Error("expected include('file').", line)
@@ -431,10 +435,7 @@ def _units(p: Path, parser: _FofParser, opened: list, depth: int = 0, lead=None)
                     raise Error("include chain too deep", line)
                 inc = Path(_unquote(unit[2][0]))
                 inc = inc if inc.is_absolute() else p.parent / inc
-                if lead is not None and i == 0:
-                    yield from lead(inc)
-                else:
-                    yield from _units(inc, parser, opened, depth + 1)
+                yield from _units(inc, read_text(inc), parser, opened, depth + 1)
             else:
                 if len(unit) < 8 or unit[3][0] != "," or unit[5][0] != ",":
                     raise Error(f"expected {kind}(name, role, formula)", line)
@@ -449,8 +450,8 @@ def _units(p: Path, parser: _FofParser, opened: list, depth: int = 0, lead=None)
                 else:
                     error = Error(f"cannot parse {kind} units", line)
                 yield Unit(_unquote(unit[2][0]), unit[4][0], formula,
-                           error.at(p) if error else None, text[start : unit[-1][2] + 1],
-                           p, line)
+                           error.at(p) if error else None, text[offset : unit[-1][2] + 1],
+                           p, line, offset)
             i = j + 1
     except Error as e:
         raise e.at(p) from None
@@ -460,26 +461,27 @@ AXIOM_ROLES = ("axiom", "hypothesis", "definition", "lemma")  # the roles read a
 
 
 @dataclass(frozen=True, eq=False)
-class AxiomFile:
-    """A file of axioms that a problem includes first, as read, nested
-    includes and all, so that later problems that include it need not
-    read it again."""
+class SharedAxioms:
+    """The axioms that come before a problem's conjecture, as read,
+    includes and all, so that later problems that start with the same
+    text need not read them again."""
 
-    path: Path  # resolved
-    opened: tuple  # (absolute path, text) of each file the read opened
-    axioms: tuple  # (name, formula) pairs in file order
-    names: dict  # the reader's symbol tables after the read (see _FofParser)
+    folder: Path  # the problem's, resolved: includes are relative to it
+    source: str  # the problem's text from its first unit up to its conjecture
+    opened: tuple  # (absolute path, text) of each file that text includes
+    axioms: tuple  # (name, formula) pairs in read order
+    names: dict  # the reader's symbol tables after the last of them (see _FofParser)
     spellings: dict
 
     def unchanged(self) -> bool:
-        """Whether every file the read opened still holds the same text."""
+        """Whether every file that the source includes still holds the same text."""
         try:
             return all(p.read_text(encoding="utf-8") == text for p, text in self.opened)
         except (OSError, ValueError):  # gone, or no longer UTF-8: read it again to say why
             return False
 
 
-_last_read: AxiomFile | None = None  # the process's last shared read of a file of axioms
+_last_read: SharedAxioms | None = None  # the process's last shared read
 
 
 def read_problem(path: str | Path, shared: bool = False):
@@ -489,57 +491,51 @@ def read_problem(path: str | Path, shared: bool = False):
     the FOF subset are rejected; ontology text passed through verbatim
     stays fof in this package's pipelines.
 
-    With ``shared``, a problem whose first unit includes a file that holds
-    only axioms reads that file as one ``AxiomFile``, which leads the
-    axioms in place of the file's own.  The process keeps the last such
-    read and reuses it while it read the same resolved path and every file
-    it opened is unchanged; another read replaces it.  The problem's other
-    units are read over that read's symbol tables, so they are read as if
-    the file were read again.
+    With ``shared``, the axioms before the conjecture, in the problem or
+    in files it includes, lead the axioms as one ``SharedAxioms``, made
+    only from a read that met no error.  The process keeps the last one
+    for a later problem in the same resolved folder whose text, from its
+    first unit, starts with the same source, while every file that source
+    includes is unchanged: that problem reads only the rest of its text,
+    over the kept symbol tables.  A conjecture from an included file, or
+    with no axiom before it, makes none.
     """
-    axioms: list = []
-    conjecture: tuple[str, Formula] | None = None
+    global _last_read
+    path = Path(path)
+    text = read_text(path)
     parser = _FofParser()
-
-    def lead(inc: Path):
-        global _last_read
-        resolved = inc.resolve()
-        last = _last_read
-        if last is not None and last.path == resolved and last.unchanged():
-            parser.names.update(last.names)
-            parser.spellings.update(last.spellings)
-            yield last
-            return
-        opened: list = []
-        units = _units(inc, parser, opened, 1)
-        seen = []
-        for unit in units:  # lazily, so an error surfaces where an uncached read meets it
-            seen.append(unit)
-            if unit.formula is None or unit.role not in AXIOM_ROLES:
-                yield from seen
-                yield from units
-                return
-        _last_read = AxiomFile(resolved, tuple(opened), tuple((u.name, u.formula) for u in seen),
-                               dict(parser.names), dict(parser.spellings))
-        yield _last_read
-
-    for unit in _units(Path(path), parser, [], lead=lead if shared else None):
-        if isinstance(unit, AxiomFile):
-            axioms.append(unit)
-            continue
+    first = _LEADING.match(text).end()  # where the problem's first unit starts
+    last, axioms, start = _last_read, [], 0
+    if (shared and last is not None and text.startswith(last.source, first)
+            and last.folder == path.parent.resolve() and last.unchanged()):
+        axioms.append(last)
+        parser.names, parser.spellings = dict(last.names), dict(last.spellings)
+        start = first + len(last.source)  # read only what follows the source
+    opened: list = []
+    conjecture = leading = None
+    for unit in _units(path, text, parser, opened, start=start):
         if unit.formula is None:
             raise unit.error
         if unit.role == "conjecture":
             if conjecture is not None:
                 raise Error(f"second conjecture {unit.name!r}", unit.line).at(unit.path)
-            conjecture = (unit.name, unit.formula)
+            conjecture, n_opened = unit, len(opened)
         elif unit.role in AXIOM_ROLES:
             axioms.append((unit.name, unit.formula))
+            if conjecture is None:
+                leading = len(axioms), len(parser.names), len(parser.spellings)
         else:
             raise Error(f"unsupported role {unit.role!r}", unit.line).at(unit.path)
     if conjecture is None:
         raise Error("no conjecture unit").at(path)
-    return axioms, conjecture
+    if shared and not start and leading and conjecture.path == path:
+        n, n_names, n_spellings = leading
+        _last_read = SharedAxioms(
+            path.parent.resolve(), text[first : conjecture.start], tuple(opened[1:n_opened]),
+            tuple(axioms[:n]), dict(itertools.islice(parser.names.items(), n_names)),
+            dict(itertools.islice(parser.spellings.items(), n_spellings)))
+        axioms[:n] = [_last_read]
+    return axioms, (conjecture.name, conjecture.formula)
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 worker processes."""
 
 import concurrent.futures
+import contextlib
 import gc
 import inspect
 import json
@@ -306,12 +307,13 @@ def test_base_serves_problems_with_axioms_of_their_own(tmp_path):
     assert outputs == [_fresh(p) for p in problems]
 
 
-def test_base_gives_every_fixture_problem_its_fresh_result(pipeline, tmp_path, monkeypatch):
+@pytest.mark.parametrize("mode", ["inline", "include"])
+def test_base_gives_every_fixture_problem_its_fresh_result(pipeline, tmp_path, monkeypatch, mode):
     shutil.copytree(pipeline.root / "stores", tmp_path / "stores")
     raw = base_config()
     raw["problems_dir"] = "problems"
     code, _, err = run_cli("emit", "--config", str(write_config(tmp_path, raw)),
-                           "--mode", "include")
+                           "--mode", mode)
     assert code == 0, err
     problems = sorted((tmp_path / "problems").glob("*.p"))
     n_axioms = len(tptp.read_problem(problems[0])[0])
@@ -329,11 +331,14 @@ def test_base_gives_every_fixture_problem_its_fresh_result(pipeline, tmp_path, m
     assert len(clausified) == n_axioms + len(problems)
 
 
-def test_a_shared_read_proves_as_a_plain_one(tmp_path):
-    (tmp_path / "axioms.ax").write_text(
-        "fof(ax_pq, axiom, ! [X] : (s__p(X) => s__q(X))).\nfof(ax_ba, axiom, s__b = s__a).\n",
-        encoding="utf-8")
+@pytest.mark.parametrize("inline", [False, True], ids=["include", "inline"])
+def test_a_shared_read_proves_as_a_plain_one(tmp_path, inline):
+    shared = "fof(ax_pq, axiom, ! [X] : (s__p(X) => s__q(X))).\nfof(ax_ba, axiom, s__b = s__a).\n"
+    (tmp_path / "axioms.ax").write_text(shared, encoding="utf-8")
     problem = _include_problem(tmp_path, "cq_q", "s__q(s__b)", ("fof(ax_own, axiom, s__p(s__a)).",))
+    if inline:
+        problem.write_text(problem.read_text(encoding="utf-8").replace("include('axioms.ax').\n",
+                                                                       shared), encoding="utf-8")
 
     def proved(**read):
         axioms, (_, conjecture) = tptp.read_problem(problem, **read)
@@ -343,9 +348,57 @@ def test_a_shared_read_proves_as_a_plain_one(tmp_path):
     _, plain = proved()
     first, once = proved(shared=True)
     again, twice = proved(shared=True)
-    assert isinstance(first, tptp.AxiomFile) and again is first
+    assert isinstance(first, tptp.SharedAxioms) and again is first
     assert plain[:2] == (SzsStatus.THEOREM, ("ax_ba", "ax_own", "ax_pq"))
     assert once == plain and twice == plain
+
+
+def test_base_is_kept_apart_for_the_same_text_in_another_folder(tmp_path):
+    problems = []
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "axioms.ax").write_text(f"fof(ax_p, axiom, s__p(s__{folder})).\n",
+                                                     encoding="utf-8")
+        problems.append(_include_problem(tmp_path / folder, "cq_pa", "s__p(s__a)"))
+    outputs = [_cached(p) for p in problems]
+    assert [parse_szs(out)[0] for out in outputs] == [SzsStatus.THEOREM, SzsStatus.GAVE_UP]
+    assert outputs == [_fresh(p) for p in problems]
+
+
+@pytest.mark.parametrize("files", [
+    {"cq.p": "fof(ax_p, axiom, s__p).\ninclude('conjecture.ax').",
+     "conjecture.ax": "fof(cq, conjecture, {goal})."},
+    {"cq.p": "fof(cq, conjecture, {goal}).\nfof(ax_p, axiom, s__p)."},
+], ids=["included_conjecture", "conjecture_first"])
+def test_no_base_without_axioms_before_the_problems_own_conjecture(tmp_path, files):
+    problem = tmp_path / "cq.p"
+    for goal, status in (("s__p", SzsStatus.THEOREM), ("s__q", SzsStatus.GAVE_UP)):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text.format(goal=goal) + "\n", encoding="utf-8")
+        assert parse_szs(_cached(problem))[0] is status
+        assert _cached(problem) == _fresh(problem)
+        axioms, _ = tptp.read_problem(problem, shared=True)
+        assert not any(isinstance(a, tptp.SharedAxioms) for a in axioms)
+
+
+def test_base_keeps_the_line_of_an_error_after_it(tmp_path, monkeypatch):
+    axioms = "fof(ax_p, axiom, s__p).\nfof(ax_q, axiom, s__q).\n"
+    first = tmp_path / "cq_first.p"
+    first.write_text("% cq: cq_first\n" + axioms + "fof(cq_first, conjecture, s__p).\n",
+                     encoding="utf-8")
+    assert _cached(first).startswith("% SZS status Theorem for cq_first.p\n")
+    bad = tmp_path / "cq_bad.p"
+    bad.write_text("% cq: cq_bad\n% a longer header\n" + axioms
+                   + "fof(cq_bad, conjecture, (s__p & )).\n", encoding="utf-8")
+    with pytest.raises(Error, match="cq_bad.p:5: expected a term") as plain:
+        tptp.read_problem(bad)
+    starts = []
+    real = tptp._tok_fof
+    monkeypatch.setattr(tptp, "_tok_fof",
+                        lambda text, start=0: starts.append(start) or real(text, start))
+    assert _cached(bad) == f"% SZS status Error for cq_bad.p\n% {plain.value}\n"
+    # only the text after the shared axioms was read again
+    assert starts == [bad.read_text(encoding="utf-8").index("fof(cq_bad")]
 
 
 def test_one_axiom_file_and_its_clauses_stay_alive(tmp_path):
@@ -355,8 +408,8 @@ def test_one_axiom_file_and_its_clauses_stay_alive(tmp_path):
         problem = _include_problem(tmp_path, f"cq_{name}", f"s__{name}", include=f"{name}.ax")
         assert parse_szs(_cached(problem)) == (SzsStatus.THEOREM, (f"ax_{name}",))
     gc.collect()
-    alive = [o for o in gc.get_objects() if isinstance(o, tptp.AxiomFile)]
-    assert [read.path for read in alive] == [(tmp_path / "b.ax").resolve()]
+    alive = [o for o in gc.get_objects() if isinstance(o, tptp.SharedAxioms)]
+    assert [[name for name, _ in read.axioms] for read in alive] == [["ax_b"]]
     assert sum(isinstance(o, microprover._Input) for o in gc.get_objects()) == 1
 
 
@@ -464,12 +517,30 @@ def test_external_timeout_kills_and_coerces_status(tmp_path):
     assert 0.9 <= result.wall_seconds <= 6.0
 
 
-def test_external_timeout_keeps_flushed_status(tmp_path):
-    body = 'print("% SZS status GaveUp for x", flush=True)\ntime.sleep(30)\n'
+@pytest.mark.parametrize("body", [
+    'print("% SZS status GaveUp for x", flush=True)\ntime.sleep(30)\n',
+    # a process in a session of its own, which the runner cannot kill,
+    # keeps the prover's stdout open; it writes its pid to the file argv[2]
+    'import pathlib, subprocess\n'
+    'print("% SZS status GaveUp for x", flush=True)\n'
+    'stray = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(8)"],'
+    ' start_new_session=True)\n'
+    'pathlib.Path(sys.argv[2]).write_text(str(stray.pid))\n'
+    'time.sleep(30)\n',
+], ids=["sleeps", "stray_holds_stdout"])
+def test_external_timeout_keeps_flushed_status(tmp_path, body):
     cmd = _fake_prover(tmp_path, "slowtail.py", body)
-    cfg = _cfg(tmp_path, prover_cmd=cmd + " {problem}", timeout_seconds=1.0)
-    result = run_one(_problem(tmp_path), cfg)
+    pid_file = tmp_path / "stray.pid"
+    cfg = _cfg(tmp_path, prover_cmd=f"{cmd} {{problem}} {pid_file}", timeout_seconds=1.0)
+    try:
+        result = run_one(_problem(tmp_path), cfg)
+    finally:
+        if pid_file.exists():
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(int(pid_file.read_text(encoding="utf-8")), signal.SIGKILL)
     assert result.szs is SzsStatus.GAVE_UP
+    archived = (tmp_path / "outputs" / "cq_toy.out").read_text(encoding="utf-8")
+    assert archived.startswith("% SZS status GaveUp for x\n")
 
 
 # --------------------------------------------------------------------------
