@@ -30,7 +30,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from . import (
@@ -359,10 +358,7 @@ def cmd_run(args) -> int:
     problems = runner.discover_problems(problems_dir)
     if not problems:
         raise Error(f"no problem files in {problems_dir}")
-    try:
-        results = runner.run_corpus(problems, rcfg)
-    except BrokenExecutor as e:
-        raise Error(f"{e} Finished results are journaled; run again to resume.") from None
+    results = runner.run_corpus(problems, rcfg)
     histogram = Counter(r.szs.value for _, r in results)
     print(" ".join(f"{k}={v}" for k, v in sorted(histogram.items())))
     print(f"journal: {rcfg.journal_path} ({len(results)} results)")

@@ -39,17 +39,17 @@ a variable.  A literal looks up its partners at the position where they
 are fewest, those with the same top symbol there and those with a
 variable there, in processing order, and each pair's atoms are unified.
 Then the given clause is factored on any two of its literals.
-Resolvents that are tautologies, longer than the literal cap or
-renamings of a clause already seen are dropped.  The result counts the
-work: given clauses, partner pairs, unifications, derived clauses kept
-and duplicates dropped.
+Resolvents that are tautologies or longer than the literal cap are
+dropped.  Every clause, input or derived, enters the queue by one rule,
+``_Search.admit``, which drops renamings of a clause already queued.
+The result counts the work: given clauses, partner pairs, unifications,
+derived clauses kept and duplicates dropped.
 
 Many problems can share their first axioms, which ``tptp.read_problem``
 hands over as one ``SharedAxioms``.  While that read lives, ``prove``
-keeps the clauses it built from it (their term table, the keyed clauses,
-their keys and the count of duplicates dropped), and each attempt
-searches a copy.  They are built inside an attempt's interval timer and
-kept only once complete.
+keeps the search it built from it, its queue holding the axioms'
+clauses, and each attempt searches a copy.  That search is built inside
+an attempt's interval timer and kept only once complete.
 
 Terms are interned as ints over a per-run table, so comparing and
 hashing terms is O(1), and every walk over a term keeps its own stack,
@@ -192,8 +192,7 @@ def _wildcard():
 
 
 class _Terms:
-    """Hash-consed term table of one proof attempt, or of the kept clauses
-    of a ``SharedAxioms``, which attempts copy."""
+    """Hash-consed term table of one ``_Search``."""
 
     def __init__(self):
         self.symbols: dict = {}  # (name, arity, or None for a constant) -> functor;
@@ -483,60 +482,6 @@ def equality_clauses(terms: _Terms, clauses) -> list:
 
 
 # --------------------------------------------------------------------------
-# input clauses
-
-
-class _Input:
-    """The clauses a search starts from, each clausified formula keyed as
-    it is added, so that the order of terms in the table depends only on
-    the order of the formulas; renamings of a clause already in are
-    dropped and counted."""
-
-    def __init__(self):
-        self.terms = _Terms()
-        self.queue: list = []  # heap of (length, age, clause)
-        self.known: set = set()  # the keys of every clause queued
-        self.dedup_hits = 0
-
-    def add(self, clauses) -> None:
-        terms, known, queue = self.terms, self.known, self.queue
-        for c in clauses:
-            key, c.literals = terms.canonical(c.literals)
-            if key in known:
-                self.dedup_hits += 1
-                continue
-            known.add(key)
-            heappush(queue, (len(c.literals), len(queue), c))
-
-    def copy(self) -> _Input:
-        """An input of its own over the same clauses, which a search only
-        reads."""
-        other = _Input()
-        other.terms, other.queue, other.known = self.terms.copy(), list(self.queue), set(self.known)
-        other.dedup_hits = self.dedup_hits
-        return other
-
-
-_built: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # SharedAxioms -> its complete _Input
-
-
-def _start(axioms) -> tuple:
-    """The input a search starts from, and the axioms left to add to it:
-    for axioms led by a ``SharedAxioms``, a copy of the clauses of its
-    axioms, built and kept first if need be."""
-    if not (axioms and isinstance(axioms[0], SharedAxioms)):
-        return _Input(), axioms
-    read = axioms[0]
-    built = _built.get(read)
-    if built is None:
-        built = _Input()
-        for label, f in read.axioms:
-            built.add(clausify(f, label, built.terms))
-        _built[read] = built
-    return built.copy(), axioms[1:]
-
-
-# --------------------------------------------------------------------------
 # saturation
 
 
@@ -554,6 +499,127 @@ def _used_axioms(empty: Clause) -> tuple:
         elif c.origin not in (None, EQUALITY_ORIGIN, NEGATED_CONJECTURE):
             labels.add(c.origin)
     return tuple(sorted(labels))
+
+
+class _Search:
+    """One proof attempt's search: its term table, the queue of clauses
+    waiting to be given, the keys of every clause queued, and the counts.
+    Every clause, input or derived, enters the queue through ``admit``."""
+
+    def __init__(self):
+        self.terms = _Terms()
+        self.queue: list = []  # heap of (length, age, clause)
+        self.known: set = set()  # the keys of every clause queued
+        self.given = self.pairs = self.unifications = self.kept = self.dedup_hits = 0
+
+    def copy(self) -> _Search:
+        """A search of its own over the same clauses, which searches only read."""
+        other = _Search()
+        other.terms, other.queue, other.known = self.terms.copy(), list(self.queue), set(self.known)
+        other.dedup_hits = self.dedup_hits
+        return other
+
+    def admit(self, literals, origin=None, parents=()):
+        """Key the clause; drop and count it if it is a renaming of one
+        already queued, else queue it by length, then by age, the number of
+        clauses queued before it, and return it."""
+        key, literals = self.terms.canonical(literals)
+        known = self.known
+        if key in known:
+            self.dedup_hits += 1
+            return None
+        c = Clause(literals, origin, parents)
+        heappush(self.queue, (len(literals), len(known), c))
+        known.add(key)
+        return c
+
+    def add(self, clauses) -> None:
+        for c in clauses:
+            self.admit(c.literals, c.origin)
+
+    def counts(self) -> SearchCounts:
+        return SearchCounts(self.given, self.pairs, self.unifications, self.kept, self.dedup_hits)
+
+    def saturate(self, max_literals: int, max_clauses: int) -> tuple:
+        """The status the search ends in, and the empty clause it derived.
+        The counts reached are kept, also when an exception ends it."""
+        terms, heap, admit = self.terms, self.queue, self.admit
+        given_count, pair_count, unifications, kept = self.given, self.pairs, self.unifications, self.kept
+        # Processed clauses, literals renamed apart, in processing order; the
+        # index files each eligible literal as ``position * width + index``.
+        processed: list = []
+        width = max([max_literals] + [n for n, _, _ in heap])
+        index = _LiteralIndex(terms)
+        try:
+            while heap:
+                _, _, given = heappop(heap)
+                given_count += 1
+                glits = terms.rename(given.literals)
+                # the first negative literal, or every literal of a clause with none
+                eligible = next(((i,) for i, l in enumerate(glits) if not l & 1), range(len(glits)))
+
+                # Partners by processing order, then given literal, then partner
+                # literal: the order in which pairing every processed clause meets them.
+                pairs = [(e // width, i, e % width) for i in eligible for e in index.partners(glits[i])]
+                if len(eligible) > 1:
+                    pairs.sort()
+                pair_count += len(pairs)
+                here = len(processed)
+                processed.append((given, glits))
+                for i in eligible:
+                    index.add(glits[i], here * width + i)
+                new_lits: list = []
+                for p, i, j in pairs:
+                    partner, plits = processed[p]
+                    subst = terms.unify(glits[i] >> 1, plits[j] >> 1)
+                    if subst is not None:
+                        unifications += 1
+                        rest = glits[:i] + glits[i + 1:] + plits[:j] + plits[j + 1:]
+                        new_lits.append((terms.instance(rest, subst), (given, partner)))
+                for i, a in enumerate(glits):
+                    for j in range(i + 1, len(glits)):
+                        b = glits[j]
+                        if terms.pred_sign(a) != terms.pred_sign(b):
+                            continue
+                        subst = terms.unify(a >> 1, b >> 1)
+                        if subst is not None:
+                            rest = glits[:j] + glits[j + 1:]
+                            new_lits.append((terms.instance(rest, subst), (given,)))
+
+                for lits, parents in new_lits:
+                    if len(lits) > max_literals or terms.tautology(lits):
+                        continue
+                    c = admit(lits, parents=parents)
+                    if c is None:
+                        continue
+                    if not c.literals:
+                        return SzsStatus.THEOREM, c
+                    kept += 1
+                    if kept > max_clauses:
+                        return SzsStatus.GAVE_UP, None
+            return SzsStatus.GAVE_UP, None
+        finally:
+            self.given, self.pairs, self.unifications, self.kept = given_count, pair_count, unifications, kept
+
+
+_built: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # SharedAxioms -> its complete _Search
+
+
+def _start(axioms) -> tuple:
+    """The search an attempt starts from, and the axioms left to admit to
+    it: for axioms led by a ``SharedAxioms``, a copy of the search that
+    has admitted the clauses of its axioms, built and kept first if need
+    be."""
+    if not (axioms and isinstance(axioms[0], SharedAxioms)):
+        return _Search(), axioms
+    read = axioms[0]
+    built = _built.get(read)
+    if built is None:
+        built = _Search()
+        for label, f in read.axioms:
+            built.add(clausify(f, label, built.terms))
+        _built[read] = built
+    return built.copy(), axioms[1:]
 
 
 class _Timeout(Exception):
@@ -575,9 +641,9 @@ def prove(
 
     ``axioms`` is a sequence of (label, formula), as ``tptp.read_problem``
     returns it: a leading ``SharedAxioms`` stands for its axioms.  Each
-    axiom is clausified and keyed in turn, then the negated conjecture,
+    axiom is clausified and admitted in turn, then the negated conjecture,
     then the equality axioms that these clauses call for.  So an attempt
-    that starts from the kept clauses of a ``SharedAxioms`` makes the same
+    that starts from the kept search of a ``SharedAxioms`` makes the same
     terms in the same order as one given all of its axioms, and ends in
     the same status, used axioms and counts.  Returns Theorem with
     the axiom labels used, GaveUp when the clause queue empties or more
@@ -588,86 +654,20 @@ def prove(
     the main thread, where SIGALRM is handled; it leaves no timer armed.
     """
     start = time.monotonic()
-    given_count = pair_count = unifications = derived = dedup_hits = 0
-
-    def search() -> tuple:
-        """The status the search ends in, and the empty clause it derived."""
-        nonlocal given_count, pair_count, unifications, derived, dedup_hits
-        initial, rest = _start(axioms)
-        terms = initial.terms
-        for label, f in rest:
-            initial.add(clausify(f, label, terms))
-        initial.add(clausify(Not(kif.universal_closure(conjecture)), NEGATED_CONJECTURE, terms))
-        initial.add(equality_clauses(terms, (c for _, _, c in initial.queue)))
-        heap, known, dedup_hits = initial.queue, initial.known, initial.dedup_hits
-        order = itertools.count(len(heap))  # ties in the queue go to the older clause
-
-        # Processed clauses, literals renamed apart, in processing order; the
-        # index files each eligible literal as ``position * width + index``.
-        processed: list = []
-        width = max([max_literals] + [n for n, _, _ in heap])
-        index = _LiteralIndex(terms)
-
-        while heap:
-            _, _, given = heappop(heap)
-            given_count += 1
-            glits = terms.rename(given.literals)
-            # the first negative literal, or every literal of a clause with none
-            eligible = next(((i,) for i, l in enumerate(glits) if not l & 1), range(len(glits)))
-
-            # Partners by processing order, then given literal, then partner
-            # literal: the order in which pairing every processed clause meets them.
-            pairs = [(e // width, i, e % width) for i in eligible for e in index.partners(glits[i])]
-            if len(eligible) > 1:
-                pairs.sort()
-            pair_count += len(pairs)
-            here = len(processed)
-            processed.append((given, glits))
-            for i in eligible:
-                index.add(glits[i], here * width + i)
-            new_lits: list = []
-            for p, i, j in pairs:
-                partner, plits = processed[p]
-                subst = terms.unify(glits[i] >> 1, plits[j] >> 1)
-                if subst is not None:
-                    unifications += 1
-                    rest = glits[:i] + glits[i + 1:] + plits[:j] + plits[j + 1:]
-                    new_lits.append((terms.instance(rest, subst), (given, partner)))
-            for i, a in enumerate(glits):
-                for j in range(i + 1, len(glits)):
-                    b = glits[j]
-                    if terms.pred_sign(a) != terms.pred_sign(b):
-                        continue
-                    subst = terms.unify(a >> 1, b >> 1)
-                    if subst is not None:
-                        rest = glits[:j] + glits[j + 1:]
-                        new_lits.append((terms.instance(rest, subst), (given,)))
-
-            for lits, parents in new_lits:
-                if len(lits) > max_literals or terms.tautology(lits):
-                    continue
-                key, lits = terms.canonical(lits)
-                if key in known:
-                    dedup_hits += 1
-                    continue
-                known.add(key)
-                if not lits:
-                    return SzsStatus.THEOREM, Clause((), parents=parents)
-                heappush(heap, (len(lits), next(order), Clause(lits, parents=parents)))
-                derived += 1
-                if derived > max_clauses:
-                    return SzsStatus.GAVE_UP, None
-
-        return SzsStatus.GAVE_UP, None
-
-    status, empty = SzsStatus.TIMEOUT, None
+    search, status, empty = None, SzsStatus.TIMEOUT, None
     if limit_seconds > 0:
         previous = signal.signal(signal.SIGALRM, _expire)
         try:
             try:
                 with contextlib.suppress(OverflowError):  # too long for the timer
                     signal.setitimer(signal.ITIMER_REAL, limit_seconds)
-                status, empty = search()
+                search, rest = _start(axioms)
+                terms = search.terms
+                for label, f in rest:
+                    search.add(clausify(f, label, terms))
+                search.add(clausify(Not(kif.universal_closure(conjecture)), NEGATED_CONJECTURE, terms))
+                search.add(equality_clauses(terms, (c for _, _, c in search.queue)))
+                status, empty = search.saturate(max_literals, max_clauses)
             finally:  # signal.signal raises a pending expiry before changing the handler
                 signal.setitimer(signal.ITIMER_REAL, 0)
                 signal.signal(signal.SIGALRM, previous)
@@ -675,5 +675,5 @@ def prove(
             signal.signal(signal.SIGALRM, previous)  # one-shot: nothing is pending now
             status, empty = SzsStatus.TIMEOUT, None
     used = () if empty is None else _used_axioms(empty)
-    counts = SearchCounts(given_count, pair_count, unifications, derived, dedup_hits)
+    counts = (search or _Search()).counts()
     return ProverResult(status, time.monotonic() - start, used, search=counts)

@@ -35,7 +35,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import microprover, prover_cli, read_text, store, tptp
+from . import Error, microprover, prover_cli, read_text, store, tptp
 from .tptp import ProblemFile, ProverResult, SearchCounts, SzsStatus
 
 BUILTIN = "builtin"
@@ -249,11 +249,11 @@ def run_corpus(problems, cfg: RunnerConfig):
 def _run_pool(todo, cfg: RunnerConfig, workers: int, record) -> None:
     """Run ``todo`` on ``workers`` forked processes, recording each result
     as it arrives.  Every finished result is recorded before an error from
-    another problem, such as a dead worker's BrokenProcessPool, is raised."""
+    another problem is raised, and a dead worker's as an ``Error``."""
     # imported here: multiprocessing costs about 2 MB of RSS, which a
     # one-job run need not pay
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_exit_with_parent, initargs=(os.getpid(),))
@@ -267,6 +267,8 @@ def _run_pool(todo, cfg: RunnerConfig, workers: int, record) -> None:
                 error = error or e
             else:
                 record(futures[future], result)
+        if isinstance(error, BrokenExecutor):
+            raise Error(f"{error} Finished results are journaled; run again to resume.")
         if error is not None:
             raise error
     finally:

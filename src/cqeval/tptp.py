@@ -251,8 +251,7 @@ class _FofParser:
     a symbol read as one name anywhere in it."""
 
     def __init__(self):
-        self.names: dict = {}  # each symbol token read -> the name it reads as
-        self.spellings: dict = {}  # each name -> its one spelling
+        self.spellings: dict = {}  # each name read -> its one spelling
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else self.end
@@ -350,14 +349,11 @@ class _FofParser:
             return Variable(t)
         if not (t[0] == "'" or t[0].isalnum() or t[0] == "_"):
             raise Error(f"expected a term, found {t!r}", line)
-        name = self.names.get(t)
-        if name is None:
-            spelled = _unquote(t)
-            name = demangle_symbol(spelled)
-            prior = self.spellings.setdefault(name, spelled)
-            if prior != spelled:
-                raise Error(f"{prior!r} and {spelled!r} both read as {name!r}", line)
-            self.names[t] = name
+        spelled = _unquote(t)
+        name = demangle_symbol(spelled)
+        prior = self.spellings.setdefault(name, spelled)
+        if prior != spelled:
+            raise Error(f"{prior!r} and {spelled!r} both read as {name!r}", line)
         if self.peek()[0] == "(":
             self.next()
             args = [self.term()]
@@ -470,8 +466,7 @@ class SharedAxioms:
     source: str  # the problem's text from its first unit up to its conjecture
     opened: tuple  # (absolute path, text) of each file that text includes
     axioms: tuple  # (name, formula) pairs in read order
-    names: dict  # the reader's symbol tables after the last of them (see _FofParser)
-    spellings: dict
+    spellings: dict  # the reader's spellings after the last of them (see _FofParser)
 
     def unchanged(self) -> bool:
         """Whether every file that the source includes still holds the same text."""
@@ -497,7 +492,7 @@ def read_problem(path: str | Path, shared: bool = False):
     for a later problem in the same resolved folder whose text, from its
     first unit, starts with the same source, while every file that source
     includes is unchanged: that problem reads only the rest of its text,
-    over the kept symbol tables.  A conjecture from an included file, or
+    over the kept spellings.  A conjecture from an included file, or
     with no axiom before it, makes none.
     """
     global _last_read
@@ -509,7 +504,7 @@ def read_problem(path: str | Path, shared: bool = False):
     if (shared and last is not None and text.startswith(last.source, first)
             and last.folder == path.parent.resolve() and last.unchanged()):
         axioms.append(last)
-        parser.names, parser.spellings = dict(last.names), dict(last.spellings)
+        parser.spellings = dict(last.spellings)
         start = first + len(last.source)  # read only what follows the source
     opened: list = []
     conjecture = leading = None
@@ -523,17 +518,16 @@ def read_problem(path: str | Path, shared: bool = False):
         elif unit.role in AXIOM_ROLES:
             axioms.append((unit.name, unit.formula))
             if conjecture is None:
-                leading = len(axioms), len(parser.names), len(parser.spellings)
+                leading = len(axioms), len(parser.spellings)
         else:
             raise Error(f"unsupported role {unit.role!r}", unit.line).at(unit.path)
     if conjecture is None:
         raise Error("no conjecture unit").at(path)
     if shared and not start and leading and conjecture.path == path:
-        n, n_names, n_spellings = leading
+        n, n_spellings = leading
         _last_read = SharedAxioms(
             path.parent.resolve(), text[first : conjecture.start], tuple(opened[1:n_opened]),
-            tuple(axioms[:n]), dict(itertools.islice(parser.names.items(), n_names)),
-            dict(itertools.islice(parser.spellings.items(), n_spellings)))
+            tuple(axioms[:n]), dict(itertools.islice(parser.spellings.items(), n_spellings)))
         axioms[:n] = [_last_read]
     return axioms, (conjecture.name, conjecture.formula)
 

@@ -305,6 +305,8 @@ def test_prove_times_out_on_growing_search():
     result = prove(_growth_axioms(), _parse("(q b)"), limit_seconds=0.2)
     assert result.szs is SzsStatus.TIMEOUT
     assert result.used_axioms == ()
+    # the counts the search reached when the timer cut it short
+    assert result.search.given > 0 and result.search.kept > 0
 
 
 def test_prove_clause_cap_means_gave_up():

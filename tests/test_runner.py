@@ -12,7 +12,7 @@ import signal
 import subprocess
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -307,6 +307,37 @@ def test_base_serves_problems_with_axioms_of_their_own(tmp_path):
     assert outputs == [_fresh(p) for p in problems]
 
 
+# Each fixture problem's status, used axioms and search counts (given, pairs,
+# unifications, kept, dedup hits) at a cap of 100 derived clauses, from a
+# fresh or a shared read alike: a change to the search that moves both shows here
+FIXTURE_RESULTS = {
+    "cq_antattr_asleep_awake": ("Theorem", ("ax_awake_asleep_contrary",), (39, 2, 2, 1, 0)),
+    "cq_antattr_asleep_awake_falsity": ("GaveUp", (), (81, 38, 38, 38, 1)),
+    "cq_antclass_freezing_melting":
+        ("Theorem", ("ax_melting_freezing_disjoint",), (38, 2, 2, 1, 0)),
+    "cq_antclass_freezing_melting_falsity": ("GaveUp", (), (81, 38, 38, 38, 1)),
+    "cq_antclass_speaking_vocalizing": ("GaveUp", (), (86, 42, 42, 41, 1)),
+    "cq_antclass_speaking_vocalizing_falsity": ("GaveUp", (), (82, 38, 38, 38, 0)),
+    "cq_creative_boys_domestic":
+        ("Theorem", ("ax_boy_man", "ax_humans_not_domestic", "ax_man_human", "ax_subclass_instances"),
+         (87, 48, 48, 46, 1)),
+    "cq_creative_man_pregnant": ("GaveUp", (), (90, 45, 45, 44, 1)),
+    "cq_creative_organisms_dead": ("GaveUp", (), (86, 41, 41, 41, 0)),
+    "cq_event1_death_killing": ("GaveUp", (), (145, 202, 202, 101, 99)),
+    "cq_event1_death_killing_falsity": ("GaveUp", (), (104, 60, 59, 50, 0)),
+    "cq_event2_pretending_repairing": ("GaveUp", (), (83, 39, 39, 39, 0)),
+    "cq_event2_pretending_repairing_falsity": ("GaveUp", (), (82, 38, 38, 38, 0)),
+    "cq_event3_comparing_judging": ("GaveUp", (), (84, 40, 40, 40, 0)),
+    "cq_event3_comparing_judging_falsity": ("GaveUp", (), (83, 38, 38, 38, 0)),
+    "cq_relagent_teacher_teaching": ("GaveUp", (), (82, 38, 38, 38, 0)),
+    "cq_relagent_teacher_teaching_falsity": ("GaveUp", (), (94, 49, 49, 48, 1)),
+    "cq_relinstrument_cutting_knife": ("GaveUp", (), (82, 38, 38, 38, 0)),
+    "cq_relinstrument_cutting_knife_falsity": ("GaveUp", (), (90, 45, 45, 44, 1)),
+    "cq_relresult_composingmusic_musicalcomposition": ("GaveUp", (), (82, 38, 38, 38, 0)),
+    "cq_relresult_composingmusic_musicalcomposition_falsity": ("GaveUp", (), (90, 45, 45, 44, 1)),
+}
+
+
 @pytest.mark.parametrize("mode", ["inline", "include"])
 def test_base_gives_every_fixture_problem_its_fresh_result(pipeline, tmp_path, monkeypatch, mode):
     shutil.copytree(pipeline.root / "stores", tmp_path / "stores")
@@ -327,6 +358,8 @@ def test_base_gives_every_fixture_problem_its_fresh_result(pipeline, tmp_path, m
     assert len(problems) == 21
     assert {parse_szs(out)[0] for out in fresh} == {SzsStatus.THEOREM, SzsStatus.GAVE_UP}
     assert cached == fresh
+    assert {p.stem: (parse_szs(out)[0].value, parse_szs(out)[1], astuple(tptp.parse_search(out)))
+            for p, out in zip(problems, fresh)} == FIXTURE_RESULTS
     # the axioms were clausified once, the conjectures once each
     assert len(clausified) == n_axioms + len(problems)
 
@@ -410,7 +443,7 @@ def test_one_axiom_file_and_its_clauses_stay_alive(tmp_path):
     gc.collect()
     alive = [o for o in gc.get_objects() if isinstance(o, tptp.SharedAxioms)]
     assert [[name for name, _ in read.axioms] for read in alive] == [["ax_b"]]
-    assert sum(isinstance(o, microprover._Input) for o in gc.get_objects()) == 1
+    assert sum(isinstance(o, microprover._Search) for o in gc.get_objects()) == 1
 
 
 def test_base_build_is_bounded_by_each_problem_timer(tmp_path):
@@ -660,7 +693,7 @@ def test_dead_worker_keeps_finished_results(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(prover_cli, "prove_problem", prove_or_die)
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(Error, match="run again to resume"):
         run_corpus(problems, cfg)
     assert sorted(_journal_ids(cfg.journal_path)) == ["cq_a", "cq_b", "cq_c", "cq_d", "cq_e"]
 
