@@ -39,21 +39,10 @@ from . import (
 
 POS_NAMES = frozenset({"noun", "verb", "adj", "adv"})  # the sections of wordnet.data and mappings
 
-_PAIR = ("a", "b")  # the keys of an antonym pair's record
-
-
-def _pair_record(pair) -> dict:
-    return {key: synset.key for key, synset in zip(_PAIR, pair)}
-
-
-def _pair(rec: dict) -> tuple:
-    return tuple(wordnet.SynsetId.from_key(rec[key]) for key in _PAIR)
-
-
 # each store, kept as <name>.ldjson in stores_dir: the stage that writes it,
 # and the functions that turn one of its objects into a record and back
 STORES = {
-    "antonyms": ("ingest", _pair_record, _pair),
+    "antonyms": ("ingest", *store.record_codec(wordnet.AntonymPair)),
     "mapping": ("ingest", *store.record_codec(wordnet.MappingEntry)),
     "morphlinks": ("ingest", *store.record_codec(wordnet.MorphLink)),
     "core_mapping": ("propagate", *store.record_codec(coremap.PropagatedEntry)),
@@ -381,10 +370,9 @@ def cmd_report(args) -> int:
 def cmd_diff(args) -> int:
     cfg = Config.load(args.config)
     corpus = _load_corpus(cfg)
-    old = report.summarize(_verdicts(cfg.resolve(args.old_journal), corpus), corpus)
-    new = report.summarize(_verdicts(cfg.resolve(args.new_journal), corpus), corpus)
-    delta = report.diff_reports(old, new)
-    sys.stdout.write(report.render_delta(delta))
+    old = _verdicts(cfg.resolve(args.old_journal), corpus)
+    new = _verdicts(cfg.resolve(args.new_journal), corpus)
+    sys.stdout.write(report.render_delta(report.diff_reports(corpus, old, new)))
     return 0
 
 

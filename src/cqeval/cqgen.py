@@ -315,6 +315,9 @@ def load_creative(path: str | Path) -> list:
         if "polarity" not in form.annotations:
             raise Error("form lacks a polarity annotation", form.line).at(path)
         cq_id = form.annotations["id"]
+        # the id names the problem file <id>.p, which must land in problems_dir
+        if not cq_id or "/" in cq_id or cq_id.startswith("."):
+            raise Error(f"id {cq_id!r} cannot name a problem file", form.line).at(path)
         if cq_id in seen:
             raise Error(f"duplicate id {cq_id!r}", form.line).at(path)
         seen.add(cq_id)

@@ -14,27 +14,28 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from . import microprover, tptp
-from .tptp import SzsStatus
+from .tptp import ProverResult, SzsStatus
 
 
 def prove_problem(path, limit_seconds: float, max_literals: int, max_clauses: int) -> str:
-    """Read a problem, prove it and render SZS output: the SZS lines, the
-    prover's own time and a ``% Search:`` line with its counters.  Any
-    failure to read or prove renders as an Error status.
+    """Read a problem, prove it and render the result's SZS output.  Any
+    failure to read or prove renders as an Error result, followed by a
+    ``% <message>`` line.
     """
     name = Path(path).name
+    start = time.monotonic()
     try:
         axioms, (_, conjecture) = tptp.read_problem(path, shared=True)
-        inner = microprover.prove(axioms, conjecture, limit_seconds=limit_seconds,
-                                  max_literals=max_literals, max_clauses=max_clauses)
+        result = microprover.prove(axioms, conjecture, limit_seconds=limit_seconds,
+                                   max_literals=max_literals, max_clauses=max_clauses)
     except Exception as e:
-        return f"% SZS status Error for {name}\n% {e}\n"
-    return (tptp.render_szs_output(inner.szs, inner.used_axioms, problem=name)
-            + f"% Time elapsed: {inner.wall_seconds:.3f} s\n"
-            + tptp.render_search(inner.search))
+        failed = ProverResult(SzsStatus.ERROR, time.monotonic() - start)
+        return tptp.render_result(failed, name) + f"% {e}\n"
+    return tptp.render_result(result, name)
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,6 @@ import io
 import json
 from dataclasses import dataclass, fields
 
-from . import Error
 from .cqgen import FAMILIES, Corpus, Polarity
 from .verdict import Classification
 
@@ -53,7 +52,6 @@ def _label(polarity: str, family: str) -> str:
 class Report:
     rows: list
     verdicts: dict  # cq_id -> Verdict
-    corpus_ids: frozenset
     missing: tuple  # corpus ids that never got a verdict
     flagged: tuple  # cq_ids whose raw status needs a human look
 
@@ -84,8 +82,7 @@ def summarize(verdicts, corpus: Corpus) -> Report:
     table never quietly shrinks.
     """
     by_id = {v.cq_id: v for v in verdicts}
-    corpus_ids = {cq.id for cq in corpus.questions}
-    missing = tuple(sorted(corpus_ids - set(by_id)))
+    missing = tuple(sorted({cq.id for cq in corpus.questions} - by_id.keys()))
 
     cells: dict = {}
     for cq in corpus.questions:
@@ -99,7 +96,7 @@ def summarize(verdicts, corpus: Corpus) -> Report:
         rows.extend(_row(pol, fam, cells[(pol, fam)]) for fam in families)
         rows.append(_row(pol, "total", [v for fam in families for v in cells[(pol, fam)]]))
     flagged = tuple(sorted(v.cq_id for v in verdicts if v.flagged))
-    return Report(rows, by_id, frozenset(corpus_ids), missing, flagged)
+    return Report(rows, by_id, missing, flagged)
 
 
 # --------------------------------------------------------------------------
@@ -183,27 +180,22 @@ class Delta:
         return not self.row_deltas and not self.flips
 
 
-def diff_reports(old: Report, new: Report) -> Delta:
-    """Changes between two runs over the same corpus."""
-    if old.corpus_ids != new.corpus_ids:
-        raise Error(f"corpora differ: {len(old.corpus_ids)} vs {len(new.corpus_ids)} questions")
-    old_rows = {(r.polarity, r.family): r for r in old.rows}
-    new_rows = {(r.polarity, r.family): r for r in new.rows}
+def diff_reports(corpus: Corpus, old_verdicts, new_verdicts) -> Delta:
+    """Changes between two runs' verdicts over one corpus."""
+    old, new = summarize(old_verdicts, corpus), summarize(new_verdicts, corpus)
+    # one corpus gives both the same rows in the same order
     row_deltas = []
-    for key in sorted(set(old_rows) | set(new_rows)):
-        a = old_rows.get(key)
-        b = new_rows.get(key)
-        ap, an, au = (a.passing, a.non_passing, a.unknown) if a else (0, 0, 0)
-        bp, bn, bu = (b.passing, b.non_passing, b.unknown) if b else (0, 0, 0)
-        if (ap, an, au) != (bp, bn, bu):
-            row_deltas.append(RowDelta(key[0], key[1], bp - ap, bn - an, bu - au))
+    for a, b in sorted(zip(old.rows, new.rows), key=lambda ab: (ab[0].polarity, ab[0].family)):
+        if (a.passing, a.non_passing, a.unknown) != (b.passing, b.non_passing, b.unknown):
+            row_deltas.append(RowDelta(a.polarity, a.family, b.passing - a.passing,
+                                       b.non_passing - a.non_passing, b.unknown - a.unknown))
 
     def classification_of(report: Report, cq_id: str) -> Classification:
         v = report.verdicts.get(cq_id)
         return v.classification if v is not None else Classification.UNKNOWN
 
     flips = []
-    for cq_id in sorted(old.corpus_ids):
+    for cq_id in sorted(cq.id for cq in corpus.questions):
         before = classification_of(old, cq_id)
         after = classification_of(new, cq_id)
         if before is not after:

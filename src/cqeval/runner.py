@@ -97,14 +97,15 @@ def journal_record(cq_id: str, r: ProverResult) -> dict:
     return rec
 
 
-def result_from_record(rec: dict) -> ProverResult:
-    """The result a journal record holds; a field of the wrong type raises
-    ValueError."""
-    szs, wall = SzsStatus(rec["szs"]), rec["wall_seconds"]
+def result_from_record(rec: dict) -> tuple[str, ProverResult]:
+    """The question id and the result a journal record holds; a field of
+    the wrong type raises ValueError."""
+    cq_id, szs, wall = rec["cq_id"], SzsStatus(rec["szs"]), rec["wall_seconds"]
     used, output, search = rec.get("used_axioms", []), rec.get("output_file"), rec.get("search")
     search = None if search is None else SearchCounts(**search)
     counts = {} if search is None else vars(search)
     for name, value, ok, what in (
+        ("cq_id", cq_id, type(cq_id) is str, "a name"),
         ("wall_seconds", wall, type(wall) in (int, float), "a number"),
         ("used_axioms", used, type(used) is list and all(type(a) is str for a in used),
          "a list of names"),
@@ -113,7 +114,7 @@ def result_from_record(rec: dict) -> ProverResult:
     ):
         if not ok:
             raise ValueError(f"{name} {value!r} is not {what}")
-    return ProverResult(szs, float(wall), tuple(used), output, search)
+    return cq_id, ProverResult(szs, float(wall), tuple(used), output, search)
 
 
 def read_journal(path: str | Path) -> dict:
@@ -128,8 +129,7 @@ def read_journal(path: str | Path) -> dict:
     lines = text.splitlines()
     if lines and not text.endswith("\n") and not store.is_json(lines[-1]):
         lines.pop()
-    return dict(store.decode_lines(path, lines, 1,
-                                   lambda rec: (rec["cq_id"], result_from_record(rec))))
+    return dict(store.decode_lines(path, lines, 1, result_from_record))
 
 
 def _end_journal_tail(path: Path) -> None:
@@ -208,11 +208,7 @@ def run_one(problem: ProblemFile, cfg: RunnerConfig) -> ProverResult:
     else:
         text, silent = _run_external(problem, cfg)
     wall = time.monotonic() - start
-    out_path = _archive(cfg, problem.cq_id, text)
-    status, used = tptp.parse_szs(text)
-    if status is SzsStatus.NO_STATUS:
-        status = silent
-    return ProverResult(status, wall, used, out_path, tptp.parse_search(text))
+    return tptp.read_result(text, wall, silent, _archive(cfg, problem.cq_id, text))
 
 
 # --------------------------------------------------------------------------

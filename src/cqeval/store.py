@@ -96,11 +96,11 @@ def sha256_file(path: str | Path) -> str:
 
 
 def record_codec(cls):
-    """``(encode, decode)`` between instances of the dataclass ``cls`` and
-    store records.  A record has one key per field; a synset id is stored
-    as its key and an enum member as its value.  ``decode`` converts the
-    record it is given in place, and raises ValueError on a record with
-    other keys or an unknown enum value."""
+    """``(encode, decode)`` between instances of ``cls``, a dataclass or a
+    NamedTuple, and store records.  A record has one key per field; a
+    synset id is stored as its key and an enum member as its value.
+    ``decode`` converts the record it is given in place, and raises
+    ValueError on a record with other keys or an unknown enum value."""
     hints = typing.get_type_hints(cls)
     fields = hints.keys()
     getters, typers = [], []

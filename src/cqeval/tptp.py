@@ -11,9 +11,10 @@ Handles three jobs around external refutation provers:
   external provers do; names are read one to one as well: variables as
   written, and symbols without the ``s__`` of a mangled one, unless two
   spellings would read as one name;
-* scan prover output for its SZS status and, in a proof, the axioms it
-  used: each unit with an axiom role names its ``file(_, name)`` source,
-  or else itself.
+* write the bundled prover's SZS output (``render_result``) and read a
+  result back from any prover's (``read_result``): its SZS status and, in
+  a proof, the axioms it used: each unit with an axiom role names its
+  ``file(_, name)`` source, or else itself.
 """
 
 from __future__ import annotations
@@ -608,20 +609,6 @@ def parse_szs(output: str) -> tuple[SzsStatus, tuple[str, ...]]:
     return status, tuple(used)
 
 
-def render_szs_output(status: SzsStatus, used_axioms=(), problem: str = "") -> str:
-    """Dual of parse_szs: a minimal output document for archived runs."""
-    if status is SzsStatus.NO_STATUS:
-        return ""
-    suffix = f" for {problem}" if problem else ""
-    lines = [f"% SZS status {status.value}{suffix}"]
-    if status is SzsStatus.THEOREM and used_axioms:
-        lines.append(f"% SZS output start Proof{suffix}")
-        for name in used_axioms:
-            lines.append(f"fof({_unit_name(name)}, axiom, $true).")
-        lines.append(f"% SZS output end Proof{suffix}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class SearchCounts:
     """Work done by one run of the bundled prover."""
@@ -633,19 +620,8 @@ class SearchCounts:
     dedup_hits: int  # clauses dropped as renamings of one already seen
 
 
-def render_search(n: SearchCounts) -> str:
-    """The ``% Search:`` line of the bundled prover's output."""
-    return "% Search: " + " ".join(f"{k}={v}" for k, v in asdict(n).items()) + "\n"
-
-
 _SEARCH_RE = re.compile(
     r"^% Search: " + " ".join(rf"{f.name}=(\d+)" for f in fields(SearchCounts)) + "$", re.M)
-
-
-def parse_search(output: str) -> SearchCounts | None:
-    """The counters of a :func:`render_search` line, or None without one."""
-    m = _SEARCH_RE.search(output)
-    return SearchCounts(*map(int, m.groups())) if m else None
 
 
 @dataclass(frozen=True)
@@ -660,3 +636,29 @@ class ProverResult:
         object.__setattr__(self, "used_axioms", tuple(self.used_axioms))
         if self.szs is not SzsStatus.THEOREM and self.used_axioms:
             raise ValueError("used_axioms may only accompany a Theorem result")
+
+
+def render_result(result: ProverResult, problem: str) -> str:
+    """The bundled prover's SZS output for ``result`` on the problem file
+    named ``problem``: the status line, a Theorem's proof block naming its
+    used axioms, the prover's own time and, with counts, a ``% Search:``
+    line."""
+    lines = [f"% SZS status {result.szs.value} for {problem}"]
+    if result.szs is SzsStatus.THEOREM and result.used_axioms:
+        lines.append(f"% SZS output start Proof for {problem}")
+        lines.extend(f"fof({_unit_name(name)}, axiom, $true)." for name in result.used_axioms)
+        lines.append(f"% SZS output end Proof for {problem}")
+    lines.append(f"% Time elapsed: {result.wall_seconds:.3f} s")
+    if result.search is not None:
+        lines.append("% Search: " + " ".join(f"{k}={v}" for k, v in asdict(result.search).items()))
+    return "\n".join(lines) + "\n"
+
+
+def read_result(output: str, wall_seconds: float, silent: SzsStatus,
+                raw_output_path: str | None) -> ProverResult:
+    """The result that prover ``output`` states, ``silent`` if it names no
+    status; the search counts are those of a ``% Search:`` line, if any."""
+    status, used = parse_szs(output)
+    m = _SEARCH_RE.search(output)
+    return ProverResult(silent if status is SzsStatus.NO_STATUS else status, wall_seconds, used,
+                        raw_output_path, SearchCounts(*map(int, m.groups())) if m else None)

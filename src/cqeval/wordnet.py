@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import Error
 
@@ -69,15 +70,22 @@ class SynsetId:
 @dataclass
 class WordNetCorpus:
     synsets: frozenset  # of SynsetId
-    antonym_pairs: frozenset
+    antonym_pairs: frozenset  # of AntonymPair
 
     def merged_with(self, other: "WordNetCorpus") -> "WordNetCorpus":
         return WordNetCorpus(self.synsets | other.synsets,
                              self.antonym_pairs | other.antonym_pairs)
 
 
-def _antonym_pair(a: SynsetId, b: SynsetId):
-    return (a, b) if a <= b else (b, a)
+class AntonymPair(NamedTuple):
+    """Two synsets whose senses are antonyms, the lesser first."""
+
+    a: SynsetId
+    b: SynsetId
+
+
+def _antonym_pair(a: SynsetId, b: SynsetId) -> AntonymPair:
+    return AntonymPair(a, b) if a <= b else AntonymPair(b, a)
 
 
 def _synset_id(line_no: int, ss_type: str, offset: str, where: str) -> SynsetId:

@@ -520,7 +520,9 @@ def _stores_with_bad_record(pipeline, tmp_path, name, edit):
     ("propagate", "mapping", lambda r: r.update(relation="?"),
      "bad record: relation '?' is not a MappingRelation"),
     ("emit", "corpus", lambda r: r.update(kif_text="(not (p a)"), "bad record: "),
-], ids=["mapping-missing-field", "mapping-bad-enum", "corpus-bad-formula"])
+    ("generate", "antonyms", lambda r: r.update(c=r["a"]),
+     "bad record: fields ['a', 'b', 'c'], expected ['a', 'b']"),
+], ids=["mapping-missing-field", "mapping-bad-enum", "corpus-bad-formula", "antonyms-extra-key"])
 def test_bad_store_record_names_its_line(pipeline, tmp_path, stage, name, edit, needle):
     config, path = _stores_with_bad_record(pipeline, tmp_path, name, edit)
     err = _expect_error([stage, "--config", str(config)], f"{path}:2: {needle}")
@@ -596,6 +598,18 @@ def test_bad_creative_file_names_its_file(pipeline, tmp_path):
     assert (code, err) == (2, f"error: {bad}:{line}:14: {reason}\n")
 
 
+@pytest.mark.parametrize("cq_id", ["", "sub/q", "../q", ".q"])
+def test_creative_id_must_name_a_problem_file(pipeline, tmp_path, cq_id):
+    creative = tmp_path / "creative.kif"
+    creative.write_text(f";; id: {cq_id}\n;; polarity: truth\n(instance Boy Human)\n",
+                        encoding="utf-8")
+    shutil.copytree(pipeline.root / "stores", tmp_path / "stores")
+    raw = base_config()
+    raw["creative"] = str(creative)
+    code, _, err = run_cli("generate", "--config", str(write_config(tmp_path, raw)))
+    assert (code, err) == (2, f"error: {creative}:3: id {cq_id!r} cannot name a problem file\n")
+
+
 # each reader of a stage's input: the stage, the file in the campaign
 # directory, the file it copies if any, and the config keys that name it
 _READERS = {
@@ -648,8 +662,10 @@ def test_store_header_that_is_not_json_names_its_line(pipeline, tmp_path):
     (lambda r: r.update(used_axioms="ax_1"), "used_axioms 'ax_1' is not a list of names"),
     (lambda r: r.update(wall_seconds="0.1"), "wall_seconds '0.1' is not a number"),
     (lambda r: r["search"].update(given="4"), "search given '4' is not a count"),
+    (lambda r: r.update(cq_id=["x"]), "cq_id ['x'] is not a name"),
+    (lambda r: r.update(cq_id=7), "cq_id 7 is not a name"),
 ], ids=["bad-status", "no-wall-seconds", "string-used-axioms", "string-wall-seconds",
-        "string-search-count"])
+        "string-search-count", "list-cq-id", "number-cq-id"])
 @pytest.mark.parametrize("argv", [
     ("run",), ("report",), ("diff", "journal.ldjson", "journal.ldjson"),
 ], ids=["run", "report", "diff"])

@@ -87,7 +87,7 @@ def test_journal_record_round_trip():
     assert rec["search"] == {"given": 4, "pairs": 3, "unifications": 2, "kept": 1,
                              "dedup_hits": 0}
     back = result_from_record(json.loads(json.dumps(rec)))
-    assert back == r
+    assert back == ("cq_x", r)
 
 
 def test_journal_record_without_search_counts():
@@ -96,14 +96,14 @@ def test_journal_record_without_search_counts():
     r = ProverResult(SzsStatus.GAVE_UP, 0.5)
     rec = journal_record("cq_x", r)
     assert "search" not in rec
-    assert result_from_record(json.loads(json.dumps(rec))) == r
+    assert result_from_record(json.loads(json.dumps(rec))) == ("cq_x", r)
 
 
 def test_journal_record_with_reported_seconds_still_loads():
     """Older journals carry a ``reported_seconds`` key, which is ignored."""
     rec = journal_record("cq_x", ProverResult(SzsStatus.GAVE_UP, 0.5))
     rec["reported_seconds"] = 0.4
-    assert result_from_record(rec) == ProverResult(SzsStatus.GAVE_UP, 0.5)
+    assert result_from_record(rec) == ("cq_x", ProverResult(SzsStatus.GAVE_UP, 0.5))
 
 
 def test_read_journal_missing_file(tmp_path):
@@ -233,19 +233,21 @@ def test_builtin_and_prover_cli_command_agree(pipeline, journal, tmp_path):
 # the builtin backend's per-process base: never seen in a result
 
 
-def _cached(path, limit=10.0, cap=microprover.MAX_CLAUSES) -> str:
-    """The builtin backend's output for a problem, less its time line."""
-    out = prover_cli.prove_problem(path, limit, microprover.MAX_LITERALS, cap)
+def _untimed(out: str) -> str:
     return "".join(line for line in out.splitlines(keepends=True)
                    if not line.startswith("% Time elapsed:"))
+
+
+def _cached(path, limit=10.0, cap=microprover.MAX_CLAUSES) -> str:
+    """The builtin backend's output for a problem, less its time line."""
+    return _untimed(prover_cli.prove_problem(path, limit, microprover.MAX_LITERALS, cap))
 
 
 def _fresh(path, limit=10.0, cap=microprover.MAX_CLAUSES) -> str:
     """The same, from a read and a proof that share nothing with earlier ones."""
     axioms, (_, conjecture) = tptp.read_problem(path)
     r = microprover.prove(axioms, conjecture, limit_seconds=limit, max_clauses=cap)
-    return (tptp.render_szs_output(r.szs, r.used_axioms, problem=Path(path).name)
-            + tptp.render_search(r.search))
+    return _untimed(tptp.render_result(r, Path(path).name))
 
 
 def _include_problem(tmp_path, name, conjecture, own=(), include="axioms.ax"):
@@ -358,7 +360,8 @@ def test_base_gives_every_fixture_problem_its_fresh_result(pipeline, tmp_path, m
     assert len(problems) == 21
     assert {parse_szs(out)[0] for out in fresh} == {SzsStatus.THEOREM, SzsStatus.GAVE_UP}
     assert cached == fresh
-    assert {p.stem: (parse_szs(out)[0].value, parse_szs(out)[1], astuple(tptp.parse_search(out)))
+    assert {p.stem: (parse_szs(out)[0].value, parse_szs(out)[1],
+                     astuple(tptp.read_result(out, 0.0, SzsStatus.NO_STATUS, None).search))
             for p, out in zip(problems, fresh)} == FIXTURE_RESULTS
     # the axioms were clausified once, the conjectures once each
     assert len(clausified) == n_axioms + len(problems)

@@ -10,15 +10,18 @@ from test_kif import alpha_equal
 from cqeval import Error, kif, microprover, ontology, prover_cli, tptp
 from cqeval.cqgen import CompetencyQuestion, Pattern, Polarity
 from cqeval.tptp import (
+    ProverResult,
+    SearchCounts,
     SzsStatus,
     demangle_symbol,
     mangle_symbol,
     mangle_variable,
     parse_szs,
     read_problem,
+    read_result,
     read_units,
     render_fof,
-    render_szs_output,
+    render_result,
     render_unit,
     write_problem,
 )
@@ -366,16 +369,30 @@ def test_parse_szs_ignores_block_without_theorem():
 
 
 def test_szs_render_parse_round_trip():
-    for status in SzsStatus:
+    # every status a prover writes, with search counts and without
+    for status in (s for s in SzsStatus if s is not SzsStatus.NO_STATUS):
         used = ("ax_one", "ax_two") if status is SzsStatus.THEOREM else ()
-        text = render_szs_output(status, used, problem="prob.p")
-        back, back_used = parse_szs(text)
-        assert back is status
-        assert back_used == used
+        for search in (None, SearchCounts(given=5, pairs=4, unifications=3, kept=2, dedup_hits=1)):
+            result = ProverResult(status, 1.25, used, "prob.out", search)
+            text = render_result(result, "prob.p")
+            assert text.startswith(f"% SZS status {status.value} for prob.p\n")
+            assert "% Time elapsed: 1.250 s\n" in text
+            assert parse_szs(text) == (status, used)
+            assert read_result(text, 1.25, SzsStatus.TIMEOUT, "prob.out") == result
+
+
+def test_prover_error_output_is_status_then_time_then_message(tmp_path):
+    p = tmp_path / "prob.p"
+    p.write_text("fof(a, axiom, s__p).\n", encoding="utf-8")
+    out = prover_cli.prove_problem(p, 10, microprover.MAX_LITERALS, microprover.MAX_CLAUSES)
+    status, time_line, message = out.splitlines()
+    assert status == "% SZS status Error for prob.p"
+    assert time_line.startswith("% Time elapsed: ") and time_line.endswith(" s")
+    assert message == f"% {tmp_path / 'prob.p'}: no conjecture unit"
 
 
 def test_szs_round_trip_quoted_names():
     used = AWKWARD_LABELS + ("ax_plain", "Capital")
-    text = render_szs_output(SzsStatus.THEOREM, used)
+    text = render_result(ProverResult(SzsStatus.THEOREM, 0.0, used), "prob.p")
     assert "fof('ax_o\\'brien', axiom, $true)." in text
     assert parse_szs(text) == (SzsStatus.THEOREM, used)
