@@ -311,6 +311,13 @@ def cmd_emit(args) -> int:
         tptp.write_problem(cq, axioms, problems_dir, include,
                            warn=lambda msg: print(f"warning: {msg}", file=sys.stderr))
     print(f"wrote {len(corpus.questions)} problems to {problems_dir}")
+    # a problem left by an earlier corpus would be run and reported too
+    ids = {cq.id for cq in corpus.questions}
+    stale = [p for p in problems_dir.glob("*.p") if p.stem not in ids]
+    for p in stale:
+        p.unlink()
+    if stale:
+        print(f"removed {len(stale)} problems not in the corpus")
     return 0
 
 

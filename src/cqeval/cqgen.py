@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from . import Error, kif, read_text
+from . import Error, kif, read_text, store
 from .kif import And, Atom, Constant, Equal, Exists, Forall, Formula, Implies, Not, Or, Variable
 from .ontology import OntologyIndex
 from .tptp import SzsStatus
@@ -315,9 +315,10 @@ def load_creative(path: str | Path) -> list:
         if "polarity" not in form.annotations:
             raise Error("form lacks a polarity annotation", form.line).at(path)
         cq_id = form.annotations["id"]
-        # the id names the problem file <id>.p, which must land in problems_dir
-        if not cq_id or "/" in cq_id or cq_id.startswith("."):
-            raise Error(f"id {cq_id!r} cannot name a problem file", form.line).at(path)
+        try:
+            _check_id(cq_id)
+        except ValueError as e:
+            raise Error(str(e), form.line).at(path) from None
         if cq_id in seen:
             raise Error(f"duplicate id {cq_id!r}", form.line).at(path)
         seen.add(cq_id)
@@ -413,8 +414,28 @@ def cq_to_record(cq: CompetencyQuestion) -> dict:
     }
 
 
+def _check_id(cq_id) -> None:
+    """Raise ValueError unless ``cq_id`` can name its problem file
+    ``<id>.p`` inside problems_dir: a string, not empty, with no ``/`` and
+    not starting with ``.``."""
+    if type(cq_id) is not str or not cq_id or "/" in cq_id or cq_id.startswith("."):
+        raise ValueError(f"id {cq_id!r} cannot name a problem file")
+
+
 def cq_from_record(rec: dict) -> CompetencyQuestion:
+    """The question a corpus record holds; a field of the wrong type, or an
+    id that cannot name a problem file, raises ValueError.  A record
+    without provenance has none."""
+    _check_id(rec["id"])
     prov = rec.get("provenance", {})
+    synsets, terms, relation = prov.get("synsets", []), prov.get("terms", []), prov.get("morph_relation")
+    store._check_fields((
+        ("synsets", synsets, type(synsets) is list and all(type(s) is str for s in synsets),
+         "a list of strings"),
+        ("terms", terms, type(terms) is list and all(type(t) is str for t in terms),
+         "a list of strings"),
+        ("morph_relation", relation, relation is None or type(relation) is str, "a string or null"),
+    ))
     formulas = kif.parse_kif(rec["kif_text"])
     if len(formulas) != 1:
         raise ValueError(f"record {rec.get('id')!r} must hold exactly one formula")
@@ -423,9 +444,5 @@ def cq_from_record(rec: dict) -> CompetencyQuestion:
         polarity=Polarity(rec["polarity"]),
         pattern=Pattern(rec["pattern"]),
         formula=formulas[0],
-        provenance=Provenance(
-            synsets=tuple(prov.get("synsets", ())),
-            terms=tuple(prov.get("terms", ())),
-            morph_relation=prov.get("morph_relation"),
-        ),
+        provenance=Provenance(synsets=tuple(synsets), terms=tuple(terms), morph_relation=relation),
     )

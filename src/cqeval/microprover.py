@@ -12,14 +12,13 @@ universal quantifier binds a fresh variable, and an existential binds a
 skolem term over the variables in scope.  Skolem functors are keyed by
 ints, so they cannot collide with input names.  Each literal is interned
 into the proof attempt's term table as it is met.  The distribution
-prunes as it goes: both sides of a product in which either side holds
-more than one clause, and its rows, lose repeated literals, tautologies
-and repeats of earlier partial clauses.  This yields the clauses that
-distributing first and pruning afterwards would keep, in the same order,
-so nested ``<=>`` over a few atoms stays small.  A chain of ``<=>`` over
-distinct atoms still doubles its clauses with every connective, so such
-a chain ends in Timeout: one interval timer bounds each proof attempt,
-whatever step it is in.
+prunes as it goes: both sides of every product, and its rows, lose
+repeated literals, tautologies and repeats of earlier partial clauses.
+This yields the clauses that distributing first and pruning afterwards
+would keep, in the same order, so nested ``<=>`` over a few atoms stays
+small.  A chain of ``<=>`` over distinct atoms still doubles its clauses
+with every connective, so such a chain ends in Timeout: one interval
+timer bounds each proof attempt, whatever step it is in.
 
 The search is a given-clause loop of resolution with negative selection:
 a clause with a negative literal is eligible only on the first one, in
@@ -46,10 +45,11 @@ The result counts the work: given clauses, partner pairs, unifications,
 derived clauses kept and duplicates dropped.
 
 Many problems can share their first axioms, which ``tptp.read_problem``
-hands over as one ``SharedAxioms``.  While that read lives, ``prove``
-keeps the search it built from it, its queue holding the axioms'
-clauses, and each attempt searches a copy.  That search is built inside
-an attempt's interval timer and kept only once complete.
+hands over as one ``SharedAxioms``.  ``prove`` keeps the search it built
+from the last such read, its queue holding the axioms' clauses, and
+each attempt that starts from the same read searches a copy.  That
+search is built inside an attempt's interval timer and kept only once
+complete.
 
 Terms are interned as ints over a per-run table, so comparing and
 hashing terms is O(1), and every walk over a term keeps its own stack,
@@ -72,7 +72,6 @@ import contextlib
 import itertools
 import signal
 import time
-import weakref
 from heapq import heappop, heappush
 
 from . import kif
@@ -119,17 +118,12 @@ def _prune(terms: _Terms, partials) -> list:
 
 def _product(terms: _Terms, branches) -> list:
     """Distribute or over and: every clause of the first branch joined
-    with every clause of the next, and so on, rows in that order.  Unless
-    both sides are single clauses, the sides are pruned before a product
-    and its rows as they are made."""
+    with every clause of the next, and so on, rows in that order.  The
+    sides are pruned before each product and its rows as they are made."""
     acc: list = [()]
     for branch in branches:
-        if len(acc) == 1 and len(branch) == 1:
-            acc = [acc[0] + branch[0]]
-        else:
-            branch = _prune(terms, branch)
-            rows = (a + b for a in _prune(terms, acc) for b in branch)
-            acc = _prune(terms, rows)
+        branch = _prune(terms, branch)
+        acc = _prune(terms, (a + b for a in _prune(terms, acc) for b in branch))
     return acc
 
 
@@ -175,10 +169,10 @@ def clausify(f: Formula, origin, terms: _Terms) -> list:
 # (-1, -3, ...) number the variables of a clause that is being built or
 # keyed or that waits in the queue.  Any other term is an index into the
 # table of one ``_Terms``, which holds each distinct (functor, child ids)
-# once, so two terms are equal exactly when their ids are.  A literal is the int ``2 * atom + positive``, where the atom is a
-# term whose functor is the predicate.  Every walk below keeps its own
-# stack, so term depth is bounded by memory, not by the interpreter's
-# recursion limit.
+# once, so two terms are equal exactly when their ids are.  A literal is
+# the int ``2 * atom + positive``, where the atom is a term whose functor
+# is the predicate.  Every walk below keeps its own stack, so term depth
+# is bounded by memory, not by the interpreter's recursion limit.
 
 
 def _numbering():
@@ -369,9 +363,6 @@ class _Terms:
         are equal exactly when one clause is a renaming of the other with
         the same literal order among literals of equal shape (sign,
         predicate and arguments with variables blurred)."""
-        ground = self.ground
-        if all(ground[l >> 1] for l in lits):
-            return tuple(sorted(lits)), tuple(lits)
         shapes = self.shapes
         order = sorted(lits, key=lambda l: (self.apply(l >> 1, {}, shapes, _wildcard), l & 1))
         memo: dict = {}
@@ -560,9 +551,7 @@ class _Search:
 
                 # Partners by processing order, then given literal, then partner
                 # literal: the order in which pairing every processed clause meets them.
-                pairs = [(e // width, i, e % width) for i in eligible for e in index.partners(glits[i])]
-                if len(eligible) > 1:
-                    pairs.sort()
+                pairs = sorted((e // width, i, e % width) for i in eligible for e in index.partners(glits[i]))
                 pair_count += len(pairs)
                 here = len(processed)
                 processed.append((given, glits))
@@ -602,23 +591,23 @@ class _Search:
             self.given, self.pairs, self.unifications, self.kept = given_count, pair_count, unifications, kept
 
 
-_built: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # SharedAxioms -> its complete _Search
+_kept: tuple = (None, None)  # the last SharedAxioms started from, and its complete _Search
 
 
 def _start(axioms) -> tuple:
     """The search an attempt starts from, and the axioms left to admit to
     it: for axioms led by a ``SharedAxioms``, a copy of the search that
-    has admitted the clauses of its axioms, built and kept first if need
-    be."""
+    has admitted the clauses of its axioms, built and kept first unless
+    it is the kept read's."""
+    global _kept
     if not (axioms and isinstance(axioms[0], SharedAxioms)):
         return _Search(), axioms
-    read = axioms[0]
-    built = _built.get(read)
-    if built is None:
-        built = _Search()
+    read, built = _kept
+    if read is not axioms[0]:
+        read, built = axioms[0], _Search()
         for label, f in read.axioms:
             built.add(clausify(f, label, built.terms))
-        _built[read] = built
+        _kept = read, built
     return built.copy(), axioms[1:]
 
 

@@ -104,16 +104,14 @@ def result_from_record(rec: dict) -> tuple[str, ProverResult]:
     used, output, search = rec.get("used_axioms", []), rec.get("output_file"), rec.get("search")
     search = None if search is None else SearchCounts(**search)
     counts = {} if search is None else vars(search)
-    for name, value, ok, what in (
+    store._check_fields((
         ("cq_id", cq_id, type(cq_id) is str, "a name"),
         ("wall_seconds", wall, type(wall) in (int, float), "a number"),
         ("used_axioms", used, type(used) is list and all(type(a) is str for a in used),
          "a list of names"),
         ("output_file", output, output is None or type(output) is str, "a path or null"),
         *((f"search {k}", n, type(n) is int, "a count") for k, n in counts.items()),
-    ):
-        if not ok:
-            raise ValueError(f"{name} {value!r} is not {what}")
+    ))
     return cq_id, ProverResult(szs, float(wall), tuple(used), output, search)
 
 

@@ -95,18 +95,32 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
+def _check_fields(checks) -> None:
+    """Raise ValueError for the first ``(name, value, ok, what)`` of
+    ``checks`` that is not ``ok``: ``<name> <value> is not <what>``."""
+    for name, value, ok, what in checks:
+        if not ok:
+            raise ValueError(f"{name} {value!r} is not {what}")
+
+
+_STORED = {str: "a string", int: "a whole number"}  # the field types a record holds as they are
+
+
 def record_codec(cls):
     """``(encode, decode)`` between instances of ``cls``, a dataclass or a
     NamedTuple, and store records.  A record has one key per field; a
     synset id is stored as its key and an enum member as its value.
     ``decode`` converts the record it is given in place, and raises
-    ValueError on a record with other keys or an unknown enum value."""
+    ValueError on a record with other keys, a string or integer field
+    (a synset key included) of another JSON type, or an unknown enum
+    value."""
     hints = typing.get_type_hints(cls)
     fields = hints.keys()
-    getters, typers = [], []
+    getters, kinds, typers = [], [], []
     for name, hint in hints.items():
         if hint is SynsetId:
             getters.append((name, operator.attrgetter(f"{name}.key")))
+            kinds.append((name, str))
             typers.append((name, SynsetId.from_key))
         elif isinstance(hint, type) and issubclass(hint, Enum):
             getters.append((name, operator.attrgetter(f"{name}.value")))
@@ -114,6 +128,8 @@ def record_codec(cls):
             typers.append((name, {m.value: m for m in hint}.__getitem__))
         else:
             getters.append((name, operator.attrgetter(name)))
+            if hint in _STORED:
+                kinds.append((name, hint))
 
     def encode(obj) -> dict:
         return {name: get(obj) for name, get in getters}
@@ -121,10 +137,13 @@ def record_codec(cls):
     def decode(rec: dict):
         if rec.keys() != fields:
             raise ValueError(f"fields {sorted(rec)}, expected {sorted(fields)}")
+        for name, kind in kinds:
+            if type(rec[name]) is not kind:  # exact: a bool is no integer
+                raise ValueError(f"{name} {rec[name]!r} is not {_STORED[kind]}")
         for name, typed in typers:
             try:
                 rec[name] = typed(rec[name])
-            except KeyError:  # the enum lookup
+            except (KeyError, TypeError):  # the enum lookup, of an unhashable value too
                 raise ValueError(f"{name} {rec[name]!r} is not a {hints[name].__name__}") from None
         return cls(**rec)
 

@@ -522,11 +522,58 @@ def _stores_with_bad_record(pipeline, tmp_path, name, edit):
     ("emit", "corpus", lambda r: r.update(kif_text="(not (p a)"), "bad record: "),
     ("generate", "antonyms", lambda r: r.update(c=r["a"]),
      "bad record: fields ['a', 'b', 'c'], expected ['a', 'b']"),
-], ids=["mapping-missing-field", "mapping-bad-enum", "corpus-bad-formula", "antonyms-extra-key"])
+    ("propagate", "mapping", lambda r: r.update(term=["x"]), "bad record: term ['x'] is not a string"),
+    ("propagate", "mapping", lambda r: r.update(relation=["x"]),
+     "bad record: relation ['x'] is not a MappingRelation"),
+    ("generate", "core_mapping", lambda r: r.update(term=7), "bad record: term 7 is not a string"),
+    ("generate", "core_mapping", lambda r: r.update(depth="deep"),
+     "bad record: depth 'deep' is not a whole number"),
+    ("generate", "core_mapping", lambda r: r.update(depth=True),
+     "bad record: depth True is not a whole number"),
+    ("generate", "morphlinks", lambda r: r.update(relation=5), "bad record: relation 5 is not a string"),
+    ("generate", "morphlinks", lambda r: r.update(verb=5), "bad record: verb 5 is not a string"),
+    ("emit", "corpus", lambda r: r.update(id="../escaped"),
+     "bad record: id '../escaped' cannot name a problem file"),
+    ("emit", "corpus", lambda r: r.update(id=7), "bad record: id 7 cannot name a problem file"),
+    ("emit", "corpus", lambda r: r["provenance"].update(terms="ab"),
+     "bad record: terms 'ab' is not a list of strings"),
+    ("emit", "corpus", lambda r: r["provenance"].update(synsets=[1]),
+     "bad record: synsets [1] is not a list of strings"),
+    ("emit", "corpus", lambda r: r["provenance"].update(morph_relation=["agent"]),
+     "bad record: morph_relation ['agent'] is not a string or null"),
+], ids=["mapping-missing-field", "mapping-bad-enum", "corpus-bad-formula", "antonyms-extra-key",
+        "mapping-list-term", "mapping-list-relation", "core-mapping-number-term", "core-mapping-string-depth",
+        "core-mapping-bool-depth", "morphlinks-number-relation", "morphlinks-number-synset",
+        "corpus-escaping-id", "corpus-number-id", "corpus-string-terms", "corpus-number-synset",
+        "corpus-list-morph-relation"])
 def test_bad_store_record_names_its_line(pipeline, tmp_path, stage, name, edit, needle):
     config, path = _stores_with_bad_record(pipeline, tmp_path, name, edit)
     err = _expect_error([stage, "--config", str(config)], f"{path}:2: {needle}")
     assert err.count("\n") == 1  # one line, no traceback
+
+
+def test_emit_leaves_only_the_corpus_problems(pipeline, tmp_path):
+    shutil.copytree(pipeline.root / "stores", tmp_path / "stores")
+    raw = base_config()
+    raw["builtin_max_clauses"] = 100  # keeps the run short
+    config = str(write_config(tmp_path, raw))
+    assert run_cli("emit", "--config", config)[0] == 0
+    old = {p.name for p in (tmp_path / "problems").glob("*.p")}
+    del raw["creative"]
+    write_config(tmp_path, raw)
+    assert run_cli("generate", "--config", config)[0] == 0
+    code, out, _ = run_cli("emit", "--config", config)
+    new = {p.name for p in (tmp_path / "problems").glob("*.p")}
+    assert code == 0 and new < old
+    assert sorted(old - new) == [f"cq_creative_{name}.p" for name in
+                                 ("boys_domestic", "man_pregnant", "organisms_dead")]
+    assert out.endswith("removed 3 problems not in the corpus\n")
+    code, out, _ = run_cli("emit", "--config", config)
+    assert code == 0 and "removed" not in out
+    assert run_cli("run", "--config", config, "--jobs", "1")[0] == 0
+    code, out, err = run_cli("report", "--config", config)
+    assert (code, err) == (0, "")
+    assert "creative" not in out
 
 
 def _with_fault(tmp_path, source, fault):
